@@ -30,7 +30,6 @@ from .chains import (
     StepHistogram,
     extract_chain,
     max_step_at_turns,
-    reasoning_steps,
     step_histogram,
 )
 from .corpus import (

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
-from .chains import SlotChain, extract_chain
+from .chains import SlotChain, chains_by_slot, extract_chain
 from .corpus import Corpus, Dialogue, Schema, SlotSchema
 from .errors import (
     EmptyChainError,
@@ -297,9 +297,13 @@ def build_dataset(
     slots = sorted(corpus.schema.slots, key=lambda s: s.slot_id)
     examples = []
     for dialogue in sorted(corpus.dialogues_in(split), key=lambda d: d.dialogue_id):
+        chains = chains_by_slot(dialogue, policy)
         for turn in dialogue.turns:
             for slot in slots:
-                chain = extract_chain(dialogue, slot.slot_id, turn.index, policy)
+                full = chains.get(slot.slot_id) or SlotChain(
+                    dialogue.dialogue_id, slot.slot_id, dialogue.n_turns, (), ()
+                )
+                chain = full.through(turn.index)
                 if not include_inactive and chain.step_count == 0:
                     continue
                 examples.append(

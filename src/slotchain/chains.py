@@ -4,10 +4,16 @@ A chain collects, in order, every turn up to a query turn where the
 normalized value of one slot differs from the turn before. Its length is
 the number of reasoning steps needed to justify the value at the query
 turn; dropping a previously set slot counts as a step to "none".
+
+``extract_chain`` is the only place that detects changes. The dataset
+builder, the step histogram and the step buckets scan each (dialogue,
+slot) once, through the last turn; the chain at an earlier turn is the
+prefix of that chain up to the turn.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -43,6 +49,13 @@ class SlotChain:
     def final_value(self) -> str:
         """Value in force at the query turn; "none" when never set."""
         return self.values[-1] if self.values else NONE_VALUE
+
+    def through(self, query_turn: int) -> SlotChain:
+        """The chain at an earlier (or the same) query turn: a prefix."""
+        k = bisect_right(self.change_turns, query_turn)
+        return SlotChain(
+            self.dialogue_id, self.slot_id, query_turn, self.change_turns[:k], self.values[:k]
+        )
 
 
 def extract_chain(
@@ -85,33 +98,13 @@ def extract_chain(
     )
 
 
-def reasoning_steps(chain: SlotChain) -> int:
-    """Number of changes behind the chain's final value; 0 when empty."""
-    return chain.step_count
-
-
-def _slot_ids_in(dialogue: Dialogue) -> set[str]:
-    return {slot_id for turn in dialogue.turns for slot_id in turn.gold_state}
-
-
-def _change_counts_by_turn(
-    dialogue: Dialogue, policy: NormalizationPolicy
-) -> list[dict[str, int]]:
-    """Per turn, change counts of every slot changed so far. One pass
-    over the dialogue instead of a chain extraction per (turn, slot)."""
-    previous: dict[str, str] = {}
-    counts: dict[str, int] = {}
-    out: list[dict[str, int]] = []
-    slot_ids = _slot_ids_in(dialogue)
-    for turn in dialogue.turns:
-        for slot_id in slot_ids:
-            raw = turn.gold_state.get(slot_id)
-            norm = normalize_value(raw, policy) if raw is not None else NONE_VALUE
-            if norm != previous.get(slot_id, NONE_VALUE):
-                counts[slot_id] = counts.get(slot_id, 0) + 1
-                previous[slot_id] = norm
-        out.append(dict(counts))
-    return out
+def chains_by_slot(
+    dialogue: Dialogue, policy: NormalizationPolicy = DEFAULT_POLICY
+) -> dict[str, SlotChain]:
+    """Chain through the last turn of every slot annotated in the
+    dialogue, one scan each; ``.through(t)`` gives the chain at turn t."""
+    slot_ids = {slot_id for turn in dialogue.turns for slot_id in turn.gold_state}
+    return {s: extract_chain(dialogue, s, dialogue.n_turns, policy) for s in slot_ids}
 
 
 def max_step_at_turns(
@@ -119,8 +112,10 @@ def max_step_at_turns(
 ) -> tuple[int, ...]:
     """For each turn, the largest chain length over all slots; 0 until
     the first slot is filled. Used to bucket turns by reasoning depth."""
+    chains = chains_by_slot(dialogue, policy).values()
     return tuple(
-        max(counts.values(), default=0) for counts in _change_counts_by_turn(dialogue, policy)
+        max((bisect_right(c.change_turns, t) for c in chains), default=0)
+        for t in range(1, dialogue.n_turns + 1)
     )
 
 
@@ -157,7 +152,9 @@ def step_histogram(
     a non-empty chain, for one split or the whole corpus."""
     counts: dict[int, int] = {}
     for dialogue in corpus.dialogues_in(split):
-        for per_slot in _change_counts_by_turn(dialogue, policy):
-            for count in per_slot.values():
-                counts[count] = counts.get(count, 0) + 1
+        for chain in chains_by_slot(dialogue, policy).values():
+            # step i holds from change turn c_i up to the next change
+            ends = chain.change_turns[1:] + (dialogue.n_turns + 1,)
+            for steps, (start, end) in enumerate(zip(chain.change_turns, ends), start=1):
+                counts[steps] = counts.get(steps, 0) + end - start
     return StepHistogram(counts=counts)

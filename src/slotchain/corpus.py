@@ -44,10 +44,6 @@ class Schema:
     def by_id(self) -> dict[str, SlotSchema]:
         return {slot.slot_id: slot for slot in self.slots}
 
-    @property
-    def domains(self) -> set[str]:
-        return {slot.domain for slot in self.slots}
-
     def __contains__(self, slot_id: str) -> bool:
         return slot_id in self.by_id
 
@@ -75,9 +71,6 @@ class Dialogue:
     @property
     def n_turns(self) -> int:
         return len(self.turns)
-
-    def state_at(self, turn_index: int) -> Mapping[str, str]:
-        return self.turns[turn_index - 1].gold_state
 
 
 @dataclass(frozen=True)
@@ -178,8 +171,10 @@ def load_schema(path: str | Path) -> Schema:
         where = f"{path}: slot record {i}"
         if not isinstance(entry, dict):
             raise FormatError(f"{where}: expected an object")
+        possible = entry.get("possible_values")
+        if possible is not None and not _is_str_list(possible):
+            raise FormatError(f"{where}: field 'possible_values' not an array of strings")
         try:
-            possible = entry.get("possible_values")
             slots.append(
                 SlotSchema(
                     slot_id=_req_str(entry, "slot_id", where),
@@ -209,6 +204,10 @@ def save_schema(schema: Schema, path: str | Path) -> None:
             record["possible_values"] = list(slot.possible_values)
         records.append(record)
     _write_json(records, path)
+
+
+def _is_str_list(value: object) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 def _req_str(entry: dict, key: str, where: str) -> str:
@@ -264,6 +263,9 @@ def load_corpus(
                 state = turn.get("state", {})
                 if not isinstance(state, dict):
                     raise FormatError(f"{turn_where}: field 'state' not an object")
+                for slot_id, value in state.items():
+                    if not isinstance(value, str):
+                        raise FormatError(f"{turn_where}: value of slot {slot_id!r} not a string")
                 index = turn.get("index")
                 if not isinstance(index, int):
                     raise FormatError(f"{turn_where}: field 'index' missing or not an integer")
@@ -424,14 +426,35 @@ def ingest_legacy(
     return corpus
 
 
-def _load_json_array(path: Path) -> list:
+def _load_json_array(path: Path) -> list[dict]:
+    """The file's top-level array; every record must be an object."""
     try:
         raw = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise FormatError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(raw, list):
         raise FormatError(f"{path}: expected a JSON array")
-    return raw
+    return _objects(raw, f"{path}: record")
+
+
+def _objects(items: object, where: str) -> list[dict]:
+    """``items`` when it is an array of objects; ``where`` names the
+    field, and the position of a bad item is appended to it."""
+    if not isinstance(items, list):
+        raise FormatError(f"{where}: expected an array")
+    for k, item in enumerate(items):
+        if not isinstance(item, dict):
+            raise FormatError(f"{where} {k}: expected an object")
+    return items
+
+
+def _object(value: object, where: str) -> dict:
+    """``value`` when it is an object; a missing or empty value is {}."""
+    if not value:
+        return {}
+    if not isinstance(value, dict):
+        raise FormatError(f"{where}: expected an object")
+    return value
 
 
 def _slot_name_index(schema: Schema, domain: str | None = None) -> dict[str, str | None]:
@@ -476,14 +499,18 @@ def _ingest_woz_belief(path: Path, schema: Schema, split: str) -> Corpus:
         if not isinstance(raw_turns, list):
             raise FormatError(f"{where}: field 'dialogue' missing or not an array")
         turns: list[TurnPair] = []
-        for j, raw_turn in enumerate(raw_turns):
+        for j, raw_turn in enumerate(_objects(raw_turns, f"{where} turn")):
             turn_where = f"{where} turn {j}"
             state: dict[str, str] = {}
-            for item in raw_turn.get("belief_state", []):
+            belief = raw_turn.get("belief_state", [])
+            for item in _objects(belief, f"{turn_where} belief_state item"):
                 if item.get("act") not in (None, "inform"):
                     continue
-                for pair in item.get("slots", []):
-                    if len(pair) != 2:
+                pairs = item.get("slots", [])
+                if not isinstance(pairs, list):
+                    raise FormatError(f"{turn_where}: belief field 'slots' not an array")
+                for pair in pairs:
+                    if not isinstance(pair, list) or len(pair) != 2:
                         raise FormatError(f"{turn_where}: malformed belief slot pair {pair!r}")
                     raw_name, value = pair
                     slot_id = _resolve_slot_name(name_index, raw_name, turn_where)
@@ -512,16 +539,17 @@ def _ingest_m2m_flat(path: Path, schema: Schema, split: str) -> Corpus:
         if not isinstance(raw_turns, list):
             raise FormatError(f"{where}: field 'turns' missing or not an array")
         turns: list[TurnPair] = []
-        for j, raw_turn in enumerate(raw_turns):
+        for j, raw_turn in enumerate(_objects(raw_turns, f"{where} turn")):
             turn_where = f"{where} turn {j}"
             state: dict[str, str] = {}
-            for item in raw_turn.get("dialogue_state", []):
+            items = raw_turn.get("dialogue_state", [])
+            for item in _objects(items, f"{turn_where} dialogue_state item"):
                 slot_id = _resolve_slot_name(name_index, item.get("slot"), turn_where)
                 value = item.get("value")
                 if value:
                     state[slot_id] = str(value)
-            system = raw_turn.get("system_utterance") or {}
-            user = raw_turn.get("user_utterance") or {}
+            system = _object(raw_turn.get("system_utterance"), f"{turn_where} system_utterance")
+            user = _object(raw_turn.get("user_utterance"), f"{turn_where} user_utterance")
             turns.append(
                 TurnPair(
                     index=j + 1,
@@ -544,7 +572,7 @@ def _ingest_sgd_state(path: Path, schema: Schema, split: str) -> Corpus:
             raise FormatError(f"{where}: field 'turns' missing or not an array")
         turns: list[TurnPair] = []
         pending_system = ""
-        for j, raw_turn in enumerate(raw_turns):
+        for j, raw_turn in enumerate(_objects(raw_turns, f"{where} turn")):
             speaker = str(raw_turn.get("speaker", "")).upper()
             utterance = str(raw_turn.get("utterance", ""))
             if speaker == "SYSTEM":
@@ -553,8 +581,11 @@ def _ingest_sgd_state(path: Path, schema: Schema, split: str) -> Corpus:
             if speaker != "USER":
                 raise FormatError(f"{where} turn {j}: unknown speaker {speaker!r}")
             state: dict[str, str] = {}
-            for frame in raw_turn.get("frames", []):
-                slot_values = (frame.get("state") or {}).get("slot_values") or {}
+            frames = _objects(raw_turn.get("frames", []), f"{where} turn {j} frame")
+            for k, frame in enumerate(frames):
+                frame_where = f"{where} turn {j} frame {k}"
+                frame_state = _object(frame.get("state"), f"{frame_where} state")
+                slot_values = _object(frame_state.get("slot_values"), f"{frame_where} slot_values")
                 for slot_id, variants in slot_values.items():
                     if slot_id not in schema:
                         raise FormatError(

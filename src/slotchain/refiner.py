@@ -161,10 +161,14 @@ def _cache_path(config: RefineConfig, fingerprint: str) -> Path | None:
 
 
 def _cache_read(config: RefineConfig, fingerprint: str) -> str | None:
+    """Cached narration, or None on a miss. Narrations are stored
+    stripped and non-empty, so a blank file is a miss the next answer
+    overwrites."""
     path = _cache_path(config, fingerprint)
     if path is None or not path.is_file():
         return None
-    return path.read_text(encoding="utf-8")
+    text = path.read_text(encoding="utf-8")
+    return text if text.strip() else None
 
 
 def _cache_write(config: RefineConfig, fingerprint: str, refined: str) -> None:

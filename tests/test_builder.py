@@ -8,6 +8,7 @@ import random
 import pytest
 
 from gen import make_corpus
+from oracles import oracle_chain
 from slotchain.builder import (
     CoTExample,
     DEFAULT_TEMPLATE,
@@ -37,6 +38,7 @@ from slotchain.errors import (
     TurnOutOfRangeError,
     ValidationError,
 )
+from slotchain.normalize import DEFAULT_POLICY
 
 
 def schema() -> Schema:
@@ -239,6 +241,16 @@ def test_coarse_explanation_single_pair_empty_system():
     assert build_coarse_explanation(chain, d) == "system: user: find a 3 star hotel"
 
 
+def coarse_text(d, turn_indices):
+    """Speaker pairs of the given turns, rebuilt without the library."""
+    return " ".join(
+        ("system: " + d.turns[t - 1].system_utterance + " "
+         if d.turns[t - 1].system_utterance else "system: ")
+        + "user: " + d.turns[t - 1].user_utterance
+        for t in turn_indices
+    )
+
+
 def test_coarse_explanation_ordering_matches_sorted_turns():
     for seed in range(100):
         corpus = make_corpus(random.Random(40_000 + seed))
@@ -248,13 +260,7 @@ def test_coarse_explanation_ordering_matches_sorted_turns():
                 if not chain.change_turns:
                     continue
                 text = build_coarse_explanation(chain, d)
-                expected = " ".join(
-                    ("system: " + d.turns[t - 1].system_utterance + " "
-                     if d.turns[t - 1].system_utterance else "system: ")
-                    + "user: " + d.turns[t - 1].user_utterance
-                    for t in sorted(chain.change_turns)
-                )
-                assert text == expected
+                assert text == coarse_text(d, sorted(chain.change_turns))
 
 
 def test_coarse_explanation_requires_chain():
@@ -372,14 +378,36 @@ def test_build_dataset_example_fields_reconstructed_independently():
         assert len(examples) == count
         for example in examples:
             d = next(x for x in corpus.dialogues if x.dialogue_id == example.meta.dialogue_id)
-            chain = extract_chain(d, example.meta.slot_id, example.meta.query_turn)
-            assert example.meta.step_count == chain.step_count
-            assert example.target_value == chain.final_value
+            steps = oracle_chain(
+                d, example.meta.slot_id, example.meta.query_turn, DEFAULT_POLICY
+            )
+            assert example.meta.step_count == len(steps)
+            assert example.target_value == (steps[-1][1] if steps else "none")
             assert example.meta.dialogue_turns == d.n_turns
             if example.explanation_kind == "coarse":
-                assert example.explanation == build_coarse_explanation(chain, d)
+                assert example.explanation == coarse_text(d, [t for t, _ in steps])
             else:
                 assert example.explanation == ""
+
+
+def test_build_dataset_scans_each_annotated_slot_once(monkeypatch):
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[:2])
+        return extract_chain(*args, **kwargs)
+
+    # count calls made through either module's name for the function
+    monkeypatch.setattr("slotchain.chains.extract_chain", counting)
+    monkeypatch.setattr("slotchain.builder.extract_chain", counting)
+    for seed in range(20):
+        corpus = make_corpus(random.Random(55_000 + seed))
+        calls.clear()
+        build_dataset(corpus, include_inactive=True)
+        pairs = sum(
+            len({s for turn in d.turns for s in turn.gold_state}) for d in corpus.dialogues
+        )
+        assert len(calls) <= pairs, (seed, len(calls), pairs)
 
 
 def test_build_dataset_split_filter():

@@ -14,9 +14,9 @@ from oracles import (
 )
 from slotchain.chains import (
     SlotChain,
+    chains_by_slot,
     extract_chain,
     max_step_at_turns,
-    reasoning_steps,
     step_histogram,
 )
 from slotchain.corpus import Corpus, Dialogue, Schema, SlotSchema, TurnPair
@@ -109,7 +109,7 @@ def test_set_restate_change_case():
     chain = extract_chain(dialogue, "hotel-price", 6)
     assert chain.change_turns == (2, 5)
     assert chain.values == ("cheap", "expensive")
-    assert reasoning_steps(chain) == 2
+    assert chain.step_count == 2
 
 
 def test_deletion_is_a_step_to_none():
@@ -157,9 +157,9 @@ def test_query_turn_bounds():
 
 
 def test_reasoning_steps_matches_chain_length():
-    assert reasoning_steps(extract_chain(stars_dialogue(), "hotel-stars", 4)) == 3
-    assert reasoning_steps(extract_chain(stars_dialogue(), "hotel-stars", 1)) == 1
-    assert reasoning_steps(extract_chain(stars_dialogue(), "hotel-parking", 4)) == 0
+    assert extract_chain(stars_dialogue(), "hotel-stars", 4).step_count == 3
+    assert extract_chain(stars_dialogue(), "hotel-stars", 1).step_count == 1
+    assert extract_chain(stars_dialogue(), "hotel-parking", 4).step_count == 0
 
 
 # ---------------------------------------------------------------------------
@@ -195,6 +195,21 @@ def test_chain_prefix_monotone():
                     pairs = tuple(zip(chain.change_turns, chain.values))
                     assert pairs[: len(previous)] == previous
                     previous = pairs
+
+
+def test_chain_through_earlier_turn_is_the_chain_at_that_turn():
+    for seed in range(100):
+        corpus = make_corpus(random.Random(15_000 + seed))
+        for dialogue in corpus.dialogues:
+            chains = chains_by_slot(dialogue)
+            annotated = {s for turn in dialogue.turns for s in turn.gold_state}
+            assert set(chains) == annotated
+            for slot_id, chain in chains.items():
+                assert chain.query_turn == dialogue.n_turns
+                for query_turn in range(1, dialogue.n_turns + 1):
+                    assert chain.through(query_turn) == extract_chain(
+                        dialogue, slot_id, query_turn
+                    ), (seed, dialogue.dialogue_id, slot_id, query_turn)
 
 
 def test_histogram_matches_oracle():

@@ -208,6 +208,73 @@ def test_validate_rejects_broken_corpus(capsys, tmp_path):
     assert "no-such" in err
 
 
+def one_turn_corpus(state):
+    return [{"dialogue_id": "d1", "split": "train",
+             "turns": [{"index": 1, "system": "", "user": "hi", "state": state}]}]
+
+
+def ingest_argv(style, schema):
+    return ["ingest", "--input", "{file}", "--schema", schema, "--style", style]
+
+
+# (argv with "{file}" for the malformed file, file content, message part)
+MALFORMED_INPUTS = {
+    "canonical state value": (
+        ["stats", "--corpus", "{file}", "--schema", SCHEMA],
+        one_turn_corpus({"hotel-area": 2}),
+        "dialogue record 0 turn 0: value of slot 'hotel-area' not a string",
+    ),
+    "schema possible_values": (
+        ["validate", "--corpus", DIALOGUES, "--schema", "{file}"],
+        [{"slot_id": "hotel-stars", "domain": "hotel", "name": "stars",
+          "description": "star rating", "possible_values": [1, 2]}],
+        "slot record 0: field 'possible_values' not an array of strings",
+    ),
+    "woz_belief turn": (
+        ingest_argv("woz_belief", "woz20"),
+        [{"dialogue_idx": 1, "dialogue": ["hello"]}],
+        "dialogue '1' turn 0: expected an object",
+    ),
+    "woz_belief belief item": (
+        ingest_argv("woz_belief", "woz20"),
+        [{"dialogue_idx": 1, "dialogue": [{"transcript": "hi", "belief_state": ["area"]}]}],
+        "dialogue '1' turn 0 belief_state item 0: expected an object",
+    ),
+    "m2m_flat dialogue": (
+        ingest_argv("m2m_flat", "m2m"),
+        ["sim-R-1"],
+        "record 0: expected an object",
+    ),
+    "m2m_flat utterance": (
+        ingest_argv("m2m_flat", "m2m"),
+        [{"id": "sim-R-1", "turns": [{"user_utterance": "hi"}]}],
+        "dialogue 'sim-R-1' turn 0 user_utterance: expected an object",
+    ),
+    "sgd_state frame state": (
+        ingest_argv("sgd_state", SCHEMA),
+        [{"dialogue_id": "x1", "turns": [
+            {"speaker": "USER", "utterance": "hi", "frames": [{"state": "north"}]}]}],
+        "dialogue 'x1' turn 0 frame 0 state: expected an object",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_one_naming_the_spot(tmp_path, case):
+    argv, payload, message = MALFORMED_INPUTS[case]
+    bad = tmp_path / "bad_train.json"
+    bad.write_text(json.dumps(payload), encoding="utf-8")
+    argv = [str(bad) if arg == "{file}" else arg for arg in argv]
+    result = subprocess.run(
+        [sys.executable, "-m", "slotchain.cli", *argv],
+        capture_output=True, text=True, check=False, cwd=tmp_path,
+    )
+    assert result.returncode == 1, result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith(f"error: {bad}: "), result.stderr
+    assert message in result.stderr
+
+
 # ---------------------------------------------------------------------------
 # stats
 
