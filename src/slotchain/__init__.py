@@ -23,7 +23,6 @@ from .builder import (
     render_history,
     render_prompt,
     render_target,
-    write_examples,
 )
 from .chains import (
     SlotChain,
@@ -68,7 +67,6 @@ from .evaluator import (
     PredictionRecord,
     bucketize,
     compute_jga,
-    emit_report,
     fine_grained_report,
     load_bucket_spec,
     load_predictions,

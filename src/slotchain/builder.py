@@ -23,6 +23,7 @@ from .errors import (
     TurnOutOfRangeError,
     ValidationError,
 )
+from .io import read_json, read_jsonl
 from .normalize import DEFAULT_POLICY, NONE_VALUE, NormalizationPolicy, normalize_value
 
 TARGET_SEPARATOR = " | "
@@ -56,12 +57,8 @@ DEFAULT_TEMPLATE = PromptTemplate()
 
 
 def load_template(path: str | Path) -> PromptTemplate:
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(data, dict) or not isinstance(data.get("template_text"), str):
+    data = read_json(path, expect=dict)
+    if not isinstance(data.get("template_text"), str):
         raise FormatError(f"{path}: expected an object with a 'template_text' string")
     unknown = set(data) - {"template_text", "choices_section_marker"}
     if unknown:
@@ -71,13 +68,7 @@ def load_template(path: str | Path) -> PromptTemplate:
 
 def load_question_overrides(path: str | Path, schema: Schema) -> dict[str, str]:
     """JSON object slot_id -> question; every key must resolve."""
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise FormatError(f"{path}: expected a JSON object of slot_id -> question")
+    data = read_json(path, expect=dict)
     for slot_id, question in data.items():
         if slot_id not in schema:
             raise ValidationError(f"{path}: override names unknown slot {slot_id!r}")
@@ -180,6 +171,10 @@ def render_target(value: str, explanation: str = "") -> str:
     the first separator, so the value itself must not contain one."""
     if not value:
         raise ValidationError("target value must be non-empty (use the \"none\" sentinel)")
+    if TARGET_SEPARATOR in value:
+        raise ValidationError(
+            f"target value {value!r} contains the separator {TARGET_SEPARATOR!r}"
+        )
     if not explanation:
         return value
     return f"{value}{TARGET_SEPARATOR}{explanation}"
@@ -350,43 +345,30 @@ def examples_to_jsonl(examples: Iterable[CoTExample]) -> str:
     )
 
 
-def write_examples(examples: Iterable[CoTExample], path: str | Path) -> None:
-    Path(path).write_text(examples_to_jsonl(examples), encoding="utf-8")
-
-
 def read_examples(path: str | Path) -> tuple[CoTExample, ...]:
-    path = Path(path)
     examples = []
-    with path.open("r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}: line {line_number}"
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{where}: not valid JSON: {exc}") from exc
-            try:
-                meta = data["meta"]
-                examples.append(
-                    CoTExample(
-                        example_id=data["example_id"],
-                        input_text=data["input_text"],
-                        target_value=data["target_value"],
-                        explanation=data["explanation"],
-                        explanation_kind=data["explanation_kind"],
-                        meta=ExampleMeta(
-                            dialogue_id=meta["dialogue_id"],
-                            query_turn=meta["query_turn"],
-                            slot_id=meta["slot_id"],
-                            step_count=meta["step_count"],
-                            dialogue_turns=meta["dialogue_turns"],
-                            avg_utterance_len=meta["avg_utterance_len"],
-                        ),
-                    )
+    for _, where, data in read_jsonl(path):
+        try:
+            meta = data["meta"]
+            examples.append(
+                CoTExample(
+                    example_id=data["example_id"],
+                    input_text=data["input_text"],
+                    target_value=data["target_value"],
+                    explanation=data["explanation"],
+                    explanation_kind=data["explanation_kind"],
+                    meta=ExampleMeta(
+                        dialogue_id=meta["dialogue_id"],
+                        query_turn=meta["query_turn"],
+                        slot_id=meta["slot_id"],
+                        step_count=meta["step_count"],
+                        dialogue_turns=meta["dialogue_turns"],
+                        avg_utterance_len=meta["avg_utterance_len"],
+                    ),
                 )
-            except (KeyError, TypeError) as exc:
-                raise FormatError(f"{where}: missing or malformed field: {exc}") from exc
-            except ValidationError as exc:
-                raise FormatError(f"{where}: {exc}") from exc
+            )
+        except (KeyError, TypeError) as exc:
+            raise FormatError(f"{where}: missing or malformed field: {exc}") from exc
+        except ValidationError as exc:
+            raise FormatError(f"{where}: {exc}") from exc
     return tuple(examples)

@@ -3,18 +3,19 @@
 One binary with subcommands: ingest, validate, stats, build, refine,
 sample, eval, report. Data goes to --out or standard output; everything
 else (progress, warnings, errors) goes to standard error. Exit codes:
-0 success, 1 data or validation error, 2 usage error, 3 a refine run
-that finished with some items unrefined. No subcommand rewrites its
-input files.
+0 success, 1 data or validation error (input that is not UTF-8
+included), 2 usage error, 3 a refine run that finished with some items
+unrefined. No subcommand rewrites its input files: an --out naming one
+is an error. --out is written atomically, so an interrupted run leaves
+the old file whole.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from importlib import resources
-from pathlib import Path
 
 from . import __version__
 from .builder import (
@@ -37,7 +38,7 @@ from .corpus import (
     load_schema,
     merge_corpora,
 )
-from .errors import FormatError, SlotchainError
+from .errors import FormatError, SlotchainError, ValidationError
 from .evaluator import (
     fine_grained_report,
     load_bucket_spec,
@@ -46,10 +47,16 @@ from .evaluator import (
     read_report,
     render_report,
 )
-from .normalize import DEFAULT_POLICY, policy_from_dict
+from .io import file_or_bundled, read_json, write_text
+from .normalize import DEFAULT_POLICY, NormalizationPolicy, policy_from_dict
 from .refiner import load_refine_config, refine_batch
 
 _LEGACY_STYLES = ("woz_belief", "m2m_flat", "sgd_state")
+# Options that name files a subcommand reads; --out must name none of them.
+_INPUT_OPTIONS = (
+    "corpus", "input", "examples", "predictions", "report", "schema",
+    "config", "policy", "template_file", "overrides_file", "buckets",
+)
 
 
 def _note(args: argparse.Namespace, message: str) -> None:
@@ -59,9 +66,19 @@ def _note(args: argparse.Namespace, message: str) -> None:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        Path(out).write_text(text, encoding="utf-8")
+        write_text(out, text)
     else:
         sys.stdout.write(text)
+
+
+def _check_out_is_not_an_input(args: argparse.Namespace) -> None:
+    if not args.out or not os.path.isfile(args.out):
+        return
+    for option in _INPUT_OPTIONS:
+        value = getattr(args, option, None)
+        for path in value if isinstance(value, list) else [value]:
+            if path and os.path.isfile(path) and os.path.samefile(path, args.out):
+                raise SlotchainError(f"--out {args.out} would overwrite the input {path}")
 
 
 def _parse_exclude(value: str) -> set[str]:
@@ -70,14 +87,18 @@ def _parse_exclude(value: str) -> set[str]:
 
 def _load_schema_arg(value: str) -> Schema:
     """A schema file path, or a bundled schema by bare name."""
-    path = Path(value)
-    if path.is_file():
-        return load_schema(path)
-    bundled = resources.files("slotchain").joinpath(f"data/schemas/{value}.json")
-    if value.replace("_", "").isalnum() and bundled.is_file():
-        with resources.as_file(bundled) as real_path:
-            return load_schema(real_path)
-    raise FormatError(f"{value}: neither a schema file nor a bundled schema name")
+    path = file_or_bundled(value, "schemas")
+    if path is None:
+        raise FormatError(f"{value}: neither a schema file nor a bundled schema name")
+    return load_schema(path)
+
+
+def _load_policy_arg(value: str) -> NormalizationPolicy:
+    """A normalization policy JSON file."""
+    try:
+        return policy_from_dict(read_json(value, expect=dict))
+    except ValidationError as exc:
+        raise FormatError(f"{value}: {exc}") from exc
 
 
 def _load_corpus_arg(args: argparse.Namespace, schema: Schema) -> Corpus:
@@ -220,14 +241,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     schema = _load_schema_arg(args.schema)
     corpus = _load_corpus_arg(args, schema)
     predictions = load_predictions(args.predictions)
-    policy = DEFAULT_POLICY
-    if args.policy:
-        policy_path = Path(args.policy)
-        try:
-            data = json.loads(policy_path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{policy_path}: not valid JSON: {exc}") from exc
-        policy = policy_from_dict(data)
+    policy = _load_policy_arg(args.policy) if args.policy else DEFAULT_POLICY
     specs = [load_bucket_spec(name) for name in args.buckets]
     report = fine_grained_report(
         corpus, predictions, policy=policy, specs=specs, split=args.split
@@ -356,6 +370,7 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        _check_out_is_not_an_input(args)
         return _HANDLERS[args.subcommand](args)
     except SlotchainError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import FormatError, ValidationError
+from .io import read_json, write_text
 from .normalize import DEFAULT_POLICY, normalize_value
 
 SPLITS = ("train", "dev", "test")
@@ -159,15 +160,8 @@ def validate_corpus(corpus: Corpus) -> None:
 
 
 def load_schema(path: str | Path) -> Schema:
-    path = Path(path)
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(raw, list):
-        raise FormatError(f"{path}: expected a JSON array of slot objects")
     slots = []
-    for i, entry in enumerate(raw):
+    for i, entry in enumerate(read_json(path, expect=list)):
         where = f"{path}: slot record {i}"
         if not isinstance(entry, dict):
             raise FormatError(f"{where}: expected an object")
@@ -203,7 +197,7 @@ def save_schema(schema: Schema, path: str | Path) -> None:
         if slot.possible_values is not None:
             record["possible_values"] = list(slot.possible_values)
         records.append(record)
-    _write_json(records, path)
+    write_text(path, json.dumps(records, ensure_ascii=False, indent=2) + "\n")
 
 
 def _is_str_list(value: object) -> bool:
@@ -215,12 +209,6 @@ def _req_str(entry: dict, key: str, where: str) -> str:
     if not isinstance(value, str):
         raise FormatError(f"{where}: field {key!r} missing or not a string")
     return value
-
-
-def _write_json(payload, path: str | Path) -> None:
-    path = Path(path)
-    text = json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=False)
-    path.write_text(text + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -241,14 +229,7 @@ def load_corpus(
     """
     dialogues: list[Dialogue] = []
     for path in dialogue_paths:
-        path = Path(path)
-        try:
-            raw = json.loads(path.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-        if not isinstance(raw, list):
-            raise FormatError(f"{path}: expected a JSON array of dialogues")
-        for i, entry in enumerate(raw):
+        for i, entry in enumerate(read_json(path, expect=list)):
             where = f"{path}: dialogue record {i}"
             if not isinstance(entry, dict):
                 raise FormatError(f"{where}: expected an object")
@@ -356,7 +337,7 @@ def corpus_to_json(corpus: Corpus) -> str:
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Write the dialogues as one canonical JSON file."""
-    Path(path).write_text(corpus_to_json(corpus), encoding="utf-8")
+    write_text(path, corpus_to_json(corpus))
 
 
 def merge_corpora(corpora: Iterable[Corpus], name: str = "") -> Corpus:
@@ -428,13 +409,7 @@ def ingest_legacy(
 
 def _load_json_array(path: Path) -> list[dict]:
     """The file's top-level array; every record must be an object."""
-    try:
-        raw = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(raw, list):
-        raise FormatError(f"{path}: expected a JSON array")
-    return _objects(raw, f"{path}: record")
+    return _objects(read_json(path, expect=list), f"{path}: record")
 
 
 def _objects(items: object, where: str) -> list[dict]:

@@ -1,5 +1,5 @@
 """Joint goal accuracy, bucketed fine-grained reports, low-resource
-sampling, and report emission.
+sampling, and report rendering.
 
 A turn counts as correct only when every slot in the schema matches the
 gold state, absent slots matching the "none" sentinel. Buckets slice the
@@ -15,7 +15,6 @@ import json
 import math
 import random
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -31,6 +30,7 @@ from .errors import (
     UnknownSlotError,
     ValidationError,
 )
+from .io import file_or_bundled, read_json, read_jsonl
 from .normalize import (
     DEFAULT_POLICY,
     NONE_VALUE,
@@ -56,39 +56,30 @@ class PredictionRecord:
 
 def load_predictions(path: str | Path) -> tuple[PredictionRecord, ...]:
     """Predictions from JSONL rows {dialogue_id, turn, slot_id, text}."""
-    path = Path(path)
     records: list[PredictionRecord] = []
     seen: dict[tuple[str, int, str], int] = {}
-    with path.open("r", encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}: line {line_number}"
-            try:
-                data = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"{where}: not valid JSON: {exc}") from exc
-            if not isinstance(data, dict):
-                raise FormatError(f"{where}: expected an object")
-            dialogue_id = data.get("dialogue_id")
-            turn = data.get("turn")
-            slot_id = data.get("slot_id")
-            text = data.get("text")
-            if not isinstance(dialogue_id, str) or not dialogue_id:
-                raise FormatError(f"{where}: field 'dialogue_id' missing or not a string")
-            if not isinstance(turn, int) or isinstance(turn, bool):
-                raise FormatError(f"{where}: field 'turn' missing or not an integer")
-            if not isinstance(slot_id, str) or not slot_id:
-                raise FormatError(f"{where}: field 'slot_id' missing or not a string")
-            if not isinstance(text, str) or not text.strip():
-                raise FormatError(f"{where}: field 'text' missing, empty, or not a string")
-            key = (dialogue_id, turn, slot_id)
-            if key in seen:
-                raise DuplicatePredictionError(
-                    f"{where}: duplicates line {seen[key]} ({dialogue_id!r}, {turn}, {slot_id!r})"
-                )
-            seen[key] = line_number
-            records.append(PredictionRecord(dialogue_id, turn, slot_id, text))
+    for line_number, where, data in read_jsonl(path):
+        if not isinstance(data, dict):
+            raise FormatError(f"{where}: expected an object")
+        dialogue_id = data.get("dialogue_id")
+        turn = data.get("turn")
+        slot_id = data.get("slot_id")
+        text = data.get("text")
+        if not isinstance(dialogue_id, str) or not dialogue_id:
+            raise FormatError(f"{where}: field 'dialogue_id' missing or not a string")
+        if not isinstance(turn, int) or isinstance(turn, bool):
+            raise FormatError(f"{where}: field 'turn' missing or not an integer")
+        if not isinstance(slot_id, str) or not slot_id:
+            raise FormatError(f"{where}: field 'slot_id' missing or not a string")
+        if not isinstance(text, str) or not text.strip():
+            raise FormatError(f"{where}: field 'text' missing, empty, or not a string")
+        key = (dialogue_id, turn, slot_id)
+        if key in seen:
+            raise DuplicatePredictionError(
+                f"{where}: duplicates line {seen[key]} ({dialogue_id!r}, {turn}, {slot_id!r})"
+            )
+        seen[key] = line_number
+        records.append(PredictionRecord(dialogue_id, turn, slot_id, text))
     return tuple(records)
 
 
@@ -210,22 +201,11 @@ class BucketSpec:
 def load_bucket_spec(path_or_name: str | Path) -> BucketSpec:
     """Spec from a JSON file, or from the bundled set by bare name
     (step, mwz_turn, mwz_len, m2m_len, woz_turn, woz_len)."""
-    path = Path(path_or_name)
-    if path.is_file():
-        text = path.read_text(encoding="utf-8")
-        source = str(path)
-    else:
-        name = str(path_or_name)
-        candidate = resources.files("slotchain").joinpath(f"data/bucket_specs/{name}.json")
-        if not name.replace("_", "").isalnum() or not candidate.is_file():
-            raise FormatError(f"{path_or_name}: neither a file nor a bundled bucket spec")
-        text = candidate.read_text(encoding="utf-8")
-        source = f"bundled {name}"
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{source}: not valid JSON: {exc}") from exc
-    if not isinstance(data, dict) or not isinstance(data.get("edges"), list):
+    source = file_or_bundled(str(path_or_name), "bucket_specs")
+    if source is None:
+        raise FormatError(f"{path_or_name}: neither a file nor a bundled bucket spec")
+    data = read_json(source, expect=dict)
+    if not isinstance(data.get("edges"), list):
         raise FormatError(f"{source}: expected an object with 'axis' and 'edges'")
     edges = []
     for pair in data["edges"]:
@@ -429,12 +409,7 @@ def report_from_dict(data: Mapping) -> EvalReport:
 
 
 def read_report(path: str | Path) -> EvalReport:
-    path = Path(path)
-    try:
-        data = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: not valid JSON: {exc}") from exc
-    return report_from_dict(data)
+    return report_from_dict(read_json(path, expect=dict))
 
 
 def _format_jga(jga: float | None) -> str:
@@ -471,10 +446,3 @@ def render_report(report: EvalReport, format: str) -> str:
             writer.writerow([b.axis, b.label, b.n_turns, _format_jga(b.jga)])
         return out.getvalue()
     raise ValidationError(f"unknown report format {format!r}")
-
-
-def emit_report(report: EvalReport, format: str, path: str | Path | None = None) -> str:
-    text = render_report(report, format)
-    if path is not None:
-        Path(path).write_text(text, encoding="utf-8")
-    return text

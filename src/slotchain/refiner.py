@@ -13,11 +13,9 @@ import hashlib
 import json
 import os
 import re
-import tempfile
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
-from importlib import resources
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -25,6 +23,7 @@ import requests
 
 from .builder import CoTExample
 from .errors import AuthError, EmptyCompletionError, FormatError, NetworkError, ValidationError
+from .io import bundled, read_json, write_text
 
 DEFAULT_API_KEY_ENV_VAR = "COTE_API_KEY"
 DEFAULT_INSTRUCTION = (
@@ -33,6 +32,13 @@ DEFAULT_INSTRUCTION = (
 )
 
 _RETRYABLE_STATUSES = {408, 429, 500, 502, 503, 504}
+# The JSON values a config field takes, by its annotation: (types, description).
+_FIELD_TYPES = {
+    "str": (str, "a string"),
+    "int": (int, "an integer"),
+    "float": ((int, float), "a number"),
+    "bool": (bool, "a boolean"),
+}
 _TAG_RE = re.compile(r"(?:system|user):\s*")
 
 
@@ -93,25 +99,18 @@ class RefineBatchOutcome:
 def load_refine_config(path: str | Path | None = None, **overrides) -> RefineConfig:
     """Config from a JSON file (the bundled default when path is None),
     with keyword overrides taking precedence."""
-    if path is None:
-        text = resources.files("slotchain").joinpath("data/refine_config.json").read_text(
-            encoding="utf-8"
-        )
-        source = "bundled refine_config.json"
-    else:
-        path = Path(path)
-        text = path.read_text(encoding="utf-8")
-        source = str(path)
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{source}: not valid JSON: {exc}") from exc
-    if not isinstance(data, dict):
-        raise FormatError(f"{source}: expected a JSON object")
+    source = bundled("refine_config.json") if path is None else path
+    data = read_json(source, expect=dict)
     known = {f for f in RefineConfig.__dataclass_fields__}
     unknown = set(data) - known
     if unknown:
         raise FormatError(f"{source}: unknown config fields: {sorted(unknown)}")
+    for name, value in data.items():
+        kind = RefineConfig.__dataclass_fields__[name].type
+        if kind in _FIELD_TYPES:
+            types, description = _FIELD_TYPES[kind]
+            if not isinstance(value, types) or (isinstance(value, bool) and kind != "bool"):
+                raise FormatError(f"{source}: field {name!r} must be {description}")
     if "demonstrations" in data:
         demos = data["demonstrations"]
         if not isinstance(demos, list) or not all(
@@ -176,15 +175,7 @@ def _cache_write(config: RefineConfig, fingerprint: str, refined: str) -> None:
     if path is None:
         return
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, temp_name = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(refined)
-        os.replace(temp_name, path)
-    except BaseException:
-        if os.path.exists(temp_name):
-            os.unlink(temp_name)
-        raise
+    write_text(path, refined)
 
 
 def _extract_completion_text(data: object) -> str | None:

@@ -23,8 +23,10 @@ import pytest
 from slotchain.builder import parse_generation, render_target
 from slotchain.chains import extract_chain, step_histogram
 from slotchain.corpus import (
+    SPLITS,
     Corpus,
     Dialogue,
+    Schema,
     TurnPair,
     filter_excluded_domains,
     ingest_legacy,
@@ -116,6 +118,23 @@ def _bundled_schema(name: str):
     return _load_schema_arg(name)
 
 
+def _m2m_split_counts(root: Path) -> dict[str, int]:
+    """Dialogues per split over sim-R and sim-M. Each sim is read against
+    its own domain of the bundled m2m schema, because slots such as
+    num_people exist in both and are ambiguous without a domain; the
+    parts then have different schemas, so their counts are summed rather
+    than the corpora merged."""
+    schema = _bundled_schema("m2m")
+    counts = dict.fromkeys(SPLITS, 0)
+    for sim, domain in (("sim-R", "restaurant"), ("sim-M", "movie")):
+        sim_schema = Schema(tuple(s for s in schema.slots if s.domain == domain))
+        for split in SPLITS:
+            part = ingest_legacy(root / sim / f"{split}.json", "m2m_flat", sim_schema, split=split)
+            for name, n in part.split_counts().items():
+                counts[name] += n
+    return counts
+
+
 def _ingest_mwz22(root: Path):
     schema = load_sgd_schema(root / "schema.json")
     parts = []
@@ -161,13 +180,7 @@ def test_criterion_2_dataset_statistics():
         checked.append(f"multiwoz22={counts}")
     m2m = _find_m2m()
     if m2m is not None:
-        parts = []
-        for sim in ("sim-R", "sim-M"):
-            for name, split in (("train", "train"), ("dev", "dev"), ("test", "test")):
-                parts.append(
-                    ingest_legacy(m2m / sim / f"{name}.json", "m2m_flat", None, split=split)
-                )
-        counts = merge_corpora(parts).split_counts()
+        counts = _m2m_split_counts(m2m)
         assert counts == {"train": 1500, "dev": 469, "test": 1039}, counts
         checked.append(f"m2m={counts}")
     woz = _find_woz()
@@ -182,6 +195,34 @@ def test_criterion_2_dataset_statistics():
         checked.append(f"woz={counts}")
     if not checked:
         pytest.skip("no dataset present locally (MultiWOZ 2.2, M2M, WOZ 2.0)")
+
+
+def test_m2m_split_counts_on_one_dialogue_per_file(tmp_path):
+    # Criterion 2 skips without the M2M release, so its M2M path is
+    # checked here on files shaped like it: no "domain" field, and a
+    # num_people slot that both sims share.
+    for sim, slot in (("sim-R", "restaurant_name"), ("sim-M", "movie")):
+        (tmp_path / sim).mkdir()
+        for split in SPLITS:
+            dialogue = {
+                "dialogue_id": f"{sim}-{split}",
+                "turns": [
+                    {
+                        "user_utterance": {"text": "a table for two"},
+                        "dialogue_state": [{"slot": "num_people", "value": "2"}],
+                    },
+                    {
+                        "system_utterance": {"text": "which one?"},
+                        "user_utterance": {"text": "the first"},
+                        "dialogue_state": [
+                            {"slot": "num_people", "value": "2"},
+                            {"slot": slot, "value": "first"},
+                        ],
+                    },
+                ],
+            }
+            (tmp_path / sim / f"{split}.json").write_text(json.dumps([dialogue]))
+    assert _m2m_split_counts(tmp_path) == {"train": 2, "dev": 2, "test": 2}
 
 
 @criterion(3, "joint goal accuracy equals the brute-force recount")

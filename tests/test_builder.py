@@ -20,6 +20,7 @@ from slotchain.builder import (
     build_example,
     build_question,
     example_to_dict,
+    examples_to_jsonl,
     load_question_overrides,
     load_template,
     parse_generation,
@@ -27,7 +28,6 @@ from slotchain.builder import (
     render_history,
     render_prompt,
     render_target,
-    write_examples,
 )
 from slotchain.chains import extract_chain
 from slotchain.corpus import Corpus, Dialogue, Schema, SlotSchema, TurnPair
@@ -296,6 +296,15 @@ def test_render_target_rejects_empty_value():
         render_target("")
 
 
+@pytest.mark.parametrize("explanation", ["", "expl"])
+def test_render_target_rejects_value_containing_separator(explanation):
+    # parse_generation splits at the first separator, so "a | b" would
+    # read back as value "a"
+    with pytest.raises(ValidationError, match="separator"):
+        render_target("a | b", explanation)
+    assert parse_generation(render_target("a|b", explanation))[0] == "a|b"
+
+
 def test_parse_generation_splits_at_first_separator():
     assert parse_generation("5-star | system: a user: b") == ("5-star", "system: a user: b")
     assert parse_generation("a | b | c") == ("a", "b | c")
@@ -456,7 +465,7 @@ def test_examples_jsonl_round_trip(tmp_path):
     corpus = Corpus(schema=schema(), dialogues=(dialogue(),))
     examples = build_dataset(corpus, include_inactive=True)
     path = tmp_path / "examples.jsonl"
-    write_examples(examples, path)
+    path.write_text(examples_to_jsonl(examples), encoding="utf-8")
     assert read_examples(path) == examples
 
 
@@ -465,7 +474,7 @@ def test_examples_jsonl_round_trip_randomized(tmp_path):
         corpus = make_corpus(random.Random(60_000 + seed))
         examples = build_dataset(corpus, include_inactive=True)
         path = tmp_path / f"ex{seed}.jsonl"
-        write_examples(examples, path)
+        path.write_text(examples_to_jsonl(examples), encoding="utf-8")
         assert read_examples(path) == examples
 
 
@@ -473,8 +482,7 @@ def test_read_examples_names_bad_line(tmp_path):
     corpus = Corpus(schema=schema(), dialogues=(dialogue(),))
     examples = build_dataset(corpus)
     path = tmp_path / "examples.jsonl"
-    write_examples(examples, path)
-    lines = path.read_text().splitlines()
+    lines = examples_to_jsonl(examples).splitlines()
     lines[1] = "{not json"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FormatError, match="line 2"):

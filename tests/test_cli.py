@@ -217,7 +217,12 @@ def ingest_argv(style, schema):
     return ["ingest", "--input", "{file}", "--schema", schema, "--style", style]
 
 
-# (argv with "{file}" for the malformed file, file content, message part)
+EVAL_ARGV = ["eval", "--corpus", DIALOGUES, "--schema", SCHEMA, "--predictions", PREDICTIONS]
+OFFLINE_REFINE_ARGV = ["refine", "--examples", "{file}", "--offline"]
+
+
+# (argv with "{file}" for the malformed file, file content as JSON or as
+#  raw bytes, message part)
 MALFORMED_INPUTS = {
     "canonical state value": (
         ["stats", "--corpus", "{file}", "--schema", SCHEMA],
@@ -256,6 +261,48 @@ MALFORMED_INPUTS = {
             {"speaker": "USER", "utterance": "hi", "frames": [{"state": "north"}]}]}],
         "dialogue 'x1' turn 0 frame 0 state: expected an object",
     ),
+    "corpus not UTF-8": (
+        ["validate", "--corpus", "{file}", "--schema", SCHEMA], b"\xff", "not UTF-8",
+    ),
+    "schema not UTF-8": (
+        ["validate", "--corpus", DIALOGUES, "--schema", "{file}"], b"[\xff]", "not UTF-8",
+    ),
+    "examples not UTF-8": (
+        OFFLINE_REFINE_ARGV, b"\n\n\xff\n", "line 3: not UTF-8",
+    ),
+    "predictions not UTF-8": (
+        ["eval", "--corpus", DIALOGUES, "--schema", SCHEMA, "--predictions", "{file}"],
+        b"\xff", "line 1: not UTF-8",
+    ),
+    "bucket spec not UTF-8": (
+        EVAL_ARGV + ["--buckets", "{file}"], b"\xff", "not UTF-8",
+    ),
+    "corpus nested too deep": (
+        ["validate", "--corpus", "{file}", "--schema", SCHEMA], b"[" * 100_000,
+        "not valid JSON",
+    ),
+    "policy not an object": (
+        EVAL_ARGV + ["--policy", "{file}"], 5, "expected a JSON object",
+    ),
+    "policy alias field": (
+        EVAL_ARGV + ["--policy", "{file}"], {"none_aliases": 5},
+        "'none_aliases' must be an array of strings",
+    ),
+    "policy threshold": (
+        EVAL_ARGV + ["--policy", "{file}"], {"fuzzy_ratio_threshold": "x"},
+        "'fuzzy_ratio_threshold' must be a number or null",
+    ),
+    "policy boolean": (
+        EVAL_ARGV + ["--policy", "{file}"], {"lowercase": "yes"}, "'lowercase' must be a boolean",
+    ),
+    "refine config temperature": (
+        ["refine", "--examples", PREDICTIONS, "--config", "{file}"],
+        {"offline": True, "temperature": "hot"}, "'temperature' must be a number",
+    ),
+    "refine config max_parallel": (
+        ["refine", "--examples", PREDICTIONS, "--config", "{file}"],
+        {"offline": True, "max_parallel": "2"}, "'max_parallel' must be an integer",
+    ),
 }
 
 
@@ -263,7 +310,7 @@ MALFORMED_INPUTS = {
 def test_malformed_input_exits_one_naming_the_spot(tmp_path, case):
     argv, payload, message = MALFORMED_INPUTS[case]
     bad = tmp_path / "bad_train.json"
-    bad.write_text(json.dumps(payload), encoding="utf-8")
+    bad.write_bytes(payload if isinstance(payload, bytes) else json.dumps(payload).encode())
     argv = [str(bad) if arg == "{file}" else arg for arg in argv]
     result = subprocess.run(
         [sys.executable, "-m", "slotchain.cli", *argv],
@@ -642,6 +689,47 @@ def test_pipeline_never_mutates_inputs(capsys, tmp_path):
     assert file_digests(inputs) == before
     for path, digest in intermediate.items():
         assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == digest, path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ingest", "--input", "corpus.json", "--schema", "schema.json", "--out", "corpus.json"],
+        ["validate", "--corpus", "corpus.json", "--schema", "schema.json",
+         "--out", "./schema.json"],
+        ["eval", "--corpus", "corpus.json", "--schema", "schema.json",
+         "--predictions", "predictions.jsonl", "--out", "predictions.jsonl"],
+        ["eval", "--corpus", "corpus.json", "--schema", "schema.json",
+         "--predictions", "predictions.jsonl", "--buckets", "step", "step.json",
+         "--out", "link.json"],
+    ],
+)
+def test_out_naming_an_input_exits_one(capsys, tmp_path, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(DIALOGUES, "corpus.json")
+    shutil.copy(SCHEMA, "schema.json")
+    shutil.copy(PREDICTIONS, "predictions.jsonl")
+    Path("step.json").write_text('{"axis": "step", "edges": [[0, null]]}', encoding="utf-8")
+    os.symlink("step.json", "link.json")
+    before = file_digests(["corpus.json", "schema.json", "predictions.jsonl", "step.json"])
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert err.startswith("error: --out ") and "would overwrite the input" in err
+    assert file_digests(["corpus.json", "schema.json", "predictions.jsonl", "step.json"]) == before
+
+
+def test_interrupted_write_keeps_the_old_out_file(capsys, tmp_path, monkeypatch):
+    out_path = tmp_path / "stats.txt"
+    out_path.write_text("old output\n", encoding="utf-8")
+
+    def interrupted(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "replace", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["stats", "--corpus", DIALOGUES, "--schema", SCHEMA, "--out", str(out_path)])
+    assert out_path.read_text(encoding="utf-8") == "old output\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["stats.txt"]
 
 
 def test_stdout_equals_out_file(capsys, tmp_path):

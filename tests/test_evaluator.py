@@ -25,7 +25,6 @@ from slotchain.evaluator import (
     PredictionRecord,
     bucketize,
     compute_jga,
-    emit_report,
     fine_grained_report,
     load_bucket_spec,
     load_predictions,
@@ -646,8 +645,7 @@ def test_report_dict_round_trip():
 def test_report_json_file_round_trip(tmp_path):
     report = full_report()
     path = tmp_path / "report.json"
-    text = emit_report(report, "json", path)
-    assert path.read_text(encoding="utf-8") == text
+    path.write_text(render_report(report, "json"), encoding="utf-8")
     assert read_report(path) == report
 
 
@@ -699,5 +697,5 @@ def test_read_report_rejects_malformed_files(tmp_path):
 def test_report_preserves_policy_through_serialization(tmp_path):
     report = full_report()
     path = tmp_path / "report.json"
-    emit_report(report, "json", path)
+    path.write_text(render_report(report, "json"), encoding="utf-8")
     assert read_report(path).policy == FUZZY_POLICY
