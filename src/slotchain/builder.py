@@ -23,7 +23,7 @@ from .errors import (
     TurnOutOfRangeError,
     ValidationError,
 )
-from .io import read_json, read_jsonl
+from .io import decode, encode, read_json, read_jsonl
 from .normalize import DEFAULT_POLICY, NONE_VALUE, NormalizationPolicy, normalize_value
 
 TARGET_SEPARATOR = " | "
@@ -57,13 +57,7 @@ DEFAULT_TEMPLATE = PromptTemplate()
 
 
 def load_template(path: str | Path) -> PromptTemplate:
-    data = read_json(path, expect=dict)
-    if not isinstance(data.get("template_text"), str):
-        raise FormatError(f"{path}: expected an object with a 'template_text' string")
-    unknown = set(data) - {"template_text", "choices_section_marker"}
-    if unknown:
-        raise FormatError(f"{path}: unknown template fields: {sorted(unknown)}")
-    return PromptTemplate(**data)
+    return decode(PromptTemplate, read_json(path, expect=dict), path)
 
 
 def load_question_overrides(path: str | Path, schema: Schema) -> dict[str, str]:
@@ -320,55 +314,12 @@ def build_dataset(
 # JSONL serialization
 
 
-def example_to_dict(example: CoTExample) -> dict:
-    return {
-        "example_id": example.example_id,
-        "input_text": example.input_text,
-        "target_value": example.target_value,
-        "explanation": example.explanation,
-        "explanation_kind": example.explanation_kind,
-        "meta": {
-            "dialogue_id": example.meta.dialogue_id,
-            "query_turn": example.meta.query_turn,
-            "slot_id": example.meta.slot_id,
-            "step_count": example.meta.step_count,
-            "dialogue_turns": example.meta.dialogue_turns,
-            "avg_utterance_len": example.meta.avg_utterance_len,
-        },
-    }
-
-
 def examples_to_jsonl(examples: Iterable[CoTExample]) -> str:
     return "".join(
-        json.dumps(example_to_dict(example), ensure_ascii=False) + "\n"
+        json.dumps(encode(example), ensure_ascii=False) + "\n"
         for example in examples
     )
 
 
 def read_examples(path: str | Path) -> tuple[CoTExample, ...]:
-    examples = []
-    for _, where, data in read_jsonl(path):
-        try:
-            meta = data["meta"]
-            examples.append(
-                CoTExample(
-                    example_id=data["example_id"],
-                    input_text=data["input_text"],
-                    target_value=data["target_value"],
-                    explanation=data["explanation"],
-                    explanation_kind=data["explanation_kind"],
-                    meta=ExampleMeta(
-                        dialogue_id=meta["dialogue_id"],
-                        query_turn=meta["query_turn"],
-                        slot_id=meta["slot_id"],
-                        step_count=meta["step_count"],
-                        dialogue_turns=meta["dialogue_turns"],
-                        avg_utterance_len=meta["avg_utterance_len"],
-                    ),
-                )
-            )
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"{where}: missing or malformed field: {exc}") from exc
-        except ValidationError as exc:
-            raise FormatError(f"{where}: {exc}") from exc
-    return tuple(examples)
+    return tuple(decode(CoTExample, data, where) for _, where, data in read_jsonl(path))

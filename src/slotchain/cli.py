@@ -38,7 +38,7 @@ from .corpus import (
     load_schema,
     merge_corpora,
 )
-from .errors import FormatError, SlotchainError, ValidationError
+from .errors import FormatError, SlotchainError
 from .evaluator import (
     fine_grained_report,
     load_bucket_spec,
@@ -47,8 +47,8 @@ from .evaluator import (
     read_report,
     render_report,
 )
-from .io import file_or_bundled, read_json, write_text
-from .normalize import DEFAULT_POLICY, NormalizationPolicy, policy_from_dict
+from .io import decode, file_or_bundled, read_json, write_text
+from .normalize import DEFAULT_POLICY, NormalizationPolicy
 from .refiner import load_refine_config, refine_batch
 
 _LEGACY_STYLES = ("woz_belief", "m2m_flat", "sgd_state")
@@ -91,14 +91,6 @@ def _load_schema_arg(value: str) -> Schema:
     if path is None:
         raise FormatError(f"{value}: neither a schema file nor a bundled schema name")
     return load_schema(path)
-
-
-def _load_policy_arg(value: str) -> NormalizationPolicy:
-    """A normalization policy JSON file."""
-    try:
-        return policy_from_dict(read_json(value, expect=dict))
-    except ValidationError as exc:
-        raise FormatError(f"{value}: {exc}") from exc
 
 
 def _load_corpus_arg(args: argparse.Namespace, schema: Schema) -> Corpus:
@@ -241,7 +233,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     schema = _load_schema_arg(args.schema)
     corpus = _load_corpus_arg(args, schema)
     predictions = load_predictions(args.predictions)
-    policy = _load_policy_arg(args.policy) if args.policy else DEFAULT_POLICY
+    policy = DEFAULT_POLICY
+    if args.policy:
+        policy = decode(NormalizationPolicy, read_json(args.policy, expect=dict), args.policy)
     specs = [load_bucket_spec(name) for name in args.buckets]
     report = fine_grained_report(
         corpus, predictions, policy=policy, specs=specs, split=args.split

@@ -584,29 +584,3 @@ def _ingest_sgd_state(path: Path, schema: Schema, split: str) -> Corpus:
         dialogues.append(Dialogue(dialogue_id=dialogue_id, turns=tuple(turns), split=split))
     return Corpus(schema=schema, dialogues=tuple(dialogues), name=path.stem)
 
-
-def load_sgd_schema(path: str | Path) -> Schema:
-    """Convert a schema-guided services file (array of services with a
-    'slots' list each) into a canonical Schema."""
-    path = Path(path)
-    raw = _load_json_array(path)
-    slots: list[SlotSchema] = []
-    for service in raw:
-        service_name = str(service.get("service_name", ""))
-        for slot in service.get("slots", []):
-            raw_name = str(slot.get("name", ""))
-            # service files commonly prefix slot names with the domain
-            name = raw_name.split("-", 1)[1] if raw_name.startswith(f"{service_name}-") else raw_name
-            possible = slot.get("possible_values") or None
-            slots.append(
-                SlotSchema(
-                    slot_id=f"{service_name}-{name}",
-                    domain=service_name,
-                    name=name,
-                    description=str(slot.get("description", "")),
-                    possible_values=tuple(possible) if possible else None,
-                )
-            )
-    schema = Schema(slots=tuple(slots))
-    validate_schema(schema)
-    return schema

@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .builder import avg_utterance_len, parse_generation
 from .chains import max_step_at_turns
@@ -30,15 +30,8 @@ from .errors import (
     UnknownSlotError,
     ValidationError,
 )
-from .io import file_or_bundled, read_json, read_jsonl
-from .normalize import (
-    DEFAULT_POLICY,
-    NONE_VALUE,
-    NormalizationPolicy,
-    policy_from_dict,
-    policy_to_dict,
-    values_match,
-)
+from .io import decode, encode, file_or_bundled, read_json, read_jsonl
+from .normalize import DEFAULT_POLICY, NONE_VALUE, NormalizationPolicy, values_match
 
 AXES = ("step", "turn", "len")
 
@@ -215,7 +208,10 @@ def load_bucket_spec(path_or_name: str | Path) -> BucketSpec:
         if not isinstance(lo, int) or not (hi is None or isinstance(hi, int)):
             raise FormatError(f"{source}: edge bounds must be integers (hi may be null)")
         edges.append(Bucket(lo=lo, hi=hi))
-    return BucketSpec(axis=str(data.get("axis", "")), edges=tuple(edges))
+    try:
+        return BucketSpec(axis=str(data.get("axis", "")), edges=tuple(edges))
+    except ValidationError as exc:
+        raise FormatError(f"{source}: {exc}") from exc
 
 
 def _axis_value_by_turn(
@@ -363,53 +359,8 @@ def low_resource_sample(corpus: Corpus, fraction: float, seed: int) -> Corpus:
 # report serialization
 
 
-def report_to_dict(report: EvalReport) -> dict:
-    return {
-        "overall_jga": report.overall_jga,
-        "n_dialogues": report.n_dialogues,
-        "n_turns": report.n_turns,
-        "n_missing_predictions": report.n_missing_predictions,
-        "policy": policy_to_dict(report.policy),
-        "buckets": [
-            {
-                "axis": b.axis,
-                "label": b.label,
-                "lo": b.lo,
-                "hi": b.hi,
-                "n_turns": b.n_turns,
-                "jga": b.jga,
-            }
-            for b in report.buckets
-        ],
-    }
-
-
-def report_from_dict(data: Mapping) -> EvalReport:
-    try:
-        return EvalReport(
-            overall_jga=data["overall_jga"],
-            n_dialogues=data["n_dialogues"],
-            n_turns=data["n_turns"],
-            n_missing_predictions=data["n_missing_predictions"],
-            policy=policy_from_dict(data["policy"]),
-            buckets=tuple(
-                BucketResult(
-                    axis=b["axis"],
-                    label=b["label"],
-                    lo=b["lo"],
-                    hi=b["hi"],
-                    n_turns=b["n_turns"],
-                    jga=b["jga"],
-                )
-                for b in data["buckets"]
-            ),
-        )
-    except (KeyError, TypeError) as exc:
-        raise FormatError(f"malformed report: {exc}") from exc
-
-
 def read_report(path: str | Path) -> EvalReport:
-    return report_from_dict(read_json(path, expect=dict))
+    return decode(EvalReport, read_json(path, expect=dict), path)
 
 
 def _format_jga(jga: float | None) -> str:
@@ -419,7 +370,7 @@ def _format_jga(jga: float | None) -> str:
 def render_report(report: EvalReport, format: str) -> str:
     """Report as json, markdown, or csv text (stable field order)."""
     if format == "json":
-        return json.dumps(report_to_dict(report), ensure_ascii=False, indent=2) + "\n"
+        return json.dumps(encode(report), ensure_ascii=False, indent=2) + "\n"
     if format == "markdown":
         lines = [
             "# Evaluation report",

@@ -1,19 +1,26 @@
-"""Every JSON/JSONL read, bundled-resource lookup and output write.
+"""Every JSON/JSONL read, bundled-resource lookup and output write, and
+the codec between dataclass records and JSON objects.
 
-A bad byte or broken JSON is a FormatError naming the file (and line);
-an interrupted write leaves the old file, never a truncated one.
+A bad byte, broken JSON or a record field that does not fit its
+annotation is a FormatError naming the file (and line, and field); an
+interrupted write leaves the old file, never a truncated one.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
 import os
+import re
 import secrets
+import types
+import typing
 from importlib import resources
 from pathlib import Path
 from typing import Iterator
 
-from .errors import FormatError
+from .errors import FormatError, ValidationError
 
 
 def _parse(text: str, where: str):
@@ -95,3 +102,110 @@ def bundled(name: str) -> Path | None:
     """The package's data file ``data/<name>``, or None when there is none."""
     resource = resources.files("slotchain").joinpath(f"data/{name}")
     return resource if resource.is_file() else None
+
+
+# ---------------------------------------------------------------------------
+# record codec
+
+_SCALARS = {str: "a string", int: "an integer", float: "a number", bool: "a boolean"}
+_WRONG = object()  # what _load returns for a value of the wrong JSON type
+
+
+@functools.cache
+def _plan(cls: type) -> tuple[dict, list[str]]:
+    """Each field's form, in field order, and the fields without a
+    default. Cached: resolving annotations costs more than a decode."""
+    hints = typing.get_type_hints(cls)
+    fields = dataclasses.fields(cls)
+    required = [f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING]
+    return {f.name: _form(hints[f.name]) for f in fields}, required
+
+
+def _form(annotation):
+    """A field annotation as _load reads it: a JSON scalar type, a record
+    class, ("null", form) for ``X | None``, or (tuple or frozenset, item
+    form, length or None) for an array."""
+    origin, args = typing.get_origin(annotation), typing.get_args(annotation)
+    if annotation in _SCALARS or dataclasses.is_dataclass(annotation):
+        return annotation
+    if origin is types.UnionType and len(args) == 2 and type(None) in args:
+        return "null", _form(args[1] if args[0] is type(None) else args[0])
+    if origin is frozenset and args == (str,) or origin is tuple and args[1:] == (Ellipsis,):
+        return origin, _form(args[0]), None
+    if origin is tuple and args and len(set(args)) == 1:
+        return tuple, _form(args[0]), len(args)
+    raise TypeError(f"the record codec cannot handle the annotation {annotation!r}")
+
+
+def _describe(form) -> str:
+    if not isinstance(form, tuple):
+        return _SCALARS.get(form, "an object")
+    if form[0] == "null":
+        return f"{_describe(form[1])} or null"
+    items = re.sub(r"^an? (\w+)", r"\1s", _describe(form[1]))  # "a string" -> "strings"
+    return f"an array of {items}" if form[2] is None else f"an array of {form[2]} {items}"
+
+
+def _load(form, value, where: str | Path, name: str):
+    """``value`` decoded by ``form``, or _WRONG; ``where`` and ``name``
+    locate the field for the errors of a record nested in it."""
+    if form in _SCALARS:
+        # Python's bool is an int, but JSON's true and false are not numbers.
+        fits = isinstance(value, (int, float) if form is float else form)
+        return value if fits and (form is bool or not isinstance(value, bool)) else _WRONG
+    if not isinstance(form, tuple):
+        return decode(form, value, f"{where}: {name}") if isinstance(value, dict) else _WRONG
+    if form[0] == "null":
+        return None if value is None else _load(form[1], value, where, name)
+    if not isinstance(value, list) or form[2] not in (None, len(value)):
+        return _WRONG
+    items = [_load(form[1], item, where, f"{name}[{i}]") for i, item in enumerate(value)]
+    return _WRONG if any(item is _WRONG for item in items) else form[0](items)
+
+
+def decode(cls: type, data: object, where: str | Path):
+    """The ``cls`` record the JSON object ``data`` describes. Each field
+    must fit its annotation (an integer fits a float, a boolean no
+    number), and none may be unknown or missing. A fault, or a
+    ValidationError from the constructor, is a FormatError naming
+    ``where`` (the file, and line for JSONL) and the field's path."""
+    if not isinstance(data, dict):
+        raise FormatError(f"{where}: expected a JSON object")
+    forms, required = _plan(cls)
+    kwargs = {}
+    for name, value in data.items():
+        form = forms.get(name)
+        if form is None:
+            raise FormatError(f"{where}: unknown fields: {sorted(data.keys() - forms.keys())}")
+        if type(value) is not form:  # a value of exactly the field's type fits as it is
+            value = _load(form, value, where, name)
+            if value is _WRONG:
+                raise FormatError(f"{where}: field {name!r} must be {_describe(form)}")
+        kwargs[name] = value
+    if len(kwargs) < len(forms):
+        missing = [name for name in required if name not in kwargs]
+        if missing:
+            raise FormatError(f"{where}: missing fields: {missing}")
+    try:
+        return cls(**kwargs)
+    except ValidationError as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+
+
+def _dump(form, value):
+    if value is None or form in _SCALARS:
+        return value
+    if not isinstance(form, tuple):
+        return encode(value)
+    if form[0] == "null":
+        return _dump(form[1], value)
+    items = [_dump(form[1], item) for item in value]
+    return sorted(items) if form[0] is frozenset else items
+
+
+def encode(record) -> dict:
+    """The JSON object for a dataclass record: one key per field, in
+    field order. Tuples become arrays, frozensets sorted arrays, and
+    nested records objects."""
+    forms, _ = _plan(type(record))
+    return {name: _dump(form, getattr(record, name)) for name, form in forms.items()}

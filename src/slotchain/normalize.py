@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 import string
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from difflib import SequenceMatcher
 
 from .errors import ValidationError
@@ -94,37 +94,3 @@ def values_match(
     if p in (NONE_VALUE, DONTCARE_VALUE) or g in (NONE_VALUE, DONTCARE_VALUE):
         return False
     return similarity_ratio(p, g) >= policy.fuzzy_ratio_threshold
-
-
-def policy_to_dict(policy: NormalizationPolicy) -> dict:
-    return {
-        "lowercase": policy.lowercase,
-        "collapse_whitespace": policy.collapse_whitespace,
-        "strip_punctuation_edges": policy.strip_punctuation_edges,
-        "none_aliases": sorted(policy.none_aliases),
-        "dontcare_aliases": sorted(policy.dontcare_aliases),
-        "fuzzy_ratio_threshold": policy.fuzzy_ratio_threshold,
-    }
-
-
-def policy_from_dict(data: dict) -> NormalizationPolicy:
-    """The policy a JSON object describes: alias fields are arrays of
-    strings, the threshold is a number or null, the rest are booleans."""
-    if not isinstance(data, dict):
-        raise ValidationError("normalization policy must be a JSON object")
-    unknown = set(data) - {f.name for f in fields(NormalizationPolicy)}
-    if unknown:
-        raise ValidationError(f"unknown normalization policy fields: {sorted(unknown)}")
-    kwargs = dict(data)
-    for key, value in data.items():
-        if key in ("none_aliases", "dontcare_aliases"):
-            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
-                raise ValidationError(f"policy field {key!r} must be an array of strings")
-            kwargs[key] = frozenset(value)
-        elif key == "fuzzy_ratio_threshold":
-            number = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if value is not None and not number:
-                raise ValidationError(f"policy field {key!r} must be a number or null")
-        elif not isinstance(value, bool):
-            raise ValidationError(f"policy field {key!r} must be a boolean")
-    return NormalizationPolicy(**kwargs)

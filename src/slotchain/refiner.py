@@ -22,8 +22,8 @@ from typing import Iterable, Sequence
 import requests
 
 from .builder import CoTExample
-from .errors import AuthError, EmptyCompletionError, FormatError, NetworkError, ValidationError
-from .io import bundled, read_json, write_text
+from .errors import AuthError, EmptyCompletionError, NetworkError, ValidationError
+from .io import bundled, decode, read_json, write_text
 
 DEFAULT_API_KEY_ENV_VAR = "COTE_API_KEY"
 DEFAULT_INSTRUCTION = (
@@ -32,13 +32,6 @@ DEFAULT_INSTRUCTION = (
 )
 
 _RETRYABLE_STATUSES = {408, 429, 500, 502, 503, 504}
-# The JSON values a config field takes, by its annotation: (types, description).
-_FIELD_TYPES = {
-    "str": (str, "a string"),
-    "int": (int, "an integer"),
-    "float": ((int, float), "a number"),
-    "bool": (bool, "a boolean"),
-}
 _TAG_RE = re.compile(r"(?:system|user):\s*")
 
 
@@ -98,28 +91,9 @@ class RefineBatchOutcome:
 
 def load_refine_config(path: str | Path | None = None, **overrides) -> RefineConfig:
     """Config from a JSON file (the bundled default when path is None),
-    with keyword overrides taking precedence."""
+    with keyword overrides taking precedence; both are type-checked."""
     source = bundled("refine_config.json") if path is None else path
-    data = read_json(source, expect=dict)
-    known = {f for f in RefineConfig.__dataclass_fields__}
-    unknown = set(data) - known
-    if unknown:
-        raise FormatError(f"{source}: unknown config fields: {sorted(unknown)}")
-    for name, value in data.items():
-        kind = RefineConfig.__dataclass_fields__[name].type
-        if kind in _FIELD_TYPES:
-            types, description = _FIELD_TYPES[kind]
-            if not isinstance(value, types) or (isinstance(value, bool) and kind != "bool"):
-                raise FormatError(f"{source}: field {name!r} must be {description}")
-    if "demonstrations" in data:
-        demos = data["demonstrations"]
-        if not isinstance(demos, list) or not all(
-            isinstance(p, list) and len(p) == 2 for p in demos
-        ):
-            raise FormatError(f"{source}: demonstrations must be [coarse, refined] pairs")
-        data["demonstrations"] = tuple((str(c), str(r)) for c, r in demos)
-    data.update(overrides)
-    return RefineConfig(**data)
+    return decode(RefineConfig, {**read_json(source, expect=dict), **overrides}, source)
 
 
 def request_fingerprint(config: RefineConfig, coarse: str) -> str:

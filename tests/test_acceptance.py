@@ -32,7 +32,6 @@ from slotchain.corpus import (
     ingest_legacy,
     load_corpus,
     load_schema,
-    load_sgd_schema,
     merge_corpora,
 )
 from slotchain.evaluator import (
@@ -47,6 +46,7 @@ from slotchain.refiner import RefineConfig, refine_batch, refine_one, strip_spea
 
 from gen import make_corpus, make_predictions
 from oracles import oracle_chain, oracle_jga, oracle_step_histogram
+from test_corpus import load_sgd_schema
 from test_refiner import DEMOS, KEY_VAR, MockCompletionServer, make_example
 
 FIXTURES = Path(__file__).parent / "fixtures"

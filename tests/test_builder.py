@@ -19,7 +19,6 @@ from slotchain.builder import (
     build_dataset,
     build_example,
     build_question,
-    example_to_dict,
     examples_to_jsonl,
     load_question_overrides,
     load_template,
@@ -38,6 +37,7 @@ from slotchain.errors import (
     TurnOutOfRangeError,
     ValidationError,
 )
+from slotchain.io import encode
 from slotchain.normalize import DEFAULT_POLICY
 
 
@@ -492,7 +492,7 @@ def test_read_examples_names_bad_line(tmp_path):
 def test_example_dict_key_order_stable():
     corpus = Corpus(schema=schema(), dialogues=(dialogue(),))
     example = build_dataset(corpus)[0]
-    assert list(example_to_dict(example)) == [
+    assert list(encode(example)) == [
         "example_id", "input_text", "target_value",
         "explanation", "explanation_kind", "meta",
     ]

@@ -303,6 +303,39 @@ MALFORMED_INPUTS = {
         ["refine", "--examples", PREDICTIONS, "--config", "{file}"],
         {"offline": True, "max_parallel": "2"}, "'max_parallel' must be an integer",
     ),
+    "bucket spec axis": (
+        EVAL_ARGV + ["--buckets", "{file}"], {"axis": "x", "edges": [[0, None]]},
+        "axis must be one of ('step', 'turn', 'len'), got 'x'",
+    ),
+    "template without question": (
+        ["build", "--corpus", DIALOGUES, "--schema", SCHEMA, "--template-file", "{file}"],
+        {"template_text": "[History] [Choices]"},
+        "template must contain [Question] exactly 1 time(s), found 0",
+    ),
+    "refine config max_parallel bound": (
+        ["refine", "--examples", PREDICTIONS, "--config", "{file}"],
+        {"offline": True, "max_parallel": 0}, "max_parallel must be >= 1, got 0",
+    ),
+    "refine config demonstration pair": (
+        ["refine", "--examples", PREDICTIONS, "--config", "{file}"],
+        {"offline": True, "demonstrations": [[1, {"a": 1}]]},
+        "field 'demonstrations' must be an array of arrays of 2 strings",
+    ),
+    "report bucket jga": (
+        ["report", "--report", "{file}"],
+        {"overall_jga": 0.5, "n_dialogues": 1, "n_turns": 2, "n_missing_predictions": 0,
+         "policy": {}, "buckets": [{"axis": "step", "label": "0+", "lo": 0, "hi": None,
+                                    "n_turns": 2, "jga": "x"}]},
+        "buckets[0]: field 'jga' must be a number or null",
+    ),
+    "examples input_text": (
+        OFFLINE_REFINE_ARGV,
+        {"example_id": "d1:1:hotel-area", "input_text": 5, "target_value": "north",
+         "explanation": "system: user: north", "explanation_kind": "coarse",
+         "meta": {"dialogue_id": "d1", "query_turn": 1, "slot_id": "hotel-area",
+                  "step_count": 1, "dialogue_turns": 1, "avg_utterance_len": 1.0}},
+        "line 1: field 'input_text' must be a string",
+    ),
 }
 
 

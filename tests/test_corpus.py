@@ -19,7 +19,6 @@ from slotchain.corpus import (
     ingest_legacy,
     load_corpus,
     load_schema,
-    load_sgd_schema,
     merge_corpora,
     save_corpus,
     save_schema,
@@ -27,6 +26,7 @@ from slotchain.corpus import (
     validate_schema,
 )
 from slotchain.errors import FormatError, ValidationError
+from slotchain.io import read_json
 
 
 def small_schema() -> Schema:
@@ -576,6 +576,31 @@ def test_ingest_rejects_unknown_style(tmp_path):
     path.write_text("[]", encoding="utf-8")
     with pytest.raises(FormatError, match="unknown legacy style"):
         ingest_legacy(path, "csv", sgd_like_schema())
+
+
+def load_sgd_schema(path) -> Schema:
+    """Convert a schema-guided services file (array of services with a
+    'slots' list each) into a canonical Schema, as in MultiWOZ 2.2."""
+    slots: list[SlotSchema] = []
+    for service in read_json(path, expect=list):
+        service_name = str(service.get("service_name", ""))
+        for slot in service.get("slots", []):
+            raw_name = str(slot.get("name", ""))
+            # service files commonly prefix slot names with the domain
+            name = raw_name.split("-", 1)[1] if raw_name.startswith(f"{service_name}-") else raw_name
+            possible = slot.get("possible_values") or None
+            slots.append(
+                SlotSchema(
+                    slot_id=f"{service_name}-{name}",
+                    domain=service_name,
+                    name=name,
+                    description=str(slot.get("description", "")),
+                    possible_values=tuple(possible) if possible else None,
+                )
+            )
+    schema = Schema(slots=tuple(slots))
+    validate_schema(schema)
+    return schema
 
 
 def test_load_sgd_schema(tmp_path):

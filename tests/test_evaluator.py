@@ -31,10 +31,9 @@ from slotchain.evaluator import (
     low_resource_sample,
     read_report,
     render_report,
-    report_from_dict,
-    report_to_dict,
     low_resource_sample as sample_fn,
 )
+from slotchain.io import decode, encode
 from slotchain.normalize import DEFAULT_POLICY, NormalizationPolicy
 
 from gen import make_corpus, make_predictions
@@ -639,7 +638,7 @@ def full_report():
 
 def test_report_dict_round_trip():
     report = full_report()
-    assert report_from_dict(report_to_dict(report)) == report
+    assert decode(EvalReport, encode(report), "report.json") == report
 
 
 def test_report_json_file_round_trip(tmp_path):

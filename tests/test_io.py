@@ -1,5 +1,7 @@
 """The IO layer: loaders fail only with SlotchainError whatever the file
-holds, output writes are atomic, and no other module does its own IO."""
+holds, the record codec round-trips every record class and names a
+mistyped field, output writes are atomic, and no other module does its
+own IO."""
 
 from __future__ import annotations
 
@@ -7,20 +9,34 @@ import ast
 import json
 import os
 import threading
-from dataclasses import fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from slotchain import cli
-from slotchain.builder import load_question_overrides, load_template, read_examples
+from slotchain.builder import (
+    EXPLANATION_KINDS,
+    CoTExample,
+    ExampleMeta,
+    PromptTemplate,
+    load_question_overrides,
+    load_template,
+    read_examples,
+)
 from slotchain.corpus import ingest_legacy, load_corpus, load_schema
 from slotchain.errors import FormatError, SlotchainError
-from slotchain.evaluator import load_bucket_spec, load_predictions, read_report
-from slotchain.io import file_or_bundled, read_json, read_jsonl, write_text
-from slotchain.normalize import NormalizationPolicy
+from slotchain.evaluator import (
+    AXES,
+    BucketResult,
+    EvalReport,
+    load_bucket_spec,
+    load_predictions,
+    read_report,
+)
+from slotchain.io import decode, encode, file_or_bundled, read_json, read_jsonl, write_text
+from slotchain.normalize import NONE_VALUE, NormalizationPolicy
 from slotchain.refiner import RefineConfig, load_refine_config
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "slotchain"
@@ -41,7 +57,7 @@ LOADERS = {
     "template": load_template,
     "overrides": lambda path: load_question_overrides(path, SCHEMA),
     "refine config": load_refine_config,
-    "policy": lambda path: cli._load_policy_arg(str(path)),
+    "policy": lambda path: decode(NormalizationPolicy, read_json(path, expect=dict), path),
 }
 JSONL_LOADERS = {"examples", "predictions"}
 
@@ -152,6 +168,200 @@ def test_loader_raises_only_slotchain_errors_on_any_bytes(tmp_path, name, data):
     path = tmp_path / "input_train.json"
     path.write_bytes(data.draw(st.binary(max_size=40) | DAMAGED[name]))
     load_only_slotchain_errors(name, path)
+
+
+# ---------------------------------------------------------------------------
+# record codec
+
+VALID_POLICY = {
+    "lowercase": True, "collapse_whitespace": True, "strip_punctuation_edges": False,
+    "none_aliases": ["none", ""], "dontcare_aliases": ["dontcare"], "fuzzy_ratio_threshold": 0.5,
+}
+# One well-formed record per loader the codec backs.
+VALID_RECORDS = {
+    "examples": {
+        "example_id": "d1:2:hotel-area", "input_text": "Dialogue: ...", "target_value": "north",
+        "explanation": "system: user: north", "explanation_kind": "coarse",
+        "meta": {"dialogue_id": "d1", "query_turn": 2, "slot_id": "hotel-area",
+                 "step_count": 1, "dialogue_turns": 3, "avg_utterance_len": 4.5},
+    },
+    "report": {
+        "overall_jga": 0.5, "n_dialogues": 1, "n_turns": 2, "n_missing_predictions": 0,
+        "policy": VALID_POLICY,
+        "buckets": [
+            {"axis": "step", "label": "0", "lo": 0, "hi": 1, "n_turns": 1, "jga": 1.0},
+            {"axis": "step", "label": "1-4", "lo": 1, "hi": 5, "n_turns": 1, "jga": 0.25},
+        ],
+    },
+    "policy": VALID_POLICY,
+    "refine config": {
+        "endpoint_url": "http://x.invalid/v1", "model_name": "m", "api_key_env_var": "KEY",
+        "instruction": "Rewrite.", "demonstrations": [["system: a user: b", "a then b"]],
+        "temperature": 0.5, "max_tokens": 16, "max_retries": 1, "backoff_base": 0.5,
+        "request_timeout": 2.5, "max_parallel": 2, "cache_dir": "cache", "offline": True,
+    },
+    "template": {"template_text": "[History] [Question] [Choices]", "choices_section_marker": "C"},
+}
+NULLABLE = {"hi", "jga", "fuzzy_ratio_threshold"}
+JSON_TYPES = {
+    "null": st.none(),
+    "boolean": st.booleans(),
+    "integer": st.integers(-5, 5),
+    "number": st.floats(allow_nan=False, allow_infinity=False),
+    "string": st.text(max_size=4),
+    "array": st.lists(scalars, max_size=2),
+    "object": st.dictionaries(st.text(max_size=3), scalars, max_size=2),
+}
+
+
+def json_type(value) -> str:
+    if value is None:
+        return "null"
+    return {bool: "boolean", int: "integer", float: "number", str: "string",
+            list: "array", dict: "object"}[type(value)]
+
+
+def leaves(value, path=()):
+    """Paths to every value in a record that is not an object."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from leaves(item, path + (key,))
+        return
+    yield path
+    if isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from leaves(item, path + (index,))
+
+
+def value_at(record, path):
+    for key in path:
+        record = record[key]
+    return record
+
+
+def replaced(value, path, new):
+    """A copy of ``value`` with the value at ``path`` swapped for ``new``."""
+    if not path:
+        return new
+    copy = list(value) if isinstance(value, list) else dict(value)
+    copy[path[0]] = replaced(value[path[0]], path[1:], new)
+    return copy
+
+
+@pytest.mark.parametrize("name", sorted(VALID_RECORDS))
+@FUZZ
+@given(data=st.data())
+def test_codec_loader_names_a_mistyped_field(tmp_path, name, data):
+    record = VALID_RECORDS[name]
+    path = data.draw(st.sampled_from(list(leaves(record))))
+    field_at = max(i for i, key in enumerate(path) if isinstance(key, str))
+    field = path[field_at]
+    old = json_type(value_at(record, path))
+    others = [t for t in JSON_TYPES if t != old]
+    if old == "number":
+        others.remove("integer")  # an integer is a number
+    if field in NULLABLE:
+        others.remove("null")
+    new = data.draw(st.sampled_from(others).flatmap(JSON_TYPES.get))
+    file = tmp_path / "record_train.json"
+    file.write_text(json_text(name, replaced(record, path, new)), encoding="utf-8")
+    with pytest.raises(FormatError) as caught:
+        LOADERS[name](file)
+    where = "".join(f"[{key}]" if isinstance(key, int) else f": {key}" for key in path[:field_at])
+    assert f"{where}: field {field!r} must be " in str(caught.value)
+    assert str(caught.value).startswith(f"{file}: ")
+
+
+texts = st.text(max_size=8)
+words = st.text(alphabet="abcdefghij", min_size=1, max_size=6)  # fixed points of any policy
+fractions = st.floats(0.0, 1.0)
+policies = st.builds(
+    NormalizationPolicy,
+    lowercase=st.booleans(),
+    collapse_whitespace=st.booleans(),
+    strip_punctuation_edges=st.booleans(),
+    none_aliases=st.frozensets(words, max_size=3),
+    dontcare_aliases=st.frozensets(words, max_size=3),
+    fuzzy_ratio_threshold=st.none() | st.floats(0.0, 1.0, exclude_min=True),
+)
+
+
+@st.composite
+def examples(draw):
+    kind = draw(st.sampled_from(EXPLANATION_KINDS))
+    target = draw(st.just(NONE_VALUE) | words)
+    explanation = "" if NONE_VALUE in (kind, target) else draw(st.text(min_size=1, max_size=8))
+    meta = ExampleMeta(
+        draw(texts), draw(st.integers(1, 30)), draw(texts), draw(st.integers(0, 30)),
+        draw(st.integers(1, 30)), draw(st.floats(0.0, 50.0)),
+    )
+    return CoTExample(draw(texts), draw(texts), target, explanation, kind, meta)
+
+
+@st.composite
+def reports(draw):
+    n_turns = draw(st.integers(0, 30))
+    buckets = []
+    for axis in draw(st.lists(st.sampled_from(AXES), unique=True)):
+        first = draw(st.integers(0, n_turns))
+        for lo, n in enumerate((first, n_turns - first)):
+            hi = draw(st.none() | st.integers(lo + 1, 40))
+            buckets.append(BucketResult(axis, draw(texts), lo, hi, n, draw(st.none() | fractions)))
+    return EvalReport(
+        draw(fractions), draw(st.integers(0, 9)), n_turns, draw(st.integers(0, 99)),
+        draw(policies), tuple(buckets),
+    )
+
+
+def refine_configs(offline: bool):
+    required = 0 if offline else 1
+    return st.builds(
+        RefineConfig,
+        endpoint_url=st.text(min_size=required, max_size=8),
+        model_name=st.text(min_size=required, max_size=8),
+        api_key_env_var=texts,
+        instruction=texts,
+        demonstrations=st.lists(st.tuples(texts, texts), min_size=required, max_size=3).map(tuple),
+        temperature=st.floats(0.0, 2.0),
+        max_tokens=st.integers(1, 4096),
+        max_retries=st.integers(0, 5),
+        backoff_base=st.floats(0.0, 4.0),
+        request_timeout=st.floats(0.1, 120.0),
+        max_parallel=st.integers(1, 8),
+        cache_dir=texts,
+        offline=st.just(offline),
+    )
+
+
+no_placeholders = st.text(alphabet=st.characters(blacklist_characters="[]"), max_size=6)
+RECORDS = {
+    CoTExample: examples(),
+    EvalReport: reports(),
+    NormalizationPolicy: policies,
+    RefineConfig: refine_configs(True) | refine_configs(False),
+    PromptTemplate: st.builds(
+        lambda a, b, choices, marker: PromptTemplate(f"{a}[History]{b}[Question]{choices}", marker),
+        no_placeholders, no_placeholders, st.sampled_from(["", " [Choices]", "[Domain][Choices]"]),
+        texts,
+    ),
+}
+
+
+@pytest.mark.parametrize("cls", list(RECORDS), ids=lambda cls: cls.__name__)
+@FUZZ
+@given(data=st.data())
+def test_codec_round_trips_every_record_class(cls, data):
+    record = data.draw(RECORDS[cls])
+    assert decode(cls, encode(record), "record.json") == record
+
+
+def test_codec_rejects_an_annotation_it_cannot_handle():
+    @dataclass(frozen=True)
+    class Odd:
+        counts: dict[str, int]
+
+    with pytest.raises(TypeError, match="cannot handle"):
+        encode(Odd({}))
 
 
 # ---------------------------------------------------------------------------

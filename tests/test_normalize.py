@@ -9,15 +9,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from slotchain.errors import ValidationError
+from slotchain.errors import FormatError, ValidationError
+from slotchain.io import decode, encode
 from slotchain.normalize import (
     DEFAULT_POLICY,
     DONTCARE_VALUE,
     NONE_VALUE,
     NormalizationPolicy,
     normalize_value,
-    policy_from_dict,
-    policy_to_dict,
     similarity_ratio,
     values_match,
 )
@@ -103,12 +102,12 @@ def test_policy_round_trip():
         NormalizationPolicy(fuzzy_ratio_threshold=0.9),
         NormalizationPolicy(lowercase=False, none_aliases=frozenset({""})),
     ):
-        assert policy_from_dict(policy_to_dict(policy)) == policy
+        assert decode(NormalizationPolicy, encode(policy), "policy.json") == policy
 
 
 def test_policy_rejects_unknown_fields():
-    with pytest.raises(ValidationError, match="unknown"):
-        policy_from_dict({"lowercase": True, "stemming": True})
+    with pytest.raises(FormatError, match=r"policy\.json: unknown fields: \['stemming'\]"):
+        decode(NormalizationPolicy, {"lowercase": True, "stemming": True}, "policy.json")
 
 
 def test_policy_rejects_bad_threshold():
