@@ -17,8 +17,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Mapping
 
-from .corpus import Corpus, Dialogue, Schema
-from .errors import TurnOutOfRangeError, UnknownSlotError
+from .corpus import Corpus, Dialogue
+from .errors import TurnOutOfRangeError
 from .normalize import DEFAULT_POLICY, NONE_VALUE, NormalizationPolicy, normalize_value
 
 
@@ -42,10 +42,6 @@ class SlotChain:
         return len(self.change_turns)
 
     @property
-    def is_multi_step(self) -> bool:
-        return self.step_count >= 2
-
-    @property
     def final_value(self) -> str:
         """Value in force at the query turn; "none" when never set."""
         return self.values[-1] if self.values else NONE_VALUE
@@ -63,7 +59,6 @@ def extract_chain(
     slot_id: str,
     query_turn: int,
     policy: NormalizationPolicy = DEFAULT_POLICY,
-    schema: Schema | None = None,
 ) -> SlotChain:
     """Chain for one slot through ``query_turn`` (1-based, inclusive).
 
@@ -72,8 +67,6 @@ def extract_chain(
     normalization) add no step. Chains over growing query turns extend
     each other: the chain at turn t is a prefix of the chain at t+1.
     """
-    if schema is not None and slot_id not in schema:
-        raise UnknownSlotError(f"slot {slot_id!r} not in schema")
     if not 1 <= query_turn <= dialogue.n_turns:
         raise TurnOutOfRangeError(
             f"turn {query_turn} outside dialogue {dialogue.dialogue_id!r} "

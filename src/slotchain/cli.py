@@ -81,6 +81,14 @@ def _check_out_is_not_an_input(args: argparse.Namespace) -> None:
                 raise SlotchainError(f"--out {args.out} would overwrite the input {path}")
 
 
+def _at_least_one(value: str) -> int:
+    """An integer flag value of at least 1, checked here so that the
+    error names the flag rather than the config file it overrides."""
+    if not value.isdecimal() or int(value) < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {value!r}")
+    return int(value)
+
+
 def _parse_exclude(value: str) -> set[str]:
     return {part.strip() for part in value.split(",") if part.strip()}
 
@@ -94,9 +102,7 @@ def _load_schema_arg(value: str) -> Schema:
 
 
 def _load_corpus_arg(args: argparse.Namespace, schema: Schema) -> Corpus:
-    corpus = load_corpus(
-        [args.corpus], schema, _parse_exclude(args.exclude_domains), name=""
-    )
+    corpus = load_corpus([args.corpus], schema, _parse_exclude(args.exclude_domains))
     _note(args, f"loaded {len(corpus.dialogues)} dialogues from {args.corpus}")
     return corpus
 
@@ -109,13 +115,13 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     schema = _load_schema_arg(args.schema)
     exclude = _parse_exclude(args.exclude_domains)
     if args.style == "canonical":
-        corpus = load_corpus(args.input, schema, exclude, name=args.name)
+        corpus = load_corpus(args.input, schema, exclude)
     else:
         parts = [
             ingest_legacy(path, args.style, schema, split=args.split)
             for path in args.input
         ]
-        corpus = merge_corpora(parts, name=args.name)
+        corpus = merge_corpora(parts)
         corpus = filter_excluded_domains(corpus, exclude)
     counts = corpus.split_counts()
     summary = " ".join(f"{split}={counts.get(split, 0)}" for split in SPLITS)
@@ -270,7 +276,6 @@ _HANDLERS = {
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--verbose", action="store_true", help="chatty progress on stderr")
-    common.add_argument("--seed", type=int, default=13, help="random seed (default 13)")
     common.add_argument("--out", help="write output here instead of stdout")
 
     parser = argparse.ArgumentParser(
@@ -296,7 +301,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--schema", required=True, help="schema file or bundled name")
     p.add_argument("--split", help="split for legacy files when not inferable from the name")
     p.add_argument("--exclude-domains", default="", help="comma-separated domains to drop")
-    p.add_argument("--name", default="", help="corpus name")
 
     p = sub.add_parser("validate", parents=[common], help="check a corpus and print a summary")
     p.add_argument("--corpus", required=True, help="canonical corpus file")
@@ -326,13 +330,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--examples", required=True, help="examples JSONL from build")
     p.add_argument("--config", help="refine config JSON (bundled defaults otherwise)")
     p.add_argument("--offline", action="store_true", help="strip speaker tags, no network")
-    p.add_argument("--max-parallel", type=int, help="request concurrency ceiling")
+    p.add_argument("--max-parallel", type=_at_least_one, help="request concurrency ceiling")
     p.add_argument("--cache-dir", help="completion cache directory")
 
     p = sub.add_parser("sample", parents=[common], help="keep a seeded fraction of train")
     p.add_argument("--corpus", required=True)
     p.add_argument("--schema", required=True)
     p.add_argument("--fraction", type=float, required=True, help="train fraction in (0, 1]")
+    p.add_argument("--seed", type=int, default=13, help="random seed (default 13)")
     p.add_argument("--exclude-domains", default="")
 
     p = sub.add_parser("eval", parents=[common], help="score predictions against gold states")

@@ -9,13 +9,14 @@ safe to share across threads.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .errors import FormatError, ValidationError
-from .io import read_json, write_text
+from .io import decode, read_json
 from .normalize import DEFAULT_POLICY, normalize_value
 
 SPLITS = ("train", "dev", "test")
@@ -78,7 +79,6 @@ class Dialogue:
 class Corpus:
     schema: Schema
     dialogues: tuple[Dialogue, ...]
-    name: str = ""
 
     def split_counts(self) -> dict[str, int]:
         counts = {split: 0 for split in SPLITS}
@@ -146,12 +146,26 @@ def validate_dialogue(dialogue: Dialogue, schema: Schema) -> None:
 
 def validate_corpus(corpus: Corpus) -> None:
     validate_schema(corpus.schema)
-    seen: set[str] = set()
-    for dialogue in corpus.dialogues:
+    _validate_dialogues(corpus.dialogues, corpus.schema, set())
+
+
+def _validate_dialogues(dialogues: Iterable[Dialogue], schema: Schema, seen: set[str]) -> None:
+    """Validate each dialogue; ``seen`` holds the ids met so far and
+    gains these."""
+    for dialogue in dialogues:
         if dialogue.dialogue_id in seen:
             raise ValidationError(f"duplicate dialogue_id {dialogue.dialogue_id!r}")
         seen.add(dialogue.dialogue_id)
-        validate_dialogue(dialogue, corpus.schema)
+        validate_dialogue(dialogue, schema)
+
+
+@contextmanager
+def _naming(path: str | Path) -> Iterator[None]:
+    """Prefix ``path`` to a ValidationError raised inside the block."""
+    try:
+        yield
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -160,48 +174,15 @@ def validate_corpus(corpus: Corpus) -> None:
 
 
 def load_schema(path: str | Path) -> Schema:
-    slots = []
-    for i, entry in enumerate(read_json(path, expect=list)):
-        where = f"{path}: slot record {i}"
-        if not isinstance(entry, dict):
-            raise FormatError(f"{where}: expected an object")
-        possible = entry.get("possible_values")
-        if possible is not None and not _is_str_list(possible):
-            raise FormatError(f"{where}: field 'possible_values' not an array of strings")
-        try:
-            slots.append(
-                SlotSchema(
-                    slot_id=_req_str(entry, "slot_id", where),
-                    domain=_req_str(entry, "domain", where),
-                    name=_req_str(entry, "name", where),
-                    description=_req_str(entry, "description", where),
-                    possible_values=tuple(possible) if possible is not None else None,
-                )
-            )
-        except (TypeError, KeyError) as exc:
-            raise FormatError(f"{where}: {exc}") from exc
-    schema = Schema(slots=tuple(slots))
-    validate_schema(schema)
+    schema = Schema(
+        slots=tuple(
+            decode(SlotSchema, entry, f"{path}: slot record {i}")
+            for i, entry in enumerate(read_json(path, expect=list))
+        )
+    )
+    with _naming(path):
+        validate_schema(schema)
     return schema
-
-
-def save_schema(schema: Schema, path: str | Path) -> None:
-    records = []
-    for slot in schema.slots:
-        record = {
-            "slot_id": slot.slot_id,
-            "domain": slot.domain,
-            "name": slot.name,
-            "description": slot.description,
-        }
-        if slot.possible_values is not None:
-            record["possible_values"] = list(slot.possible_values)
-        records.append(record)
-    write_text(path, json.dumps(records, ensure_ascii=False, indent=2) + "\n")
-
-
-def _is_str_list(value: object) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) for v in value)
 
 
 def _req_str(entry: dict, key: str, where: str) -> str:
@@ -220,15 +201,17 @@ def load_corpus(
     dialogue_paths: Iterable[str | Path],
     schema: Schema,
     exclude_domains: set[str] = frozenset(),
-    name: str = "",
 ) -> Corpus:
     """Load canonical dialogue files against a schema.
 
     Slots of excluded domains are removed from gold states; dialogues
     whose annotations all belong to excluded domains are dropped.
     """
+    validate_schema(schema)
     dialogues: list[Dialogue] = []
+    seen: set[str] = set()
     for path in dialogue_paths:
+        loaded: list[Dialogue] = []
         for i, entry in enumerate(read_json(path, expect=list)):
             where = f"{path}: dialogue record {i}"
             if not isinstance(entry, dict):
@@ -248,7 +231,7 @@ def load_corpus(
                     if not isinstance(value, str):
                         raise FormatError(f"{turn_where}: value of slot {slot_id!r} not a string")
                 index = turn.get("index")
-                if not isinstance(index, int):
+                if type(index) is not int:  # JSON's true and false are not integers
                     raise FormatError(f"{turn_where}: field 'index' missing or not an integer")
                 parsed_turns.append(
                     TurnPair(
@@ -260,17 +243,18 @@ def load_corpus(
                         gold_state=dict(state),
                     )
                 )
-            dialogues.append(
+            loaded.append(
                 Dialogue(
                     dialogue_id=_req_str(entry, "dialogue_id", where),
                     turns=tuple(parsed_turns),
                     split=_req_str(entry, "split", where),
                 )
             )
-    corpus = Corpus(schema=schema, dialogues=tuple(dialogues), name=name)
-    corpus = filter_excluded_domains(corpus, exclude_domains)
-    validate_corpus(corpus)
-    return corpus
+        kept = filter_excluded_domains(Corpus(schema, tuple(loaded)), exclude_domains).dialogues
+        with _naming(path):
+            _validate_dialogues(kept, schema, seen)
+        dialogues.extend(kept)
+    return Corpus(schema=schema, dialogues=tuple(dialogues))
 
 
 def filter_excluded_domains(corpus: Corpus, exclude_domains: set[str]) -> Corpus:
@@ -306,14 +290,14 @@ def filter_excluded_domains(corpus: Corpus, exclude_domains: set[str]) -> Corpus
         kept.append(
             Dialogue(dialogue_id=dialogue.dialogue_id, turns=new_turns, split=dialogue.split)
         )
-    return Corpus(schema=corpus.schema, dialogues=tuple(kept), name=corpus.name)
+    return Corpus(schema=corpus.schema, dialogues=tuple(kept))
 
 
 def corpus_to_json(corpus: Corpus) -> str:
     """The canonical dialogue-file text for a corpus.
 
     State keys are sorted so repeated renders are byte-stable. The schema
-    is not embedded; keep it alongside via save_schema.
+    is not embedded.
     """
     records = []
     for dialogue in corpus.dialogues:
@@ -335,12 +319,7 @@ def corpus_to_json(corpus: Corpus) -> str:
     return json.dumps(records, ensure_ascii=False, indent=2, sort_keys=False) + "\n"
 
 
-def save_corpus(corpus: Corpus, path: str | Path) -> None:
-    """Write the dialogues as one canonical JSON file."""
-    write_text(path, corpus_to_json(corpus))
-
-
-def merge_corpora(corpora: Iterable[Corpus], name: str = "") -> Corpus:
+def merge_corpora(corpora: Iterable[Corpus]) -> Corpus:
     """Concatenate corpora sharing one schema; dialogue ids must not collide."""
     corpora = list(corpora)
     if not corpora:
@@ -351,7 +330,7 @@ def merge_corpora(corpora: Iterable[Corpus], name: str = "") -> Corpus:
         if corpus.schema != schema:
             raise ValidationError("cannot merge corpora with different schemas")
         dialogues.extend(corpus.dialogues)
-    merged = Corpus(schema=schema, dialogues=tuple(dialogues), name=name)
+    merged = Corpus(schema=schema, dialogues=tuple(dialogues))
     validate_corpus(merged)
     return merged
 
@@ -403,7 +382,8 @@ def ingest_legacy(
         corpus = _ingest_sgd_state(path, schema, split)
     else:
         raise FormatError(f"unknown legacy style {style!r}")
-    validate_corpus(corpus)
+    with _naming(path):
+        validate_corpus(corpus)
     return corpus
 
 
@@ -500,7 +480,7 @@ def _ingest_woz_belief(path: Path, schema: Schema, split: str) -> Corpus:
                 )
             )
         dialogues.append(Dialogue(dialogue_id=dialogue_id, turns=tuple(turns), split=split))
-    return Corpus(schema=schema, dialogues=tuple(dialogues), name=path.stem)
+    return Corpus(schema=schema, dialogues=tuple(dialogues))
 
 
 def _ingest_m2m_flat(path: Path, schema: Schema, split: str) -> Corpus:
@@ -534,7 +514,7 @@ def _ingest_m2m_flat(path: Path, schema: Schema, split: str) -> Corpus:
                 )
             )
         dialogues.append(Dialogue(dialogue_id=dialogue_id, turns=tuple(turns), split=split))
-    return Corpus(schema=schema, dialogues=tuple(dialogues), name=path.stem)
+    return Corpus(schema=schema, dialogues=tuple(dialogues))
 
 
 def _ingest_sgd_state(path: Path, schema: Schema, split: str) -> Corpus:
@@ -582,5 +562,5 @@ def _ingest_sgd_state(path: Path, schema: Schema, split: str) -> Corpus:
             )
             pending_system = ""
         dialogues.append(Dialogue(dialogue_id=dialogue_id, turns=tuple(turns), split=split))
-    return Corpus(schema=schema, dialogues=tuple(dialogues), name=path.stem)
+    return Corpus(schema=schema, dialogues=tuple(dialogues))
 

@@ -198,18 +198,20 @@ def load_bucket_spec(path_or_name: str | Path) -> BucketSpec:
     if source is None:
         raise FormatError(f"{path_or_name}: neither a file nor a bundled bucket spec")
     data = read_json(source, expect=dict)
-    if not isinstance(data.get("edges"), list):
-        raise FormatError(f"{source}: expected an object with 'axis' and 'edges'")
+    axis = data.get("axis")
+    if not isinstance(axis, str) or not isinstance(data.get("edges"), list):
+        raise FormatError(f"{source}: expected an object with a string 'axis' and 'edges'")
     edges = []
     for pair in data["edges"]:
         if not isinstance(pair, list) or len(pair) != 2:
             raise FormatError(f"{source}: each edge must be a [lo, hi] pair")
         lo, hi = pair
-        if not isinstance(lo, int) or not (hi is None or isinstance(hi, int)):
+        # type() rather than isinstance(): JSON's true and false are not integers.
+        if type(lo) is not int or not (hi is None or type(hi) is int):
             raise FormatError(f"{source}: edge bounds must be integers (hi may be null)")
         edges.append(Bucket(lo=lo, hi=hi))
     try:
-        return BucketSpec(axis=str(data.get("axis", "")), edges=tuple(edges))
+        return BucketSpec(axis=axis, edges=tuple(edges))
     except ValidationError as exc:
         raise FormatError(f"{source}: {exc}") from exc
 
@@ -275,27 +277,6 @@ class EvalReport:
                 )
 
 
-def compute_jga(
-    corpus: Corpus,
-    predictions: Sequence[PredictionRecord],
-    policy: NormalizationPolicy = DEFAULT_POLICY,
-    split: str | None = None,
-) -> EvalReport:
-    """Joint goal accuracy: the fraction of turns whose full predicted
-    state matches gold. Missing predictions default to "none" and are
-    tallied in the report."""
-    correctness, missing = _turn_correctness(corpus, predictions, policy, split)
-    n_turns = len(correctness)
-    correct = sum(correctness.values())
-    return EvalReport(
-        overall_jga=correct / n_turns if n_turns else 0.0,
-        n_dialogues=len(corpus.dialogues_in(split)),
-        n_turns=n_turns,
-        n_missing_predictions=missing,
-        policy=policy,
-    )
-
-
 def fine_grained_report(
     corpus: Corpus,
     predictions: Sequence[PredictionRecord],
@@ -303,7 +284,9 @@ def fine_grained_report(
     specs: Sequence[BucketSpec] = (),
     split: str | None = None,
 ) -> EvalReport:
-    """compute_jga plus per-bucket accuracy for each axis spec."""
+    """Joint goal accuracy, the fraction of turns whose full predicted
+    state matches gold, plus per-bucket accuracy for each axis spec.
+    Missing predictions default to "none" and are tallied in the report."""
     correctness, missing = _turn_correctness(corpus, predictions, policy, split)
     n_turns = len(correctness)
     buckets: list[BucketResult] = []
@@ -352,7 +335,7 @@ def low_resource_sample(corpus: Corpus, fraction: float, seed: int) -> Corpus:
     dialogues = tuple(
         d for d in corpus.dialogues if d.split != "train" or d.dialogue_id in keep
     )
-    return Corpus(schema=corpus.schema, dialogues=dialogues, name=corpus.name)
+    return Corpus(schema=corpus.schema, dialogues=dialogues)
 
 
 # ---------------------------------------------------------------------------

@@ -117,7 +117,7 @@ def make_corpus(
         )
         for i in range(n)
     )
-    return Corpus(schema=schema, dialogues=dialogues, name="gen")
+    return Corpus(schema=schema, dialogues=dialogues)
 
 
 def make_predictions(

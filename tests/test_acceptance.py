@@ -35,7 +35,6 @@ from slotchain.corpus import (
     merge_corpora,
 )
 from slotchain.evaluator import (
-    compute_jga,
     fine_grained_report,
     load_bucket_spec,
     low_resource_sample,
@@ -79,7 +78,7 @@ def criterion(number: int, title: str):
 
 def fixture_corpus():
     schema = load_schema(FIXTURES / "fixture_schema.json")
-    return load_corpus([FIXTURES / "fixture_dialogues.json"], schema, name="fixture")
+    return load_corpus([FIXTURES / "fixture_dialogues.json"], schema)
 
 
 def _find_dataset(env_var: str, marker: str, *candidates: str) -> Path | None:
@@ -141,7 +140,7 @@ def _ingest_mwz22(root: Path):
     for split_dir, split in (("train", "train"), ("dev", "dev"), ("test", "test")):
         for path in sorted((root / split_dir).glob("dialogues_*.json")):
             parts.append(ingest_legacy(path, "sgd_state", schema, split=split))
-    corpus = merge_corpora(parts, name="multiwoz22")
+    corpus = merge_corpora(parts)
     return filter_excluded_domains(corpus, {"police", "hospital"})
 
 
@@ -237,7 +236,7 @@ def test_criterion_3_jga_oracle_equivalence():
             for r in rows
         )
         expected = oracle_jga(corpus, rows, DEFAULT_POLICY)
-        got = compute_jga(corpus, records).overall_jga
+        got = fine_grained_report(corpus, records).overall_jga
         assert got == expected, f"seed {seed}: {got} != {expected}"
     elapsed = time.monotonic() - start
     assert elapsed < 30, f"took {elapsed:.1f}s"
@@ -384,7 +383,7 @@ def test_criterion_8_sampler():
         )
         for i in range(600)
     )
-    corpus = Corpus(schema=schema, dialogues=dialogues, name="sampling")
+    corpus = Corpus(schema=schema, dialogues=dialogues)
     by_id = {d.dialogue_id: d for d in corpus.dialogues}
     for fraction in (0.01, 0.05, 0.10, 0.20):
         first = low_resource_sample(corpus, fraction, seed=13)

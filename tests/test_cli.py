@@ -27,7 +27,7 @@ OVERRIDES = str(FIXTURES / "question_overrides.json")
 
 
 def fixture_corpus():
-    return load_corpus([DIALOGUES], load_schema(SCHEMA), name="")
+    return load_corpus([DIALOGUES], load_schema(SCHEMA))
 
 
 def run(capsys, *argv):
@@ -60,6 +60,25 @@ def test_missing_required_flag_is_a_usage_error(capsys):
 def test_unknown_flag_is_a_usage_error(capsys):
     code, out, err = run(capsys, "stats", "--corpus", DIALOGUES, "--schema", SCHEMA, "--wat")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["ingest", "--input", DIALOGUES, "--schema", SCHEMA, "--name", "x"],
+    ["validate", "--corpus", DIALOGUES, "--schema", SCHEMA, "--seed", "1"],
+])
+def test_removed_flags_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert "unrecognized arguments" in err
+
+
+def test_bad_max_parallel_names_the_flag(capsys):
+    code, out, err = run(
+        capsys, "refine", "--examples", PREDICTIONS, "--offline", "--max-parallel", "0"
+    )
+    assert code == 2
+    assert "argument --max-parallel: must be an integer >= 1, got '0'" in err
+    assert "refine_config.json" not in err
 
 
 def test_console_script_is_installed(tmp_path):
@@ -233,7 +252,36 @@ MALFORMED_INPUTS = {
         ["validate", "--corpus", DIALOGUES, "--schema", "{file}"],
         [{"slot_id": "hotel-stars", "domain": "hotel", "name": "stars",
           "description": "star rating", "possible_values": [1, 2]}],
-        "slot record 0: field 'possible_values' not an array of strings",
+        "slot record 0: field 'possible_values' must be an array of strings or null",
+    ),
+    "schema unknown key": (
+        ["validate", "--corpus", DIALOGUES, "--schema", "{file}"],
+        [{"slot_id": "hotel-stars", "domain": "hotel", "name": "stars",
+          "description": "star rating", "possible_value": ["1", "2"]}],
+        "slot record 0: unknown fields: ['possible_value']",
+    ),
+    "schema duplicate slot": (
+        ["validate", "--corpus", DIALOGUES, "--schema", "{file}"],
+        [{"slot_id": "hotel-stars", "domain": "hotel", "name": "stars",
+          "description": "star rating"}] * 2,
+        "duplicate slot_id 'hotel-stars'",
+    ),
+    "canonical boolean index": (
+        ["stats", "--corpus", "{file}", "--schema", SCHEMA],
+        [{"dialogue_id": "d1", "split": "train",
+          "turns": [{"index": True, "system": "", "user": "hi", "state": {}}]}],
+        "dialogue record 0 turn 0: field 'index' missing or not an integer",
+    ),
+    "canonical empty user utterance": (
+        ["validate", "--corpus", "{file}", "--schema", SCHEMA],
+        [{"dialogue_id": "d1", "split": "train",
+          "turns": [{"index": 1, "system": "", "user": "", "state": {}}]}],
+        "dialogue 'd1' turn 1: empty user utterance",
+    ),
+    "woz_belief empty user utterance": (
+        ingest_argv("woz_belief", "woz20"),
+        [{"dialogue_idx": 1, "dialogue": [{"transcript": ""}]}],
+        "dialogue '1' turn 1: empty user utterance",
     ),
     "woz_belief turn": (
         ingest_argv("woz_belief", "woz20"),
@@ -306,6 +354,14 @@ MALFORMED_INPUTS = {
     "bucket spec axis": (
         EVAL_ARGV + ["--buckets", "{file}"], {"axis": "x", "edges": [[0, None]]},
         "axis must be one of ('step', 'turn', 'len'), got 'x'",
+    ),
+    "bucket spec axis not a string": (
+        EVAL_ARGV + ["--buckets", "{file}"], {"axis": ["step"], "edges": [[0, None]]},
+        "expected an object with a string 'axis' and 'edges'",
+    ),
+    "bucket spec boolean bound": (
+        EVAL_ARGV + ["--buckets", "{file}"], {"axis": "step", "edges": [[False, None]]},
+        "edge bounds must be integers (hi may be null)",
     ),
     "template without question": (
         ["build", "--corpus", DIALOGUES, "--schema", SCHEMA, "--template-file", "{file}"],
@@ -560,6 +616,17 @@ def test_sample_is_deterministic_per_seed(capsys):
     assert {r["dialogue_id"] for r in json.loads(first)} != {
         r["dialogue_id"] for r in json.loads(other_seed)
     } or first == other_seed
+
+
+def test_sample_default_seed_reproduces_golden(capsys):
+    golden = REPO / "tests" / "golden" / "e2e"
+    argv = ["sample", "--corpus", str(golden / "corpus.json"), "--schema", SCHEMA,
+            "--fraction", "0.2"]
+    expected = (golden / "sampled.json").read_text(encoding="utf-8")
+    for seed in (["--seed", "13"], []):
+        code, out, err = run(capsys, *argv, *seed)
+        assert code == 0, err
+        assert out == expected
 
 
 def test_sample_bad_fraction_exits_one(capsys):

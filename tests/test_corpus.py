@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 
 import pytest
 
@@ -14,14 +15,13 @@ from slotchain.corpus import (
     Schema,
     SlotSchema,
     TurnPair,
+    corpus_to_json,
     filter_excluded_domains,
     infer_split,
     ingest_legacy,
     load_corpus,
     load_schema,
     merge_corpora,
-    save_corpus,
-    save_schema,
     validate_corpus,
     validate_schema,
 )
@@ -91,7 +91,7 @@ def test_exclusion_by_inspection():
         split="test",
         turns=(turn(1, {"hotel-area": "south", "hospital-department": "icu"}),),
     )
-    corpus = Corpus(schema=schema, dialogues=(d1, d2, d3, d4), name="fix")
+    corpus = Corpus(schema=schema, dialogues=(d1, d2, d3, d4))
 
     filtered = filter_excluded_domains(corpus, {"police", "hospital"})
     validate_corpus(filtered)
@@ -139,13 +139,6 @@ def test_exclusion_is_monotone():
 # round trips
 
 
-def test_schema_round_trip(tmp_path):
-    schema = small_schema()
-    path = tmp_path / "schema.json"
-    save_schema(schema, path)
-    assert load_schema(path) == schema
-
-
 def test_corpus_round_trip(tmp_path):
     schema = small_schema()
     corpus = Corpus(
@@ -162,11 +155,10 @@ def test_corpus_round_trip(tmp_path):
             ),
             Dialogue(dialogue_id="d2", split="test", turns=(turn(1, {}),)),
         ),
-        name="fix",
     )
     path = tmp_path / "dialogues.json"
-    save_corpus(corpus, path)
-    loaded = load_corpus([path], schema, name="fix")
+    path.write_text(corpus_to_json(corpus), encoding="utf-8")
+    loaded = load_corpus([path], schema)
     assert loaded == corpus
 
 
@@ -175,16 +167,16 @@ def test_corpus_round_trip_randomized(tmp_path):
         rng = random.Random(1000 + seed)
         corpus = make_corpus(rng)
         path = tmp_path / f"c{seed}.json"
-        save_corpus(corpus, path)
-        loaded = load_corpus([path], corpus.schema, name=corpus.name)
+        path.write_text(corpus_to_json(corpus), encoding="utf-8")
+        loaded = load_corpus([path], corpus.schema)
         assert loaded == corpus
 
 
 def test_save_corpus_is_byte_stable(tmp_path):
     corpus = make_corpus(random.Random(3))
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    save_corpus(corpus, a)
-    save_corpus(corpus, b)
+    a.write_text(corpus_to_json(corpus), encoding="utf-8")
+    b.write_text(corpus_to_json(corpus), encoding="utf-8")
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -193,10 +185,20 @@ def test_load_corpus_multiple_files(tmp_path):
     c1 = Corpus(schema, (Dialogue("d1", (turn(1, {}),), "train"),))
     c2 = Corpus(schema, (Dialogue("d2", (turn(1, {}),), "test"),))
     p1, p2 = tmp_path / "one.json", tmp_path / "two.json"
-    save_corpus(c1, p1)
-    save_corpus(c2, p2)
+    p1.write_text(corpus_to_json(c1), encoding="utf-8")
+    p2.write_text(corpus_to_json(c2), encoding="utf-8")
     merged = load_corpus([p1, p2], schema)
     assert [d.dialogue_id for d in merged.dialogues] == ["d1", "d2"]
+
+
+def test_load_corpus_repeated_id_names_the_later_file(tmp_path):
+    schema = small_schema()
+    corpus = Corpus(schema, (Dialogue("d1", (turn(1, {}),), "train"),))
+    p1, p2 = tmp_path / "one.json", tmp_path / "two.json"
+    p1.write_text(corpus_to_json(corpus), encoding="utf-8")
+    p2.write_text(corpus_to_json(corpus), encoding="utf-8")
+    with pytest.raises(ValidationError, match=re.escape(f"{p2}: duplicate dialogue_id 'd1'")):
+        load_corpus([p1, p2], schema)
 
 
 # ---------------------------------------------------------------------------
@@ -302,9 +304,8 @@ def test_merge_concatenates():
     schema = small_schema()
     c1 = Corpus(schema, (Dialogue("d1", (turn(1, {}),), "train"),))
     c2 = Corpus(schema, (Dialogue("d2", (turn(1, {}),), "test"),))
-    merged = merge_corpora([c1, c2], name="both")
+    merged = merge_corpora([c1, c2])
     assert merged.split_counts() == {"train": 1, "dev": 0, "test": 1}
-    assert merged.name == "both"
 
 
 def test_merge_rejects_id_collision():

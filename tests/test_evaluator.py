@@ -24,7 +24,6 @@ from slotchain.evaluator import (
     EvalReport,
     PredictionRecord,
     bucketize,
-    compute_jga,
     fine_grained_report,
     load_bucket_spec,
     load_predictions,
@@ -96,7 +95,7 @@ def hand_corpus():
             TurnPair(3, "noted", "thanks", {"restaurant-food": "chinese"}),
         ),
     )
-    return Corpus(schema=schema, dialogues=(d1, d2), name="hand")
+    return Corpus(schema=schema, dialogues=(d1, d2))
 
 
 def perfect_rows(corpus, split=None):
@@ -121,7 +120,7 @@ def perfect_rows(corpus, split=None):
 
 def test_perfect_predictions_score_one():
     corpus = hand_corpus()
-    report = compute_jga(corpus, to_records(perfect_rows(corpus)))
+    report = fine_grained_report(corpus, to_records(perfect_rows(corpus)))
     assert report.overall_jga == 1.0
     assert report.n_turns == 6
     assert report.n_dialogues == 2
@@ -134,24 +133,24 @@ def test_one_wrong_slot_sinks_exactly_one_turn():
     for row in rows:
         if row["dialogue_id"] == "d1" and row["turn"] == 2 and row["slot_id"] == "hotel-stars":
             row["text"] = "4"
-    report = compute_jga(corpus, to_records(rows))
+    report = fine_grained_report(corpus, to_records(rows))
     assert report.overall_jga == pytest.approx(5 / 6)
 
 
 def test_all_none_predictions_fail_every_annotated_turn():
     corpus = hand_corpus()
-    d1_only = Corpus(schema=corpus.schema, dialogues=corpus.dialogues[:1], name="hand")
+    d1_only = Corpus(schema=corpus.schema, dialogues=corpus.dialogues[:1])
     rows = perfect_rows(d1_only)
     for row in rows:
         row["text"] = "none"
-    report = compute_jga(d1_only, to_records(rows))
+    report = fine_grained_report(d1_only, to_records(rows))
     assert report.overall_jga == 0.0
 
 
 def test_missing_predictions_default_to_none_and_are_counted():
     corpus = hand_corpus()
     rows = [r for r in perfect_rows(corpus) if r["dialogue_id"] != "d2"]
-    report = compute_jga(corpus, to_records(rows))
+    report = fine_grained_report(corpus, to_records(rows))
     assert report.n_missing_predictions == 9
     assert report.overall_jga == pytest.approx(4 / 6)
 
@@ -162,7 +161,7 @@ def test_normalization_applied_before_comparison():
     for row in rows:
         if row["text"] != "none":
             row["text"] = f"  {row['text'].upper()}. "
-    report = compute_jga(corpus, to_records(rows))
+    report = fine_grained_report(corpus, to_records(rows))
     assert report.overall_jga == 1.0
 
 
@@ -171,7 +170,7 @@ def test_explanation_suffix_ignored_for_scoring():
     rows = perfect_rows(corpus)
     for row in rows:
         row["text"] = f"{row['text']} | the user asked for it"
-    report = compute_jga(corpus, to_records(rows))
+    report = fine_grained_report(corpus, to_records(rows))
     assert report.overall_jga == 1.0
 
 
@@ -181,22 +180,22 @@ def test_fuzzy_matching_gated_by_policy_and_slot_kind():
     for row in rows:
         if row["text"] == "chinese":
             row["text"] = "chinesse"
-    strict = compute_jga(corpus, to_records(rows))
-    loose = compute_jga(corpus, to_records(rows), policy=FUZZY_POLICY)
+    strict = fine_grained_report(corpus, to_records(rows))
+    loose = fine_grained_report(corpus, to_records(rows), policy=FUZZY_POLICY)
     assert strict.overall_jga == pytest.approx(4 / 6)
     assert loose.overall_jga == 1.0
     for row in rows:
         if row["slot_id"] == "hotel-area" and row["text"] == "north":
             row["text"] = "norrth"
-    still_strict_on_categorical = compute_jga(corpus, to_records(rows), policy=FUZZY_POLICY)
+    still_strict_on_categorical = fine_grained_report(corpus, to_records(rows), policy=FUZZY_POLICY)
     assert still_strict_on_categorical.overall_jga < 1.0
 
 
 def test_split_filtering_scores_only_that_split():
     corpus = hand_corpus()
-    report = compute_jga(corpus, to_records(perfect_rows(corpus)), split="test")
+    report = fine_grained_report(corpus, to_records(perfect_rows(corpus)), split="test")
     assert report.n_turns == 6
-    empty = compute_jga(corpus, to_records(perfect_rows(corpus)), split="train")
+    empty = fine_grained_report(corpus, to_records(perfect_rows(corpus)), split="train")
     assert empty.n_turns == 0
     assert empty.n_dialogues == 0
     assert empty.overall_jga == 0.0
@@ -210,7 +209,7 @@ def test_matches_oracle_over_seeded_corpora():
         policy = FUZZY_POLICY if seed % 3 == 0 else DEFAULT_POLICY
         split = [None, "train", "dev"][seed % 3]
         expected = oracle_jga(corpus, rows, policy, split=split)
-        report = compute_jga(corpus, to_records(rows), policy=policy, split=split)
+        report = fine_grained_report(corpus, to_records(rows), policy=policy, split=split)
         assert report.overall_jga == pytest.approx(expected, abs=1e-12), f"seed {seed}"
 
 
@@ -221,7 +220,7 @@ def test_oracle_agreement_survives_explanation_suffixes():
         rows = make_predictions(rng, corpus)
         suffixed = [dict(r, text=r["text"] + " | so the value stands") for r in rows]
         expected = oracle_jga(corpus, rows, DEFAULT_POLICY)
-        report = compute_jga(corpus, to_records(suffixed))
+        report = fine_grained_report(corpus, to_records(suffixed))
         assert report.overall_jga == pytest.approx(expected, abs=1e-12), f"seed {seed}"
 
 
@@ -230,13 +229,13 @@ def test_extra_corruption_never_raises_jga():
         rng = random.Random(20_000 + seed)
         corpus = make_corpus(rng)
         rows = perfect_rows(corpus)
-        previous = compute_jga(corpus, to_records(rows)).overall_jga
+        previous = fine_grained_report(corpus, to_records(rows)).overall_jga
         assert previous == 1.0
         order = list(range(len(rows)))
         rng.shuffle(order)
         for position in order[:5]:
             rows[position]["text"] = "definitely wrong value"
-            current = compute_jga(corpus, to_records(rows)).overall_jga
+            current = fine_grained_report(corpus, to_records(rows)).overall_jga
             assert current <= previous + 1e-12
             previous = current
 
@@ -249,33 +248,33 @@ def test_duplicate_prediction_rejected():
     corpus = hand_corpus()
     rows = perfect_rows(corpus)
     with pytest.raises(DuplicatePredictionError):
-        compute_jga(corpus, to_records(rows + rows[:1]))
+        fine_grained_report(corpus, to_records(rows + rows[:1]))
 
 
 def test_unknown_dialogue_rejected():
     corpus = hand_corpus()
     records = (PredictionRecord("ghost", 1, "hotel-area", "north"),)
     with pytest.raises(UnknownDialogueError, match="ghost"):
-        compute_jga(corpus, records)
+        fine_grained_report(corpus, records)
 
 
 def test_unknown_slot_rejected():
     corpus = hand_corpus()
     records = (PredictionRecord("d1", 1, "hotel-parking", "yes"),)
     with pytest.raises(UnknownSlotError, match="hotel-parking"):
-        compute_jga(corpus, records)
+        fine_grained_report(corpus, records)
 
 
 def test_out_of_range_turn_rejected():
     corpus = hand_corpus()
     records = (PredictionRecord("d1", 4, "hotel-area", "north"),)
     with pytest.raises(TurnOutOfRangeError):
-        compute_jga(corpus, records)
+        fine_grained_report(corpus, records)
 
 
 def test_predictions_for_other_splits_are_ignored_not_errors():
     corpus = hand_corpus()
-    report = compute_jga(corpus, to_records(perfect_rows(corpus)), split="train")
+    report = fine_grained_report(corpus, to_records(perfect_rows(corpus)), split="train")
     assert report.n_turns == 0
 
 
@@ -426,7 +425,7 @@ def long_dialogue(n_turns, split="test"):
 
 
 def test_bucketize_turn_axis_uses_dialogue_length():
-    corpus = Corpus(schema=hand_schema(), dialogues=(long_dialogue(21),), name="hand")
+    corpus = Corpus(schema=hand_schema(), dialogues=(long_dialogue(21),))
     spec = load_bucket_spec("mwz_turn")
     assignment = bucketize(corpus, spec)
     assert len(assignment) == 21
@@ -441,7 +440,7 @@ def test_bucketize_len_axis_uses_average_utterance_tokens():
         split="test",
         turns=(TurnPair(1, thirteen, fourteen, {}),),
     )
-    corpus = Corpus(schema=hand_schema(), dialogues=(dialogue,), name="hand")
+    corpus = Corpus(schema=hand_schema(), dialogues=(dialogue,))
     assignment = bucketize(corpus, load_bucket_spec("mwz_len"))
     assert assignment[("d1", 1)].label == "12-14"
 
@@ -455,7 +454,7 @@ def test_bucketize_step_axis_uses_busiest_slot():
             TurnPair(2, "sure", "make it four stars", {"hotel-area": "north", "hotel-stars": "4"}),
         ),
     )
-    corpus = Corpus(schema=hand_schema(), dialogues=(dialogue,), name="hand")
+    corpus = Corpus(schema=hand_schema(), dialogues=(dialogue,))
     assignment = bucketize(corpus, load_bucket_spec("step"))
     assert assignment[("d1", 1)].label == "1"
     assert assignment[("d1", 2)].label == "2"
@@ -495,15 +494,6 @@ def test_bucket_jga_weighted_mean_equals_overall():
                 assert weighted / report.n_turns == pytest.approx(
                     report.overall_jga, abs=1e-12
                 ), f"seed {seed} axis {axis}"
-
-
-def test_fine_grained_overall_matches_compute_jga():
-    corpus = hand_corpus()
-    records = to_records(perfect_rows(corpus))
-    assert (
-        fine_grained_report(corpus, records, specs=all_specs()).overall_jga
-        == compute_jga(corpus, records).overall_jga
-    )
 
 
 def test_empty_bucket_reports_undefined_not_zero():
@@ -554,7 +544,7 @@ def tiny_corpus(n_train, n_dev=2, n_test=2):
                     turns=(TurnPair(1, "", "hello there", {}),),
                 )
             )
-    return Corpus(schema=schema, dialogues=tuple(dialogues), name="tiny")
+    return Corpus(schema=schema, dialogues=tuple(dialogues))
 
 
 def test_sample_is_deterministic_for_a_seed():
@@ -618,7 +608,6 @@ def test_sample_preserves_schema_and_name():
     corpus = tiny_corpus(10)
     sampled = sample_fn(corpus, 0.2, seed=13)
     assert sampled.schema == corpus.schema
-    assert sampled.name == corpus.name
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +656,7 @@ def test_markdown_has_one_table_per_axis_and_na_for_empty_buckets():
 
 def test_markdown_without_buckets_has_no_tables():
     corpus = hand_corpus()
-    report = compute_jga(corpus, to_records(perfect_rows(corpus)))
+    report = fine_grained_report(corpus, to_records(perfect_rows(corpus)))
     text = render_report(report, "markdown")
     assert "| bucket" not in text
     assert "overall JGA: 1.0000" in text
