@@ -32,11 +32,8 @@ from .corpus import (
     Corpus,
     Schema,
     corpus_to_json,
-    filter_excluded_domains,
-    ingest_legacy,
     load_corpus,
     load_schema,
-    merge_corpora,
 )
 from .errors import FormatError, SlotchainError
 from .evaluator import (
@@ -114,15 +111,7 @@ def _load_corpus_arg(args: argparse.Namespace, schema: Schema) -> Corpus:
 def _cmd_ingest(args: argparse.Namespace) -> int:
     schema = _load_schema_arg(args.schema)
     exclude = _parse_exclude(args.exclude_domains)
-    if args.style == "canonical":
-        corpus = load_corpus(args.input, schema, exclude)
-    else:
-        parts = [
-            ingest_legacy(path, args.style, schema, split=args.split)
-            for path in args.input
-        ]
-        corpus = merge_corpora(parts)
-        corpus = filter_excluded_domains(corpus, exclude)
+    corpus = load_corpus(args.input, schema, exclude, args.style, args.split)
     counts = corpus.split_counts()
     summary = " ".join(f"{split}={counts.get(split, 0)}" for split in SPLITS)
     print(

@@ -13,10 +13,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 from .errors import FormatError, ValidationError
-from .io import decode, read_json
+from .io import decode, encode, read_json
 from .normalize import DEFAULT_POLICY, normalize_value
 
 SPLITS = ("train", "dev", "test")
@@ -55,13 +55,16 @@ class TurnPair:
     """One system/user exchange plus the cumulative gold state after it.
 
     ``index`` is 1-based. The system utterance may be empty on the first
-    turn only (dialogues opened by the user).
+    turn only (dialogues opened by the user). In a canonical file the
+    utterances are keyed ``system`` and ``user`` and the state
+    ``state``; a missing utterance reads as empty, which validation
+    rejects where an utterance is required.
     """
 
     index: int
-    system_utterance: str
-    user_utterance: str
-    gold_state: Mapping[str, str] = field(default_factory=dict)
+    system_utterance: str = field(default="", metadata={"json_key": "system"})
+    user_utterance: str = field(default="", metadata={"json_key": "user"})
+    gold_state: dict[str, str] = field(default_factory=dict, metadata={"json_key": "state"})
 
 
 @dataclass(frozen=True)
@@ -185,72 +188,39 @@ def load_schema(path: str | Path) -> Schema:
     return schema
 
 
-def _req_str(entry: dict, key: str, where: str) -> str:
-    value = entry.get(key)
-    if not isinstance(value, str):
-        raise FormatError(f"{where}: field {key!r} missing or not a string")
-    return value
-
-
 # ---------------------------------------------------------------------------
-# canonical dialogue files: JSON array of
-# {dialogue_id, split, turns: [{index, system, user, state: {slot_id: value}}]}
+# dialogue files: canonical JSON arrays of
+# {dialogue_id, split, turns: [{index, system, user, state: {slot_id: value}}]},
+# or a legacy layout converted on the way in
 
 
 def load_corpus(
     dialogue_paths: Iterable[str | Path],
     schema: Schema,
     exclude_domains: set[str] = frozenset(),
+    style: str = "canonical",
+    split: str | None = None,
 ) -> Corpus:
-    """Load canonical dialogue files against a schema.
+    """Load dialogue files against a schema, in the canonical layout or
+    in a legacy ``style`` (see ``_read_legacy``, which takes ``split``).
 
     Slots of excluded domains are removed from gold states; dialogues
-    whose annotations all belong to excluded domains are dropped.
+    whose annotations all belong to excluded domains are dropped. A
+    fault names its file; a dialogue id repeated across files names the
+    later one.
     """
     validate_schema(schema)
     dialogues: list[Dialogue] = []
     seen: set[str] = set()
     for path in dialogue_paths:
-        loaded: list[Dialogue] = []
-        for i, entry in enumerate(read_json(path, expect=list)):
-            where = f"{path}: dialogue record {i}"
-            if not isinstance(entry, dict):
-                raise FormatError(f"{where}: expected an object")
-            turns = entry.get("turns")
-            if not isinstance(turns, list):
-                raise FormatError(f"{where}: field 'turns' missing or not an array")
-            parsed_turns = []
-            for j, turn in enumerate(turns):
-                turn_where = f"{where} turn {j}"
-                if not isinstance(turn, dict):
-                    raise FormatError(f"{turn_where}: expected an object")
-                state = turn.get("state", {})
-                if not isinstance(state, dict):
-                    raise FormatError(f"{turn_where}: field 'state' not an object")
-                for slot_id, value in state.items():
-                    if not isinstance(value, str):
-                        raise FormatError(f"{turn_where}: value of slot {slot_id!r} not a string")
-                index = turn.get("index")
-                if type(index) is not int:  # JSON's true and false are not integers
-                    raise FormatError(f"{turn_where}: field 'index' missing or not an integer")
-                parsed_turns.append(
-                    TurnPair(
-                        index=index,
-                        system_utterance=_req_str(turn, "system", turn_where)
-                        if "system" in turn
-                        else "",
-                        user_utterance=_req_str(turn, "user", turn_where),
-                        gold_state=dict(state),
-                    )
-                )
-            loaded.append(
-                Dialogue(
-                    dialogue_id=_req_str(entry, "dialogue_id", where),
-                    turns=tuple(parsed_turns),
-                    split=_req_str(entry, "split", where),
-                )
+        if style == "canonical":
+            loaded = tuple(
+                decode(Dialogue, entry, f"{path}: dialogue record {i}")
+                for i, entry in enumerate(read_json(path, expect=list))
             )
-        kept = filter_excluded_domains(Corpus(schema, tuple(loaded)), exclude_domains).dialogues
+        else:
+            loaded = _read_legacy(Path(path), style, schema, split)
+        kept = filter_excluded_domains(Corpus(schema, loaded), exclude_domains).dialogues
         with _naming(path):
             _validate_dialogues(kept, schema, seen)
         dialogues.extend(kept)
@@ -299,24 +269,15 @@ def corpus_to_json(corpus: Corpus) -> str:
     State keys are sorted so repeated renders are byte-stable. The schema
     is not embedded.
     """
-    records = []
-    for dialogue in corpus.dialogues:
-        records.append(
-            {
-                "dialogue_id": dialogue.dialogue_id,
-                "split": dialogue.split,
-                "turns": [
-                    {
-                        "index": turn.index,
-                        "system": turn.system_utterance,
-                        "user": turn.user_utterance,
-                        "state": {k: turn.gold_state[k] for k in sorted(turn.gold_state)},
-                    }
-                    for turn in dialogue.turns
-                ],
-            }
-        )
-    return json.dumps(records, ensure_ascii=False, indent=2, sort_keys=False) + "\n"
+    records = [
+        {
+            "dialogue_id": dialogue.dialogue_id,
+            "split": dialogue.split,
+            "turns": [encode(turn) for turn in dialogue.turns],
+        }
+        for dialogue in corpus.dialogues
+    ]
+    return json.dumps(records, ensure_ascii=False, indent=2) + "\n"
 
 
 def merge_corpora(corpora: Iterable[Corpus]) -> Corpus:
@@ -352,12 +313,16 @@ def infer_split(path: str | Path) -> str | None:
 
 
 def ingest_legacy(
-    path: str | Path,
-    style: str,
-    schema: Schema,
-    split: str | None = None,
+    path: str | Path, style: str, schema: Schema, split: str | None = None
 ) -> Corpus:
-    """Convert a legacy-format file into a canonical Corpus.
+    """One legacy-format file as a validated canonical Corpus."""
+    return load_corpus([path], schema, style=style, split=split)
+
+
+def _read_legacy(
+    path: Path, style: str, schema: Schema, split: str | None
+) -> tuple[Dialogue, ...]:
+    """The dialogues of a legacy-format file, not yet validated.
 
     Styles:
       woz_belief  -- wizard-of-oz belief annotations: per-turn cumulative
@@ -369,22 +334,15 @@ def ingest_legacy(
 
     The split is inferred from the filename when not given.
     """
-    path = Path(path)
     if split is None:
         split = infer_split(path)
         if split is None:
             raise FormatError(f"{path}: cannot infer split from filename; pass one")
-    if style == "woz_belief":
-        corpus = _ingest_woz_belief(path, schema, split)
-    elif style == "m2m_flat":
-        corpus = _ingest_m2m_flat(path, schema, split)
-    elif style == "sgd_state":
-        corpus = _ingest_sgd_state(path, schema, split)
-    else:
+    reader = {"woz_belief": _ingest_woz_belief, "m2m_flat": _ingest_m2m_flat,
+              "sgd_state": _ingest_sgd_state}.get(style)
+    if reader is None:
         raise FormatError(f"unknown legacy style {style!r}")
-    with _naming(path):
-        validate_corpus(corpus)
-    return corpus
+    return reader(path, schema, split)
 
 
 def _load_json_array(path: Path) -> list[dict]:
@@ -444,7 +402,7 @@ def _resolve_slot_name(
     return slot_id
 
 
-def _ingest_woz_belief(path: Path, schema: Schema, split: str) -> Corpus:
+def _ingest_woz_belief(path: Path, schema: Schema, split: str) -> tuple[Dialogue, ...]:
     name_index = _slot_name_index(schema)
     dialogues: list[Dialogue] = []
     for entry in _load_json_array(path):
@@ -480,10 +438,10 @@ def _ingest_woz_belief(path: Path, schema: Schema, split: str) -> Corpus:
                 )
             )
         dialogues.append(Dialogue(dialogue_id=dialogue_id, turns=tuple(turns), split=split))
-    return Corpus(schema=schema, dialogues=tuple(dialogues))
+    return tuple(dialogues)
 
 
-def _ingest_m2m_flat(path: Path, schema: Schema, split: str) -> Corpus:
+def _ingest_m2m_flat(path: Path, schema: Schema, split: str) -> tuple[Dialogue, ...]:
     dialogues: list[Dialogue] = []
     for entry in _load_json_array(path):
         dialogue_id = str(entry.get("id", entry.get("dialogue_id", "")))
@@ -514,10 +472,10 @@ def _ingest_m2m_flat(path: Path, schema: Schema, split: str) -> Corpus:
                 )
             )
         dialogues.append(Dialogue(dialogue_id=dialogue_id, turns=tuple(turns), split=split))
-    return Corpus(schema=schema, dialogues=tuple(dialogues))
+    return tuple(dialogues)
 
 
-def _ingest_sgd_state(path: Path, schema: Schema, split: str) -> Corpus:
+def _ingest_sgd_state(path: Path, schema: Schema, split: str) -> tuple[Dialogue, ...]:
     dialogues: list[Dialogue] = []
     for entry in _load_json_array(path):
         dialogue_id = str(entry.get("dialogue_id", ""))
@@ -562,5 +520,5 @@ def _ingest_sgd_state(path: Path, schema: Schema, split: str) -> Corpus:
             )
             pending_system = ""
         dialogues.append(Dialogue(dialogue_id=dialogue_id, turns=tuple(turns), split=split))
-    return Corpus(schema=schema, dialogues=tuple(dialogues))
+    return tuple(dialogues)
 

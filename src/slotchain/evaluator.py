@@ -14,7 +14,7 @@ import io
 import json
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -39,12 +39,21 @@ AXES = ("step", "turn", "len")
 @dataclass(frozen=True)
 class PredictionRecord:
     """One generation for a (dialogue, turn, slot) sample. The text may
-    carry a trailing explanation; only the parsed value is scored."""
+    carry a trailing explanation; only the parsed value is scored. In a
+    predictions file the turn is keyed ``turn`` and the text ``text``."""
 
     dialogue_id: str
-    query_turn: int
+    query_turn: int = field(metadata={"json_key": "turn"})
     slot_id: str
-    generated_text: str
+    generated_text: str = field(metadata={"json_key": "text"})
+
+    def __post_init__(self) -> None:
+        if not self.dialogue_id:
+            raise ValidationError("field 'dialogue_id' must not be empty")
+        if not self.slot_id:
+            raise ValidationError("field 'slot_id' must not be empty")
+        if not self.generated_text.strip():
+            raise ValidationError("field 'text' must not be blank")
 
 
 def load_predictions(path: str | Path) -> tuple[PredictionRecord, ...]:
@@ -52,27 +61,12 @@ def load_predictions(path: str | Path) -> tuple[PredictionRecord, ...]:
     records: list[PredictionRecord] = []
     seen: dict[tuple[str, int, str], int] = {}
     for line_number, where, data in read_jsonl(path):
-        if not isinstance(data, dict):
-            raise FormatError(f"{where}: expected an object")
-        dialogue_id = data.get("dialogue_id")
-        turn = data.get("turn")
-        slot_id = data.get("slot_id")
-        text = data.get("text")
-        if not isinstance(dialogue_id, str) or not dialogue_id:
-            raise FormatError(f"{where}: field 'dialogue_id' missing or not a string")
-        if not isinstance(turn, int) or isinstance(turn, bool):
-            raise FormatError(f"{where}: field 'turn' missing or not an integer")
-        if not isinstance(slot_id, str) or not slot_id:
-            raise FormatError(f"{where}: field 'slot_id' missing or not a string")
-        if not isinstance(text, str) or not text.strip():
-            raise FormatError(f"{where}: field 'text' missing, empty, or not a string")
-        key = (dialogue_id, turn, slot_id)
+        record = decode(PredictionRecord, data, where)
+        key = (record.dialogue_id, record.query_turn, record.slot_id)
         if key in seen:
-            raise DuplicatePredictionError(
-                f"{where}: duplicates line {seen[key]} ({dialogue_id!r}, {turn}, {slot_id!r})"
-            )
+            raise DuplicatePredictionError(f"{where}: duplicates line {seen[key]} {key}")
         seen[key] = line_number
-        records.append(PredictionRecord(dialogue_id, turn, slot_id, text))
+        records.append(record)
     return tuple(records)
 
 

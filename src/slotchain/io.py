@@ -113,23 +113,29 @@ _WRONG = object()  # what _load returns for a value of the wrong JSON type
 
 @functools.cache
 def _plan(cls: type) -> tuple[dict, list[str]]:
-    """Each field's form, in field order, and the fields without a
-    default. Cached: resolving annotations costs more than a decode."""
+    """(attribute, form) for each field by its JSON key, in field order,
+    and the JSON keys of the fields without a default. A field's key is
+    its name unless ``field(metadata={"json_key": ...})`` gives another.
+    Cached: resolving annotations costs more than a decode."""
     hints = typing.get_type_hints(cls)
-    fields = dataclasses.fields(cls)
-    required = [f.name for f in fields if f.default is f.default_factory is dataclasses.MISSING]
-    return {f.name: _form(hints[f.name]) for f in fields}, required
+    fields = {f.metadata.get("json_key", f.name): f for f in dataclasses.fields(cls)}
+    missing = dataclasses.MISSING
+    required = [key for key, f in fields.items() if f.default is f.default_factory is missing]
+    return {key: (f.name, _form(hints[f.name])) for key, f in fields.items()}, required
 
 
 def _form(annotation):
     """A field annotation as _load reads it: a JSON scalar type, a record
-    class, ("null", form) for ``X | None``, or (tuple or frozenset, item
-    form, length or None) for an array."""
+    class, ("null", form) for ``X | None``, (dict, value form) for an
+    object keyed by strings, or (tuple or frozenset, item form, length or
+    None) for an array."""
     origin, args = typing.get_origin(annotation), typing.get_args(annotation)
     if annotation in _SCALARS or dataclasses.is_dataclass(annotation):
         return annotation
     if origin is types.UnionType and len(args) == 2 and type(None) in args:
         return "null", _form(args[1] if args[0] is type(None) else args[0])
+    if origin is dict and args[0] is str:
+        return dict, _form(args[1])
     if origin is frozenset and args == (str,) or origin is tuple and args[1:] == (Ellipsis,):
         return origin, _form(args[0]), None
     if origin is tuple and args and len(set(args)) == 1:
@@ -143,12 +149,24 @@ def _describe(form) -> str:
     if form[0] == "null":
         return f"{_describe(form[1])} or null"
     items = re.sub(r"^an? (\w+)", r"\1s", _describe(form[1]))  # "a string" -> "strings"
+    if form[0] is dict:
+        return f"an object of {items}"
     return f"an array of {items}" if form[2] is None else f"an array of {form[2]} {items}"
+
+
+def _field(form, value, where: str | Path, name: str):
+    """``value`` decoded as the field ``name`` of the object at ``where``."""
+    if type(value) is form:  # a value of exactly the field's type fits as it is
+        return value
+    value = _load(form, value, where, name)
+    if value is _WRONG:
+        raise FormatError(f"{where}: field {name!r} must be {_describe(form)}")
+    return value
 
 
 def _load(form, value, where: str | Path, name: str):
     """``value`` decoded by ``form``, or _WRONG; ``where`` and ``name``
-    locate the field for the errors of a record nested in it."""
+    locate the field for the errors of an object nested in it."""
     if form in _SCALARS:
         # Python's bool is an int, but JSON's true and false are not numbers.
         fits = isinstance(value, (int, float) if form is float else form)
@@ -157,6 +175,11 @@ def _load(form, value, where: str | Path, name: str):
         return decode(form, value, f"{where}: {name}") if isinstance(value, dict) else _WRONG
     if form[0] == "null":
         return None if value is None else _load(form[1], value, where, name)
+    if form[0] is dict:
+        if not isinstance(value, dict):
+            return _WRONG
+        # A value is checked like a record field named by its key.
+        return {key: _field(form[1], item, f"{where}: {name}", key) for key, item in value.items()}
     if not isinstance(value, list) or form[2] not in (None, len(value)):
         return _WRONG
     items = [_load(form[1], item, where, f"{name}[{i}]") for i, item in enumerate(value)]
@@ -168,22 +191,20 @@ def decode(cls: type, data: object, where: str | Path):
     must fit its annotation (an integer fits a float, a boolean no
     number), and none may be unknown or missing. A fault, or a
     ValidationError from the constructor, is a FormatError naming
-    ``where`` (the file, and line for JSONL) and the field's path."""
+    ``where`` (the file, and line for JSONL) and the field's JSON key
+    path."""
     if not isinstance(data, dict):
         raise FormatError(f"{where}: expected a JSON object")
-    forms, required = _plan(cls)
+    fields, required = _plan(cls)
     kwargs = {}
-    for name, value in data.items():
-        form = forms.get(name)
-        if form is None:
-            raise FormatError(f"{where}: unknown fields: {sorted(data.keys() - forms.keys())}")
-        if type(value) is not form:  # a value of exactly the field's type fits as it is
-            value = _load(form, value, where, name)
-            if value is _WRONG:
-                raise FormatError(f"{where}: field {name!r} must be {_describe(form)}")
-        kwargs[name] = value
-    if len(kwargs) < len(forms):
-        missing = [name for name in required if name not in kwargs]
+    for key, value in data.items():
+        planned = fields.get(key)
+        if planned is None:
+            raise FormatError(f"{where}: unknown fields: {sorted(data.keys() - fields.keys())}")
+        name, form = planned
+        kwargs[name] = value if type(value) is form else _field(form, value, where, key)
+    if len(kwargs) < len(fields):
+        missing = [key for key in required if key not in data]
         if missing:
             raise FormatError(f"{where}: missing fields: {missing}")
     try:
@@ -199,13 +220,15 @@ def _dump(form, value):
         return encode(value)
     if form[0] == "null":
         return _dump(form[1], value)
+    if form[0] is dict:
+        return {key: _dump(form[1], value[key]) for key in sorted(value)}
     items = [_dump(form[1], item) for item in value]
     return sorted(items) if form[0] is frozenset else items
 
 
 def encode(record) -> dict:
     """The JSON object for a dataclass record: one key per field, in
-    field order. Tuples become arrays, frozensets sorted arrays, and
-    nested records objects."""
-    forms, _ = _plan(type(record))
-    return {name: _dump(form, getattr(record, name)) for name, form in forms.items()}
+    field order. Tuples become arrays, frozensets sorted arrays, dicts
+    objects with sorted keys, and nested records objects."""
+    fields, _ = _plan(type(record))
+    return {key: _dump(form, getattr(record, name)) for key, (name, form) in fields.items()}

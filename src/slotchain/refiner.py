@@ -19,8 +19,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import requests
-
 from .builder import CoTExample
 from .errors import AuthError, EmptyCompletionError, NetworkError, ValidationError
 from .io import bundled, decode, read_json, write_text
@@ -165,6 +163,8 @@ def _extract_completion_text(data: object) -> str | None:
 
 
 def _request_completion(config: RefineConfig, coarse: str, api_key: str) -> str:
+    import requests  # here, not at the top: most runs never make a request
+
     body = {
         "model": config.model_name,
         "prompt": build_refine_prompt(config, coarse),

@@ -134,6 +134,15 @@ def test_installed_console_script_on_path():
     assert result.stdout.strip() == "slotchain 0.1.0"
 
 
+def test_importing_the_cli_leaves_requests_unloaded():
+    # Only an online refine makes a request; every other run skips the import.
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, slotchain.cli; print('requests' in sys.modules)"],
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout == "False\n"
+
+
 def test_missing_input_file_exits_one(capsys):
     code, out, err = run(capsys, "stats", "--corpus", "no/such/file.json", "--schema", SCHEMA)
     assert code == 1
@@ -195,6 +204,20 @@ def test_ingest_legacy_woz_belief(capsys, tmp_path):
     assert parsed[0]["turns"][0]["state"] == {"restaurant-pricerange": "cheap"}
 
 
+def test_ingest_names_the_later_file_of_a_repeated_dialogue_id(tmp_path):
+    raw = json.dumps([{"dialogue_idx": 1, "dialogue": [{"transcript": "hi"}]}])
+    first, second = tmp_path / "a_train.json", tmp_path / "b_train.json"
+    first.write_text(raw, encoding="utf-8")
+    second.write_text(raw, encoding="utf-8")
+    result = subprocess.run(
+        [sys.executable, "-m", "slotchain.cli", "ingest", "--style", "woz_belief",
+         "--schema", "woz20", "--input", str(first), str(second)],
+        capture_output=True, text=True, check=False,
+    )
+    assert result.returncode == 1
+    assert result.stderr == f"error: {second}: duplicate dialogue_id '1'\n"
+
+
 def test_validate_happy_path(capsys):
     code, out, err = run(capsys, "validate", "--corpus", DIALOGUES, "--schema", SCHEMA)
     assert code == 0
@@ -246,7 +269,7 @@ MALFORMED_INPUTS = {
     "canonical state value": (
         ["stats", "--corpus", "{file}", "--schema", SCHEMA],
         one_turn_corpus({"hotel-area": 2}),
-        "dialogue record 0 turn 0: value of slot 'hotel-area' not a string",
+        "dialogue record 0: turns[0]: state: field 'hotel-area' must be a string",
     ),
     "schema possible_values": (
         ["validate", "--corpus", DIALOGUES, "--schema", "{file}"],
@@ -270,7 +293,19 @@ MALFORMED_INPUTS = {
         ["stats", "--corpus", "{file}", "--schema", SCHEMA],
         [{"dialogue_id": "d1", "split": "train",
           "turns": [{"index": True, "system": "", "user": "hi", "state": {}}]}],
-        "dialogue record 0 turn 0: field 'index' missing or not an integer",
+        "dialogue record 0: turns[0]: field 'index' must be an integer",
+    ),
+    "canonical unknown turn key": (
+        ["stats", "--corpus", "{file}", "--schema", SCHEMA],
+        [{"dialogue_id": "d1", "split": "train",
+          "turns": [{"index": 1, "sytem": "", "user": "hi", "state": {}}]}],
+        "dialogue record 0: turns[0]: unknown fields: ['sytem']",
+    ),
+    "predictions unknown key": (
+        ["eval", "--corpus", DIALOGUES, "--schema", SCHEMA, "--predictions", "{file}"],
+        b'{"dialogue_id": "d1", "turn": 1, "slot_id": "hotel-area", "text": "north"}\n'
+        b'{"dialogue_id": "d1", "turn": 2, "slot_id": "hotel-area", "txt": "north"}\n',
+        "line 2: unknown fields: ['txt']",
     ),
     "canonical empty user utterance": (
         ["validate", "--corpus", "{file}", "--schema", SCHEMA],

@@ -25,12 +25,13 @@ from slotchain.builder import (
     load_template,
     read_examples,
 )
-from slotchain.corpus import ingest_legacy, load_corpus, load_schema
+from slotchain.corpus import TurnPair, ingest_legacy, load_corpus, load_schema
 from slotchain.errors import FormatError, SlotchainError
 from slotchain.evaluator import (
     AXES,
     BucketResult,
     EvalReport,
+    PredictionRecord,
     load_bucket_spec,
     load_predictions,
     read_report,
@@ -177,8 +178,14 @@ VALID_POLICY = {
     "lowercase": True, "collapse_whitespace": True, "strip_punctuation_edges": False,
     "none_aliases": ["none", ""], "dontcare_aliases": ["dontcare"], "fuzzy_ratio_threshold": 0.5,
 }
-# One well-formed record per loader the codec backs.
+# One well-formed record per loader the codec backs; a canonical corpus
+# file holds its record in an array.
 VALID_RECORDS = {
+    "canonical corpus": {
+        "dialogue_id": "d1", "split": "train",
+        "turns": [{"index": 1, "system": "", "user": "hi", "state": {"hotel-area": "north"}}],
+    },
+    "predictions": {"dialogue_id": "d1", "turn": 1, "slot_id": "hotel-area", "text": "north"},
     "examples": {
         "example_id": "d1:2:hotel-area", "input_text": "Dialogue: ...", "target_value": "north",
         "explanation": "system: user: north", "explanation_kind": "coarse",
@@ -263,8 +270,9 @@ def test_codec_loader_names_a_mistyped_field(tmp_path, name, data):
     if field in NULLABLE:
         others.remove("null")
     new = data.draw(st.sampled_from(others).flatmap(JSON_TYPES.get))
+    bad = replaced(record, path, new)
     file = tmp_path / "record_train.json"
-    file.write_text(json_text(name, replaced(record, path, new)), encoding="utf-8")
+    file.write_text(json_text(name, [bad] if name == "canonical corpus" else bad), encoding="utf-8")
     with pytest.raises(FormatError) as caught:
         LOADERS[name](file)
     where = "".join(f"[{key}]" if isinstance(key, int) else f": {key}" for key in path[:field_at])
@@ -339,6 +347,8 @@ RECORDS = {
     EvalReport: reports(),
     NormalizationPolicy: policies,
     RefineConfig: refine_configs(True) | refine_configs(False),
+    TurnPair: st.builds(TurnPair, st.integers(1, 30), texts, texts, st.dictionaries(texts, texts)),
+    PredictionRecord: st.builds(PredictionRecord, words, st.integers(1, 30), words, words),
     PromptTemplate: st.builds(
         lambda a, b, choices, marker: PromptTemplate(f"{a}[History]{b}[Question]{choices}", marker),
         no_placeholders, no_placeholders, st.sampled_from(["", " [Choices]", "[Domain][Choices]"]),
@@ -358,10 +368,10 @@ def test_codec_round_trips_every_record_class(cls, data):
 def test_codec_rejects_an_annotation_it_cannot_handle():
     @dataclass(frozen=True)
     class Odd:
-        counts: dict[str, int]
+        counts: list[int]
 
     with pytest.raises(TypeError, match="cannot handle"):
-        encode(Odd({}))
+        encode(Odd([]))
 
 
 # ---------------------------------------------------------------------------
