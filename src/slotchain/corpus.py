@@ -280,22 +280,6 @@ def corpus_to_json(corpus: Corpus) -> str:
     return json.dumps(records, ensure_ascii=False, indent=2) + "\n"
 
 
-def merge_corpora(corpora: Iterable[Corpus]) -> Corpus:
-    """Concatenate corpora sharing one schema; dialogue ids must not collide."""
-    corpora = list(corpora)
-    if not corpora:
-        raise ValidationError("cannot merge zero corpora")
-    schema = corpora[0].schema
-    dialogues: list[Dialogue] = []
-    for corpus in corpora:
-        if corpus.schema != schema:
-            raise ValidationError("cannot merge corpora with different schemas")
-        dialogues.extend(corpus.dialogues)
-    merged = Corpus(schema=schema, dialogues=tuple(dialogues))
-    validate_corpus(merged)
-    return merged
-
-
 # ---------------------------------------------------------------------------
 # legacy ingestion
 
@@ -310,13 +294,6 @@ def infer_split(path: str | Path) -> str | None:
     if "train" in stem:
         return "train"
     return None
-
-
-def ingest_legacy(
-    path: str | Path, style: str, schema: Schema, split: str | None = None
-) -> Corpus:
-    """One legacy-format file as a validated canonical Corpus."""
-    return load_corpus([path], schema, style=style, split=split)
 
 
 def _read_legacy(

@@ -2,9 +2,16 @@
 
 Calls a remote completion endpoint with an instruction plus a few
 demonstration pairs, caches responses by content hash so reruns are
-free, retries transient failures with exponential backoff, and offers an
-offline mode (deterministic speaker-tag stripping) so the whole pipeline
-runs without credentials.
+free, retries transient failures with exponential backoff (longer when a
+429 or 503 names a Retry-After delay), and offers an offline mode
+(deterministic speaker-tag stripping) so the whole pipeline runs without
+credentials.
+
+A batch refines each distinct coarse text once and hands the result to
+every example that carries it, so it sends at most one request per
+distinct text. Offline refining runs inline and ignores
+``max_parallel``. A rejected or missing key stops the batch before any
+queued request is sent.
 """
 
 from __future__ import annotations
@@ -13,11 +20,12 @@ import hashlib
 import json
 import os
 import re
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .builder import CoTExample
 from .errors import AuthError, EmptyCompletionError, NetworkError, ValidationError
@@ -162,6 +170,15 @@ def _extract_completion_text(data: object) -> str | None:
     return None
 
 
+def _retry_after_s(response) -> float:
+    """The delta-seconds Retry-After of a 429 or 503 (RFC 9110 section
+    10.2.3), else 0; the HTTP-date form is ignored."""
+    value = response.headers.get("Retry-After", "").strip()
+    if response.status_code in (429, 503) and value.isascii() and value.isdigit():
+        return float(value)
+    return 0.0
+
+
 def _request_completion(config: RefineConfig, coarse: str, api_key: str) -> str:
     import requests  # here, not at the top: most runs never make a request
 
@@ -173,9 +190,11 @@ def _request_completion(config: RefineConfig, coarse: str, api_key: str) -> str:
     }
     headers = {"Authorization": f"Bearer {api_key}"}
     last_error = ""
+    retry_after = 0.0
     for attempt in range(config.max_retries + 1):
         if attempt:
-            time.sleep(config.backoff_base * 2 ** (attempt - 1))
+            backoff = config.backoff_base * 2 ** (attempt - 1)
+            time.sleep(max(backoff, min(retry_after, config.request_timeout)))
         try:
             response = requests.post(
                 config.endpoint_url,
@@ -185,6 +204,7 @@ def _request_completion(config: RefineConfig, coarse: str, api_key: str) -> str:
             )
         except requests.exceptions.RequestException as exc:
             last_error = f"request failed: {exc}"
+            retry_after = 0.0
             continue
         if response.status_code in (401, 403):
             raise AuthError(
@@ -193,6 +213,7 @@ def _request_completion(config: RefineConfig, coarse: str, api_key: str) -> str:
             )
         if response.status_code in _RETRYABLE_STATUSES:
             last_error = f"HTTP {response.status_code}"
+            retry_after = _retry_after_s(response)
             continue
         if response.status_code != 200:
             raise NetworkError(f"completion request failed: HTTP {response.status_code}")
@@ -241,45 +262,46 @@ def refine_one(coarse: str, config: RefineConfig) -> RefineResult:
     return RefineResult(coarse, refined, "api", fingerprint)
 
 
-def refine_batch(
-    examples: Iterable[CoTExample] | Sequence[CoTExample],
-    config: RefineConfig,
-) -> RefineBatchOutcome:
-    """Refine every coarse-explanation example, at most ``max_parallel``
-    requests in flight. Order and multiset of examples are preserved;
-    items that fail are emitted unchanged and reported as failures. A
-    rejected or missing key aborts the whole batch."""
+def refine_batch(examples: Iterable[CoTExample], config: RefineConfig) -> RefineBatchOutcome:
+    """Refine every coarse-explanation example, each distinct text once
+    (see the module docstring). Order and multiset of examples are
+    preserved; an example whose text fails is emitted unchanged and
+    reported as a failure of its own. A rejected or missing key aborts
+    the whole batch."""
     examples = tuple(examples)
-    todo = [
-        i
-        for i, e in enumerate(examples)
-        if e.explanation_kind == "coarse" and e.explanation
-    ]
+    distinct = dict.fromkeys(
+        e.explanation for e in examples if e.explanation_kind == "coarse" and e.explanation
+    )
+    rejected = threading.Event()
+
+    def work(coarse: str) -> RefineResult | Exception | None:
+        if rejected.is_set():  # queued before the rejection; never read
+            return None
+        try:
+            return refine_one(coarse, config)
+        except AuthError as exc:
+            rejected.set()
+            return exc
+        except Exception as exc:
+            return exc
+
+    if config.offline:
+        results = {coarse: work(coarse) for coarse in distinct}
+    else:
+        with ThreadPoolExecutor(max_workers=config.max_parallel) as pool:
+            futures = {pool.submit(work, coarse): coarse for coarse in distinct}
+            for future in as_completed(futures):
+                if isinstance(future.result(), AuthError):
+                    pool.shutdown(cancel_futures=True)
+                    raise future.result()
+        results = {coarse: future.result() for future, coarse in futures.items()}
+
     out = list(examples)
     failures: list[RefineFailure] = []
-    auth_error: AuthError | None = None
-
-    def work(index: int) -> tuple[int, RefineResult | Exception]:
-        try:
-            return index, refine_one(examples[index].explanation, config)
-        except Exception as exc:
-            return index, exc
-
-    if todo:
-        with ThreadPoolExecutor(max_workers=config.max_parallel) as pool:
-            for index, result in pool.map(work, todo):
-                if isinstance(result, AuthError):
-                    auth_error = auth_error or result
-                elif isinstance(result, Exception):
-                    failures.append(
-                        RefineFailure(example_id=examples[index].example_id, error=str(result))
-                    )
-                else:
-                    out[index] = replace(
-                        examples[index],
-                        explanation=result.refined,
-                        explanation_kind="refined",
-                    )
-    if auth_error is not None:
-        raise auth_error
+    for index, example in enumerate(examples):
+        result = results.get(example.explanation) if example.explanation_kind == "coarse" else None
+        if isinstance(result, RefineResult):
+            out[index] = replace(example, explanation=result.refined, explanation_kind="refined")
+        elif result is not None:
+            failures.append(RefineFailure(example_id=example.example_id, error=str(result)))
     return RefineBatchOutcome(examples=tuple(out), failures=tuple(failures))

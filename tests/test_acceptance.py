@@ -29,11 +29,11 @@ from slotchain.corpus import (
     Schema,
     TurnPair,
     filter_excluded_domains,
-    ingest_legacy,
     load_corpus,
     load_schema,
-    merge_corpora,
+    validate_corpus,
 )
+from slotchain.errors import ValidationError
 from slotchain.evaluator import (
     fine_grained_report,
     load_bucket_spec,
@@ -128,20 +128,35 @@ def _m2m_split_counts(root: Path) -> dict[str, int]:
     for sim, domain in (("sim-R", "restaurant"), ("sim-M", "movie")):
         sim_schema = Schema(tuple(s for s in schema.slots if s.domain == domain))
         for split in SPLITS:
-            part = ingest_legacy(root / sim / f"{split}.json", "m2m_flat", sim_schema, split=split)
+            part = load_corpus(
+                [root / sim / f"{split}.json"], sim_schema, style="m2m_flat", split=split
+            )
             for name, n in part.split_counts().items():
                 counts[name] += n
     return counts
 
 
+def merge_corpora(corpora: list[Corpus]) -> Corpus:
+    """Concatenate corpora read against one schema; ids must not collide."""
+    merged = Corpus(corpora[0].schema, tuple(d for c in corpora for d in c.dialogues))
+    validate_corpus(merged)
+    return merged
+
+
 def _ingest_mwz22(root: Path):
+    """MultiWOZ 2.2 in SGD layout; each split directory is read with its
+    split, then the three corpora are merged."""
     schema = load_sgd_schema(root / "schema.json")
-    parts = []
-    for split_dir, split in (("train", "train"), ("dev", "dev"), ("test", "test")):
-        for path in sorted((root / split_dir).glob("dialogues_*.json")):
-            parts.append(ingest_legacy(path, "sgd_state", schema, split=split))
-    corpus = merge_corpora(parts)
-    return filter_excluded_domains(corpus, {"police", "hospital"})
+    parts = [
+        load_corpus(
+            sorted((root / split).glob("dialogues_*.json")),
+            schema,
+            style="sgd_state",
+            split=split,
+        )
+        for split in SPLITS
+    ]
+    return filter_excluded_domains(merge_corpora(parts), {"police", "hospital"})
 
 
 # ---------------------------------------------------------------------------
@@ -185,11 +200,8 @@ def test_criterion_2_dataset_statistics():
     woz = _find_woz()
     if woz is not None:
         schema = _bundled_schema("woz20")
-        parts = [
-            ingest_legacy(woz / f"woz_{name}_en.json", "woz_belief", schema)
-            for name in ("train", "validate", "test")
-        ]
-        counts = merge_corpora(parts).split_counts()
+        paths = [woz / f"woz_{name}_en.json" for name in ("train", "validate", "test")]
+        counts = load_corpus(paths, schema, style="woz_belief").split_counts()
         assert counts == {"train": 600, "dev": 200, "test": 400}, counts
         checked.append(f"woz={counts}")
     if not checked:
@@ -222,6 +234,38 @@ def test_m2m_split_counts_on_one_dialogue_per_file(tmp_path):
             }
             (tmp_path / sim / f"{split}.json").write_text(json.dumps([dialogue]))
     assert _m2m_split_counts(tmp_path) == {"train": 2, "dev": 2, "test": 2}
+
+
+def test_mwz22_ingest_on_one_dialogue_per_split(tmp_path):
+    # Criteria 1 and 2 skip without MultiWOZ 2.2, so its ingest path is
+    # checked here on files shaped like it: SGD layout, one directory per
+    # split, and a police dialogue that the excluded domains drop.
+    services = [
+        {"service_name": domain, "slots": [{"name": f"{domain}-area", "description": "area"}]}
+        for domain in ("hotel", "police")
+    ]
+    (tmp_path / "schema.json").write_text(json.dumps(services))
+
+    def dialogue(dialogue_id, domain):
+        frame = {"service": domain, "state": {"slot_values": {f"{domain}-area": ["north"]}}}
+        return {
+            "dialogue_id": dialogue_id,
+            "turns": [{"speaker": "USER", "utterance": "in the north", "frames": [frame]}],
+        }
+
+    for split in SPLITS:
+        (tmp_path / split).mkdir()
+        dialogues = [dialogue(f"{split}.json", "hotel"), dialogue(f"{split}-p.json", "police")]
+        (tmp_path / split / "dialogues_001.json").write_text(json.dumps(dialogues))
+    corpus = _ingest_mwz22(tmp_path)
+    assert corpus.split_counts() == {"train": 1, "dev": 1, "test": 1}
+    assert {d.split for d in corpus.dialogues if d.dialogue_id == "dev.json"} == {"dev"}
+
+    (tmp_path / "test" / "dialogues_001.json").write_text(
+        json.dumps([dialogue("train.json", "hotel")])
+    )
+    with pytest.raises(ValidationError, match="duplicate dialogue_id 'train.json'"):
+        _ingest_mwz22(tmp_path)
 
 
 @criterion(3, "joint goal accuracy equals the brute-force recount")

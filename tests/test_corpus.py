@@ -18,10 +18,8 @@ from slotchain.corpus import (
     corpus_to_json,
     filter_excluded_domains,
     infer_split,
-    ingest_legacy,
     load_corpus,
     load_schema,
-    merge_corpora,
     validate_corpus,
     validate_schema,
 )
@@ -297,34 +295,6 @@ def test_validate_schema_rejects_values_colliding_after_normalization():
 
 
 # ---------------------------------------------------------------------------
-# merging
-
-
-def test_merge_concatenates():
-    schema = small_schema()
-    c1 = Corpus(schema, (Dialogue("d1", (turn(1, {}),), "train"),))
-    c2 = Corpus(schema, (Dialogue("d2", (turn(1, {}),), "test"),))
-    merged = merge_corpora([c1, c2])
-    assert merged.split_counts() == {"train": 1, "dev": 0, "test": 1}
-
-
-def test_merge_rejects_id_collision():
-    schema = small_schema()
-    c1 = Corpus(schema, (Dialogue("d1", (turn(1, {}),), "train"),))
-    c2 = Corpus(schema, (Dialogue("d1", (turn(1, {}),), "test"),))
-    with pytest.raises(ValidationError, match="duplicate dialogue_id"):
-        merge_corpora([c1, c2])
-
-
-def test_merge_rejects_schema_mismatch():
-    c1 = Corpus(small_schema(), ())
-    other = Schema((SlotSchema("taxi-day", "taxi", "day", "x"),))
-    c2 = Corpus(other, ())
-    with pytest.raises(ValidationError, match="different schemas"):
-        merge_corpora([c1, c2])
-
-
-# ---------------------------------------------------------------------------
 # split inference
 
 
@@ -388,7 +358,7 @@ def test_ingest_woz_belief(tmp_path):
     ]
     path = tmp_path / "woz_train_en.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
-    corpus = ingest_legacy(path, "woz_belief", woz_schema())
+    corpus = load_corpus([path], woz_schema(), style="woz_belief")
 
     assert len(corpus.dialogues) == 1
     dialogue = corpus.dialogues[0]
@@ -421,7 +391,7 @@ def test_ingest_woz_unknown_slot_name(tmp_path):
     path = tmp_path / "woz_train_en.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
     with pytest.raises(FormatError, match="unknown slot"):
-        ingest_legacy(path, "woz_belief", woz_schema())
+        load_corpus([path], woz_schema(), style="woz_belief")
 
 
 def m2m_schema() -> Schema:
@@ -466,7 +436,7 @@ def test_ingest_m2m_flat(tmp_path):
     ]
     path = tmp_path / "sim_R_dev.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
-    corpus = ingest_legacy(path, "m2m_flat", m2m_schema())
+    corpus = load_corpus([path], m2m_schema(), style="m2m_flat")
 
     dialogue = corpus.dialogues[0]
     assert dialogue.dialogue_id == "sim-R-1"
@@ -501,7 +471,7 @@ def test_ingest_m2m_ambiguous_slot_without_domain(tmp_path):
     path = tmp_path / "sim_test.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
     with pytest.raises(FormatError, match="ambiguous"):
-        ingest_legacy(path, "m2m_flat", m2m_schema())
+        load_corpus([path], m2m_schema(), style="m2m_flat")
 
 
 def sgd_like_schema() -> Schema:
@@ -549,7 +519,7 @@ def test_ingest_sgd_state(tmp_path):
     ]
     path = tmp_path / "dialogues_001.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
-    corpus = ingest_legacy(path, "sgd_state", sgd_like_schema(), split="train")
+    corpus = load_corpus([path], sgd_like_schema(), style="sgd_state", split="train")
 
     dialogue = corpus.dialogues[0]
     assert dialogue.dialogue_id == "MUL0001.json"
@@ -569,14 +539,14 @@ def test_ingest_requires_split_when_not_inferable(tmp_path):
     path = tmp_path / "dialogues_001.json"
     path.write_text("[]", encoding="utf-8")
     with pytest.raises(FormatError, match="infer split"):
-        ingest_legacy(path, "sgd_state", sgd_like_schema())
+        load_corpus([path], sgd_like_schema(), style="sgd_state")
 
 
 def test_ingest_rejects_unknown_style(tmp_path):
     path = tmp_path / "train.json"
     path.write_text("[]", encoding="utf-8")
     with pytest.raises(FormatError, match="unknown legacy style"):
-        ingest_legacy(path, "csv", sgd_like_schema())
+        load_corpus([path], sgd_like_schema(), style="csv")
 
 
 def load_sgd_schema(path) -> Schema:

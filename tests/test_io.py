@@ -25,7 +25,7 @@ from slotchain.builder import (
     load_template,
     read_examples,
 )
-from slotchain.corpus import TurnPair, ingest_legacy, load_corpus, load_schema
+from slotchain.corpus import TurnPair, load_corpus, load_schema
 from slotchain.errors import FormatError, SlotchainError
 from slotchain.evaluator import (
     AXES,
@@ -48,9 +48,9 @@ SCHEMA = load_schema(FIXTURES / "fixture_schema.json")
 LOADERS = {
     "schema": load_schema,
     "canonical corpus": lambda path: load_corpus([path], SCHEMA),
-    "woz_belief": lambda path: ingest_legacy(path, "woz_belief", SCHEMA, split="train"),
-    "m2m_flat": lambda path: ingest_legacy(path, "m2m_flat", SCHEMA, split="train"),
-    "sgd_state": lambda path: ingest_legacy(path, "sgd_state", SCHEMA, split="train"),
+    "woz_belief": lambda path: load_corpus([path], SCHEMA, style="woz_belief", split="train"),
+    "m2m_flat": lambda path: load_corpus([path], SCHEMA, style="m2m_flat", split="train"),
+    "sgd_state": lambda path: load_corpus([path], SCHEMA, style="sgd_state", split="train"),
     "examples": read_examples,
     "predictions": load_predictions,
     "report": read_report,

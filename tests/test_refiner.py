@@ -2,8 +2,10 @@
 mode, and batch behaviour against a scripted local HTTP server."""
 
 import json
+import sys
 import threading
 import time
+from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
@@ -30,11 +32,14 @@ KEY_VAR = "SLOTCHAIN_TEST_KEY"
 
 
 class MockCompletionServer:
-    """Local completion endpoint with a FIFO script of canned replies.
+    """Local completion endpoint with a FIFO script of canned replies,
+    each ``(status, payload)`` or ``(status, payload, headers)``.
 
     Unscripted requests echo the final Dialogue block back, wrapped in
     narrated(...), so distinct inputs yield distinct outputs. Tracks
     request bodies, headers, and the peak number of in-flight requests.
+    A request stops counting as in flight before its reply is written, so
+    a client that has its reply cannot be counted twice.
     """
 
     def __init__(self):
@@ -59,19 +64,21 @@ class MockCompletionServer:
                     scripted = outer.script.pop(0) if outer.script else None
                 if outer.delay:
                     time.sleep(outer.delay)
-                status, payload = scripted if scripted else outer._echo(body)
+                status, payload, *extra = scripted if scripted else outer._echo(body)
                 data = (
                     payload.encode("utf-8")
                     if isinstance(payload, str)
                     else json.dumps(payload).encode("utf-8")
                 )
+                with outer._lock:
+                    outer._in_flight -= 1
                 self.send_response(status)
                 self.send_header("Content-Type", "application/json")
                 self.send_header("Content-Length", str(len(data)))
+                for name, value in (extra[0] if extra else {}).items():
+                    self.send_header(name, value)
                 self.end_headers()
                 self.wfile.write(data)
-                with outer._lock:
-                    outer._in_flight -= 1
 
             def log_message(self, *_):
                 pass
@@ -155,6 +162,10 @@ def make_example(i, kind="coarse", target="5"):
         explanation_kind=kind,
         meta=meta,
     )
+
+
+def with_explanation(example, explanation):
+    return replace(example, explanation=explanation)
 
 
 COARSE = "system: The York is 5-star. user: Book it."
@@ -248,6 +259,51 @@ def test_transient_statuses_retried_until_success(server, tmp_path, api_key):
     result = refine_one(COARSE, config)
     assert result.source == "api"
     assert server.n_requests == 3
+
+
+@pytest.fixture
+def sleeps(monkeypatch):
+    """The delays the refiner asks to sleep, recorded instead of slept."""
+    recorded = []
+    monkeypatch.setattr("slotchain.refiner.time.sleep", recorded.append)
+    return recorded
+
+
+@pytest.mark.parametrize("status", [429, 503])
+def test_retry_after_seconds_lengthen_the_backoff(server, tmp_path, api_key, sleeps, status):
+    server.script.append((status, {"error": "wait"}, {"Retry-After": "2"}))
+    config = make_config(server, tmp_path, max_retries=1, backoff_base=0.5)
+    assert refine_one(COARSE, config).source == "api"
+    assert sleeps == [2.0]
+    assert server.n_requests == 2
+
+
+def test_retry_after_never_shortens_the_backoff(server, tmp_path, api_key, sleeps):
+    server.script.append((429, {"error": "wait"}, {"Retry-After": "0"}))
+    config = make_config(server, tmp_path, max_retries=1, backoff_base=0.5)
+    refine_one(COARSE, config)
+    assert sleeps == [0.5]
+
+
+def test_retry_after_is_capped_at_the_request_timeout(server, tmp_path, api_key, sleeps):
+    server.script.append((429, {"error": "wait"}, {"Retry-After": "3600"}))
+    config = make_config(server, tmp_path, max_retries=1, request_timeout=5.0)
+    refine_one(COARSE, config)
+    assert sleeps == [5.0]
+
+
+@pytest.mark.parametrize(
+    "status, value",
+    [(429, "Wed, 21 Oct 2015 07:28:00 GMT"), (429, "1.5"), (500, "2")],
+    ids=["http-date", "fraction", "status-500"],
+)
+def test_retry_after_ignored_unless_delta_seconds_on_429_or_503(
+    server, tmp_path, api_key, sleeps, status, value
+):
+    server.script.append((status, {"error": "wait"}, {"Retry-After": value}))
+    config = make_config(server, tmp_path, max_retries=1)
+    refine_one(COARSE, config)
+    assert sleeps == [0.0]
 
 
 def test_retries_exhausted_raises_network_error(server, tmp_path, api_key):
@@ -473,6 +529,7 @@ def test_batch_aborts_on_auth_error(server, tmp_path, api_key):
     config = make_config(server, tmp_path, max_parallel=1, max_retries=0)
     with pytest.raises(AuthError):
         refine_batch(examples, config)
+    assert server.n_requests == 1
 
 
 def test_batch_with_nothing_to_do_never_touches_network(server, tmp_path):
@@ -486,19 +543,83 @@ def test_batch_with_nothing_to_do_never_touches_network(server, tmp_path):
 
 def test_batch_duplicate_coarse_texts_share_one_api_call(server, tmp_path, api_key):
     example = make_example(0)
-    twin = make_example(1)
-    twin = CoTExample(
-        example_id=twin.example_id,
-        input_text=twin.input_text,
-        target_value=twin.target_value,
-        explanation=example.explanation,
-        explanation_kind="coarse",
-        meta=twin.meta,
-    )
+    twin = with_explanation(make_example(1), example.explanation)
     config = make_config(server, tmp_path, max_parallel=1)
     outcome = refine_batch((example, twin), config)
     assert server.n_requests == 1
     assert outcome.examples[0].explanation == outcome.examples[1].explanation
+
+
+def test_batch_requests_each_distinct_text_once_in_parallel(server, tmp_path, api_key):
+    server.delay = 0.05
+    texts = [make_example(i).explanation for i in range(3)]
+    examples = tuple(with_explanation(make_example(i), texts[i % 3]) for i in range(9))
+    config = make_config(server, tmp_path, max_parallel=2, cache_dir="")
+    outcome = refine_batch(examples, config)
+    assert outcome.failures == ()
+    assert server.n_requests == 3
+    for before, after in zip(examples, outcome.examples):
+        assert after.explanation_kind == "refined"
+        assert after.explanation == f"narrated({before.explanation})"
+
+
+def test_batch_dedup_holds_under_thread_switching(server, tmp_path, api_key):
+    texts = [make_example(i).explanation for i in range(12)]
+    examples = tuple(with_explanation(make_example(i), texts[i % 12]) for i in range(60))
+    config = make_config(server, tmp_path, max_parallel=8, cache_dir="")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        outcome = refine_batch(examples, config)
+    finally:
+        sys.setswitchinterval(interval)
+    assert outcome.failures == ()
+    assert server.n_requests == 12
+    assert sorted(body["prompt"] for body in server.requests) == sorted(
+        build_refine_prompt(config, text) for text in texts
+    )
+    for before, after in zip(examples, outcome.examples):
+        assert after.explanation == f"narrated({before.explanation})"
+
+
+def test_batch_failed_shared_text_fails_every_carrier(server, tmp_path, api_key):
+    server.script.append((500, {"error": "boom"}))
+    shared = make_example(0).explanation
+    examples = (
+        make_example(0),
+        make_example(1),
+        with_explanation(make_example(2), shared),
+        make_example(3, kind="none"),
+        with_explanation(make_example(4), shared),
+    )
+    config = make_config(server, tmp_path, max_parallel=1, max_retries=0)
+    outcome = refine_batch(examples, config)
+    assert [f.example_id for f in outcome.failures] == [
+        examples[i].example_id for i in (0, 2, 4)
+    ]
+    assert all("500" in f.error for f in outcome.failures)
+    for i in (0, 2, 3, 4):
+        assert outcome.examples[i] == examples[i]
+    assert outcome.examples[1].explanation_kind == "refined"
+    assert server.n_requests == 2
+
+
+def test_batch_offline_refines_each_distinct_text_once(monkeypatch):
+    calls = []
+
+    def counting(coarse, config):
+        calls.append(coarse)
+        return refine_one(coarse, config)
+
+    monkeypatch.setattr("slotchain.refiner.refine_one", counting)
+    texts = [make_example(i).explanation for i in range(3)]
+    examples = tuple(with_explanation(make_example(i), texts[i % 3]) for i in range(7))
+    outcome = refine_batch(examples, RefineConfig(offline=True, max_parallel=4))
+    assert calls == texts
+    assert outcome.failures == ()
+    assert [e.explanation for e in outcome.examples] == [
+        strip_speaker_tags(e.explanation) for e in examples
+    ]
 
 
 def test_batch_offline_end_to_end(tmp_path):
