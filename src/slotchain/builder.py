@@ -12,15 +12,15 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .chains import SlotChain, chains_by_slot, extract_chain
-from .corpus import Corpus, Dialogue, Schema, SlotSchema
+# extract_chain is not called here, but bench/spans.py wraps builder.extract_chain.
+from .chains import SlotChain, chains_by_slot, extract_chain  # noqa: F401
+from .corpus import Dialogue, Schema, SlotSchema
 from .errors import (
     EmptyChainError,
     EmptyGenerationError,
     FormatError,
-    TurnOutOfRangeError,
     ValidationError,
 )
 from .io import decode, encode, read_json, read_jsonl
@@ -91,13 +91,15 @@ def _speaker_pair(system: str, user: str) -> str:
     return " ".join(parts)
 
 
-def render_history(dialogue: Dialogue, query_turn: int) -> str:
-    """Turns 1..query_turn as alternating "system:" / "user:" lines."""
-    lines = []
-    for turn in dialogue.turns[:query_turn]:
-        lines.append(f"system: {turn.system_utterance}" if turn.system_utterance else "system:")
-        lines.append(f"user: {turn.user_utterance}")
-    return "\n".join(lines)
+def render_histories(dialogue: Dialogue) -> list[str]:
+    """The history through each turn: element t-1 holds turns 1..t as
+    alternating "system:" / "user:" lines, each extending the one before."""
+    histories = []
+    for turn in dialogue.turns:
+        system = f"system: {turn.system_utterance}" if turn.system_utterance else "system:"
+        pair = f"{system}\nuser: {turn.user_utterance}"
+        histories.append(f"{histories[-1]}\n{pair}" if histories else pair)
+    return histories
 
 
 def _choices_block(slot: SlotSchema, marker: str, policy: NormalizationPolicy) -> str:
@@ -107,37 +109,57 @@ def _choices_block(slot: SlotSchema, marker: str, policy: NormalizationPolicy) -
     return f"{marker}: " + ", ".join(values)
 
 
-def render_prompt(
-    dialogue: Dialogue,
-    query_turn: int,
+@dataclass(frozen=True)
+class SlotPrompt:
+    """The template filled in for one slot but for [History]: the text
+    before and after the history. A build makes one per slot."""
+
+    slot: SlotSchema
+    before: str
+    after: str
+
+
+def slot_prompt(
     slot: SlotSchema,
     template: PromptTemplate = DEFAULT_TEMPLATE,
     overrides: Mapping[str, str] | None = None,
     policy: NormalizationPolicy = DEFAULT_POLICY,
-) -> str:
-    """Fill the template for one (dialogue, turn, slot) sample.
+) -> SlotPrompt:
+    """Fill the template's [Domain], [Question] and [Choices] for one slot.
 
-    Placeholders are substituted in a single pass over the template so
-    bracketed text inside utterances is never re-expanded. Categorical
-    slots get a Choices block listing possible_values in schema order
-    plus "none"; for non-categorical slots the block is dropped.
+    Placeholders are substituted in a single pass over the template, and
+    the history goes between the two halves, so bracketed text inside
+    utterances is never re-expanded. Categorical slots get a Choices
+    block listing possible_values in schema order plus "none"; for
+    non-categorical slots the block is dropped.
     """
-    if not 1 <= query_turn <= dialogue.n_turns:
-        raise TurnOutOfRangeError(
-            f"turn {query_turn} outside dialogue {dialogue.dialogue_id!r} "
-            f"with {dialogue.n_turns} turns"
-        )
     text = template.template_text
     if not slot.is_categorical:
         text = text.replace(" [Choices]", "").replace("[Choices]", "")
     substitutions = {
-        "[History]": render_history(dialogue, query_turn),
         "[Domain]": slot.domain,
         "[Question]": build_question(slot, overrides),
         "[Choices]": _choices_block(slot, template.choices_section_marker, policy),
     }
-    parts = _PLACEHOLDER_RE.split(text)
-    return "".join(substitutions.get(part, part) for part in parts).strip()
+    parts = [substitutions.get(part, part) for part in _PLACEHOLDER_RE.split(text)]
+    split = parts.index("[History]")
+    return SlotPrompt(slot, "".join(parts[:split]), "".join(parts[split + 1:]))
+
+
+def slot_prompts(
+    schema: Schema,
+    template: PromptTemplate = DEFAULT_TEMPLATE,
+    overrides: Mapping[str, str] | None = None,
+    policy: NormalizationPolicy = DEFAULT_POLICY,
+) -> tuple[SlotPrompt, ...]:
+    """``slot_prompt`` of every schema slot, sorted by slot id."""
+    slots = sorted(schema.slots, key=lambda s: s.slot_id)
+    return tuple(slot_prompt(slot, template, overrides, policy) for slot in slots)
+
+
+def render_prompt(prompt: SlotPrompt, history: str) -> str:
+    """The prompt that asks ``prompt``'s slot over ``history``."""
+    return f"{prompt.before}{history}{prompt.after}".strip()
 
 
 def build_coarse_explanation(chain: SlotChain, dialogue: Dialogue) -> str:
@@ -236,77 +258,55 @@ def avg_utterance_len(dialogue: Dialogue) -> float:
     return total / (2 * dialogue.n_turns)
 
 
-def build_example(
-    dialogue: Dialogue,
-    query_turn: int,
-    slot: SlotSchema,
-    template: PromptTemplate = DEFAULT_TEMPLATE,
-    overrides: Mapping[str, str] | None = None,
-    include_explanations: bool = True,
-    policy: NormalizationPolicy = DEFAULT_POLICY,
-    chain: SlotChain | None = None,
-) -> CoTExample:
-    if chain is None:
-        chain = extract_chain(dialogue, slot.slot_id, query_turn, policy)
-    target_value = chain.final_value
-    explain = (
-        include_explanations
-        and chain.step_count > 0
-        and normalize_value(target_value, policy) != NONE_VALUE
-    )
-    return CoTExample(
-        example_id=f"{dialogue.dialogue_id}:{query_turn}:{slot.slot_id}",
-        input_text=render_prompt(dialogue, query_turn, slot, template, overrides, policy),
-        target_value=target_value,
-        explanation=build_coarse_explanation(chain, dialogue) if explain else "",
-        explanation_kind="coarse" if explain else "none",
-        meta=ExampleMeta(
-            dialogue_id=dialogue.dialogue_id,
-            query_turn=query_turn,
-            slot_id=slot.slot_id,
-            step_count=chain.step_count,
-            dialogue_turns=dialogue.n_turns,
-            avg_utterance_len=avg_utterance_len(dialogue),
-        ),
-    )
-
-
 def build_dataset(
-    corpus: Corpus,
-    template: PromptTemplate = DEFAULT_TEMPLATE,
-    overrides: Mapping[str, str] | None = None,
+    dialogue: Dialogue,
+    prompts: Sequence[SlotPrompt],
     include_explanations: bool = True,
     include_inactive: bool = False,
-    split: str | None = None,
     policy: NormalizationPolicy = DEFAULT_POLICY,
 ) -> tuple[CoTExample, ...]:
-    """One example per (dialogue, turn, slot), restricted to slots with
-    a non-empty chain unless include_inactive. Output order is sorted by
-    (dialogue_id, query_turn, slot_id) regardless of input order."""
-    slots = sorted(corpus.schema.slots, key=lambda s: s.slot_id)
+    """The examples of one dialogue: one per (turn, slot of ``prompts``),
+    restricted to slots with a non-empty chain unless include_inactive,
+    in (query_turn, prompts) order. The histories, the average utterance
+    length and the chains of the annotated slots are computed once."""
+    chains = chains_by_slot(dialogue, policy)
+    if not include_inactive:
+        prompts = [prompt for prompt in prompts if prompt.slot.slot_id in chains]
+    utterance_len = avg_utterance_len(dialogue)
     examples = []
-    for dialogue in sorted(corpus.dialogues_in(split), key=lambda d: d.dialogue_id):
-        chains = chains_by_slot(dialogue, policy)
-        for turn in dialogue.turns:
-            for slot in slots:
-                full = chains.get(slot.slot_id) or SlotChain(
-                    dialogue.dialogue_id, slot.slot_id, dialogue.n_turns, (), ()
-                )
+    for turn, history in zip(dialogue.turns, render_histories(dialogue)):
+        for prompt in prompts:
+            slot_id = prompt.slot.slot_id
+            full = chains.get(slot_id)
+            if full is None:
+                chain = SlotChain(dialogue.dialogue_id, slot_id, turn.index, (), ())
+            else:
                 chain = full.through(turn.index)
                 if not include_inactive and chain.step_count == 0:
                     continue
-                examples.append(
-                    build_example(
-                        dialogue,
-                        turn.index,
-                        slot,
-                        template,
-                        overrides,
-                        include_explanations,
-                        policy,
-                        chain=chain,
-                    )
+            target_value = chain.final_value
+            explain = (
+                include_explanations
+                and chain.step_count > 0
+                and normalize_value(target_value, policy) != NONE_VALUE
+            )
+            examples.append(
+                CoTExample(
+                    example_id=f"{dialogue.dialogue_id}:{turn.index}:{slot_id}",
+                    input_text=render_prompt(prompt, history),
+                    target_value=target_value,
+                    explanation=build_coarse_explanation(chain, dialogue) if explain else "",
+                    explanation_kind="coarse" if explain else "none",
+                    meta=ExampleMeta(
+                        dialogue_id=dialogue.dialogue_id,
+                        query_turn=turn.index,
+                        slot_id=slot_id,
+                        step_count=chain.step_count,
+                        dialogue_turns=dialogue.n_turns,
+                        avg_utterance_len=utterance_len,
+                    ),
                 )
+            )
     return tuple(examples)
 
 
@@ -321,5 +321,7 @@ def examples_to_jsonl(examples: Iterable[CoTExample]) -> str:
     )
 
 
-def read_examples(path: str | Path) -> tuple[CoTExample, ...]:
-    return tuple(decode(CoTExample, data, where) for _, where, data in read_jsonl(path))
+def read_examples(path: str | Path) -> Iterator[CoTExample]:
+    """The examples of a JSONL file, decoded one line at a time as they
+    are consumed."""
+    return (decode(CoTExample, data, where) for _, where, data in read_jsonl(path))

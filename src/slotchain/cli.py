@@ -7,15 +7,19 @@ else (progress, warnings, errors) goes to standard error. Exit codes:
 included), 2 usage error, 3 a refine run that finished with some items
 unrefined. No subcommand rewrites its input files: an --out naming one
 is an error. --out is written atomically, so an interrupted run leaves
-the old file whole.
+the old file whole. build writes one dialogue's examples at a time and
+refine one chunk of REFINE_CHUNK examples at a time, so neither holds
+the whole dataset.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
+from typing import Iterable, Iterator
 
 from . import __version__
 from .builder import (
@@ -25,6 +29,7 @@ from .builder import (
     load_question_overrides,
     load_template,
     read_examples,
+    slot_prompts,
 )
 from .chains import step_histogram
 from .corpus import (
@@ -44,11 +49,14 @@ from .evaluator import (
     read_report,
     render_report,
 )
-from .io import decode, file_or_bundled, read_json, write_text
+from .io import decode, file_or_bundled, read_json, write_lines
 from .normalize import DEFAULT_POLICY, NormalizationPolicy
 from .refiner import load_refine_config, refine_batch
 
 _LEGACY_STYLES = ("woz_belief", "m2m_flat", "sgd_state")
+# Examples that refine reads, refines and writes at a time. Each distinct
+# coarse text is still refined once per run, whichever chunk it is in.
+REFINE_CHUNK = 1000
 # Options that name files a subcommand reads; --out must name none of them.
 _INPUT_OPTIONS = (
     "corpus", "input", "examples", "predictions", "report", "schema",
@@ -61,11 +69,15 @@ def _note(args: argparse.Namespace, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(lines: str | Iterable[str], out: str | None) -> None:
+    """Write ``lines`` (one string, or strings as they are produced) to
+    ``out`` atomically, or else to standard output as they come."""
+    if isinstance(lines, str):
+        lines = (lines,)
     if out:
-        write_text(out, text)
+        write_lines(out, lines)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(lines)
 
 
 def _check_out_is_not_an_input(args: argparse.Namespace) -> None:
@@ -171,17 +183,30 @@ def _cmd_build(args: argparse.Namespace) -> int:
         if args.overrides_file
         else None
     )
-    examples = build_dataset(
-        corpus,
-        template=template,
-        overrides=overrides,
-        include_explanations=not args.no_explanations,
-        include_inactive=args.include_inactive,
-        split=args.split,
-    )
-    _note(args, f"built {len(examples)} examples")
-    _emit(examples_to_jsonl(examples), args.out)
+    prompts = slot_prompts(schema, template, overrides)
+    built = 0
+
+    def lines() -> Iterator[str]:
+        nonlocal built
+        for dialogue in sorted(corpus.dialogues_in(args.split), key=lambda d: d.dialogue_id):
+            examples = build_dataset(
+                dialogue,
+                prompts,
+                include_explanations=not args.no_explanations,
+                include_inactive=args.include_inactive,
+            )
+            built += len(examples)
+            yield examples_to_jsonl(examples)
+
+    _emit(lines(), args.out)
+    _note(args, f"built {built} examples")
     return 0
+
+
+def _chunks(items: Iterable, size: int) -> Iterator[tuple]:
+    iterator = iter(items)
+    while chunk := tuple(itertools.islice(iterator, size)):
+        yield chunk
 
 
 def _cmd_refine(args: argparse.Namespace) -> int:
@@ -193,19 +218,28 @@ def _cmd_refine(args: argparse.Namespace) -> int:
     if args.cache_dir is not None:
         overrides["cache_dir"] = args.cache_dir
     config = load_refine_config(args.config, **overrides)
-    examples = read_examples(args.examples)
-    outcome = refine_batch(examples, config)
-    for failure in outcome.failures:
-        print(f"warning: {failure.example_id}: {failure.error}", file=sys.stderr)
-    refined = sum(
-        1
-        for before, after in zip(examples, outcome.examples)
-        if before.explanation_kind == "coarse" and after.explanation_kind == "refined"
-    )
-    _note(args, f"refined {refined} of {len(examples)} examples")
-    _emit(examples_to_jsonl(outcome.examples), args.out)
-    if outcome.failures:
-        print(f"{len(outcome.failures)} example(s) left unrefined", file=sys.stderr)
+    memo = {}  # shared by the chunks, so each distinct text is refined once
+    seen = refined = failed = 0
+
+    def lines() -> Iterator[str]:
+        nonlocal seen, refined, failed
+        for chunk in _chunks(read_examples(args.examples), REFINE_CHUNK):
+            outcome = refine_batch(chunk, config, memo)
+            for failure in outcome.failures:
+                print(f"warning: {failure.example_id}: {failure.error}", file=sys.stderr)
+            seen += len(chunk)
+            failed += len(outcome.failures)
+            refined += sum(
+                1
+                for before, after in zip(chunk, outcome.examples)
+                if before.explanation_kind == "coarse" and after.explanation_kind == "refined"
+            )
+            yield examples_to_jsonl(outcome.examples)
+
+    _emit(lines(), args.out)
+    _note(args, f"refined {refined} of {seen} examples")
+    if failed:
+        print(f"{failed} example(s) left unrefined", file=sys.stderr)
         return 3
     return 0
 

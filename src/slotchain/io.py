@@ -18,7 +18,7 @@ import types
 import typing
 from importlib import resources
 from pathlib import Path
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import FormatError, ValidationError
 
@@ -62,13 +62,20 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, str, object]]:
 
 
 def write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` as UTF-8 so that readers see the old file or the
-    whole new one, never a part: a temporary file in the same directory
-    is renamed over ``path``. An existing path that is not a regular
-    file (a terminal, a pipe, /dev/stdout) is written in place."""
+    """Write ``text`` as UTF-8 through ``write_lines``."""
+    write_lines(path, (text,))
+
+
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Write each string of ``lines`` as UTF-8, in order, as it comes, so
+    that readers see the old file or the whole new one, never a part: a
+    temporary file in the same directory is renamed over ``path`` once
+    ``lines`` is used up. If ``lines`` raises, the temporary file is
+    removed and the old file stays. An existing path that is not a
+    regular file (a terminal, a pipe, /dev/stdout) is written in place."""
     if os.path.exists(path) and not os.path.isfile(path):
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(lines)
         return
     # Through a symlink, replace the file it points at, not the link.
     target = os.path.realpath(path)
@@ -81,7 +88,7 @@ def write_text(path: str | Path, text: str) -> None:
         raise
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(lines)
         os.replace(temp_name, target)
     except BaseException:
         if os.path.exists(temp_name):

@@ -2,16 +2,17 @@
 
 Calls a remote completion endpoint with an instruction plus a few
 demonstration pairs, caches responses by content hash so reruns are
-free, retries transient failures with exponential backoff (longer when a
-429 or 503 names a Retry-After delay), and offers an offline mode
-(deterministic speaker-tag stripping) so the whole pipeline runs without
-credentials.
+free, retries transient failures after a random delay of up to an
+exponential backoff (longer when a 429 or 503 names a Retry-After
+delay), and offers an offline mode (deterministic speaker-tag stripping)
+so the whole pipeline runs without credentials.
 
 A batch refines each distinct coarse text once and hands the result to
 every example that carries it, so it sends at most one request per
-distinct text. Offline refining runs inline and ignores
-``max_parallel``. A rejected or missing key stops the batch before any
-queued request is sent.
+distinct text; batches that share a memo refine each text once between
+them. Offline refining runs inline and ignores ``max_parallel``. A
+rejected or missing key stops the batch before any queued request is
+sent.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import re
 import threading
 import time
@@ -38,6 +40,8 @@ DEFAULT_INSTRUCTION = (
 )
 
 _RETRYABLE_STATUSES = {408, 429, 500, 502, 503, 504}
+# Draws each retry's backoff (full jitter); tests replace it to fix the draws.
+_JITTER = random.Random()
 _TAG_RE = re.compile(r"(?:system|user):\s*")
 
 
@@ -193,7 +197,7 @@ def _request_completion(config: RefineConfig, coarse: str, api_key: str) -> str:
     retry_after = 0.0
     for attempt in range(config.max_retries + 1):
         if attempt:
-            backoff = config.backoff_base * 2 ** (attempt - 1)
+            backoff = _JITTER.uniform(0, config.backoff_base * 2 ** (attempt - 1))
             time.sleep(max(backoff, min(retry_after, config.request_timeout)))
         try:
             response = requests.post(
@@ -262,15 +266,27 @@ def refine_one(coarse: str, config: RefineConfig) -> RefineResult:
     return RefineResult(coarse, refined, "api", fingerprint)
 
 
-def refine_batch(examples: Iterable[CoTExample], config: RefineConfig) -> RefineBatchOutcome:
+def refine_batch(
+    examples: Iterable[CoTExample],
+    config: RefineConfig,
+    memo: dict[str, RefineResult | str] | None = None,
+) -> RefineBatchOutcome:
     """Refine every coarse-explanation example, each distinct text once
     (see the module docstring). Order and multiset of examples are
     preserved; an example whose text fails is emitted unchanged and
     reported as a failure of its own. A rejected or missing key aborts
-    the whole batch."""
+    the whole batch.
+
+    ``memo`` maps each text already refined to its result, or to the
+    message of the error that left it unrefined. The batch reads it
+    instead of refining a text again, and adds the texts it refines, so
+    batches that share one memo refine each distinct text once."""
     examples = tuple(examples)
+    results = {} if memo is None else memo
     distinct = dict.fromkeys(
-        e.explanation for e in examples if e.explanation_kind == "coarse" and e.explanation
+        e.explanation
+        for e in examples
+        if e.explanation_kind == "coarse" and e.explanation and e.explanation not in results
     )
     rejected = threading.Event()
 
@@ -286,7 +302,7 @@ def refine_batch(examples: Iterable[CoTExample], config: RefineConfig) -> Refine
             return exc
 
     if config.offline:
-        results = {coarse: work(coarse) for coarse in distinct}
+        settled = [(coarse, work(coarse)) for coarse in distinct]
     else:
         with ThreadPoolExecutor(max_workers=config.max_parallel) as pool:
             futures = {pool.submit(work, coarse): coarse for coarse in distinct}
@@ -294,7 +310,10 @@ def refine_batch(examples: Iterable[CoTExample], config: RefineConfig) -> Refine
                 if isinstance(future.result(), AuthError):
                     pool.shutdown(cancel_futures=True)
                     raise future.result()
-        results = {coarse: future.result() for future, coarse in futures.items()}
+        settled = [(coarse, future.result()) for future, coarse in futures.items()]
+    for coarse, result in settled:
+        # An error is kept as its message: its traceback would keep this batch alive.
+        results[coarse] = result if isinstance(result, RefineResult) else str(result)
 
     out = list(examples)
     failures: list[RefineFailure] = []
@@ -303,5 +322,5 @@ def refine_batch(examples: Iterable[CoTExample], config: RefineConfig) -> Refine
         if isinstance(result, RefineResult):
             out[index] = replace(example, explanation=result.refined, explanation_kind="refined")
         elif result is not None:
-            failures.append(RefineFailure(example_id=example.example_id, error=str(result)))
+            failures.append(RefineFailure(example_id=example.example_id, error=result))
     return RefineBatchOutcome(examples=tuple(out), failures=tuple(failures))

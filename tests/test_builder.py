@@ -17,24 +17,25 @@ from slotchain.builder import (
     avg_utterance_len,
     build_coarse_explanation,
     build_dataset,
-    build_example,
     build_question,
     examples_to_jsonl,
     load_question_overrides,
     load_template,
     parse_generation,
     read_examples,
-    render_history,
+    render_histories,
     render_prompt,
     render_target,
+    slot_prompt,
+    slot_prompts,
 )
 from slotchain.chains import extract_chain
-from slotchain.corpus import Corpus, Dialogue, Schema, SlotSchema, TurnPair
+from slotchain.cli import main
+from slotchain.corpus import Corpus, Dialogue, Schema, SlotSchema, TurnPair, corpus_to_json
 from slotchain.errors import (
     EmptyChainError,
     EmptyGenerationError,
     FormatError,
-    TurnOutOfRangeError,
     ValidationError,
 )
 from slotchain.io import encode
@@ -63,6 +64,17 @@ def dialogue() -> Dialogue:
                      {"hotel-stars": "4", "restaurant-food": "korean"}),
         ),
     )
+
+
+def prompt_at(d: Dialogue, query_turn: int, slot: SlotSchema, template=DEFAULT_TEMPLATE) -> str:
+    return render_prompt(slot_prompt(slot, template), render_histories(d)[query_turn - 1])
+
+
+def build_all(corpus: Corpus, **options) -> tuple:
+    """build_dataset over every dialogue in id order, as `slotchain build` runs it."""
+    prompts = slot_prompts(corpus.schema)
+    dialogues = sorted(corpus.dialogues, key=lambda d: d.dialogue_id)
+    return tuple(e for d in dialogues for e in build_dataset(d, prompts, **options))
 
 
 # ---------------------------------------------------------------------------
@@ -118,7 +130,7 @@ def test_build_question_rule_on_hand_listed_descriptions():
 
 
 def test_render_history_line_structure():
-    history = render_history(dialogue(), 2)
+    history = render_histories(dialogue())[1]
     assert history == (
         "system:\n"
         "user: find a 3 star hotel\n"
@@ -129,13 +141,13 @@ def test_render_history_line_structure():
 
 def test_render_history_line_counts():
     for query_turn in (1, 2):
-        lines = render_history(dialogue(), query_turn).split("\n")
+        lines = render_histories(dialogue())[query_turn - 1].split("\n")
         assert sum(1 for l in lines if l.startswith("system:")) == query_turn
         assert sum(1 for l in lines if l.startswith("user:")) == query_turn
 
 
 def test_render_prompt_categorical_has_choices():
-    prompt = render_prompt(dialogue(), 2, schema().slots[0])
+    prompt = prompt_at(dialogue(), 2, schema().slots[0])
     assert "Choices: 1, 2, 3, 4, 5, none" in prompt
     assert "Question: What's the star rating of the hotel?" in prompt
     assert "Domain: hotel" in prompt
@@ -143,7 +155,7 @@ def test_render_prompt_categorical_has_choices():
 
 
 def test_render_prompt_non_categorical_omits_choices():
-    prompt = render_prompt(dialogue(), 2, schema().slots[2])
+    prompt = prompt_at(dialogue(), 2, schema().slots[2])
     assert "Choices" not in prompt
     assert prompt.endswith("What's the cuisine served?")
 
@@ -152,14 +164,14 @@ def test_render_prompt_no_duplicate_none_choice():
     slot = SlotSchema("hotel-parking", "hotel", "parking", "parking availability",
                       possible_values=("yes", "no", "none"))
     d = Dialogue("d", (TurnPair(1, "", "hi", {}),), "train")
-    prompt = render_prompt(d, 1, slot)
+    prompt = prompt_at(d, 1, slot)
     assert "Choices: yes, no, none" in prompt
     assert prompt.count("none") == 1
 
 
 def test_render_prompt_deterministic():
-    a = render_prompt(dialogue(), 2, schema().slots[0])
-    b = render_prompt(dialogue(), 2, schema().slots[0])
+    a = prompt_at(dialogue(), 2, schema().slots[0])
+    b = prompt_at(dialogue(), 2, schema().slots[0])
     assert a == b
 
 
@@ -167,7 +179,7 @@ def test_render_prompt_never_expands_utterance_brackets():
     d = Dialogue(
         "d", (TurnPair(1, "", "what does [Question] mean? [Choices] too", {}),), "train"
     )
-    prompt = render_prompt(d, 1, schema().slots[2])
+    prompt = prompt_at(d, 1, schema().slots[2])
     assert "what does [Question] mean? [Choices] too" in prompt
     # and the template's own placeholders were still filled
     assert "What's the cuisine served?" in prompt
@@ -177,16 +189,15 @@ def test_render_prompt_custom_template_repeated_domain():
     template = PromptTemplate(
         template_text="[Domain] booking. [History] ask about [Domain]: [Question]"
     )
-    prompt = render_prompt(dialogue(), 1, schema().slots[2], template)
+    prompt = prompt_at(dialogue(), 1, schema().slots[2], template)
     assert prompt.startswith("restaurant booking. system:")
     assert "ask about restaurant: What's the cuisine served?" in prompt
 
 
-def test_render_prompt_turn_bounds():
-    with pytest.raises(TurnOutOfRangeError):
-        render_prompt(dialogue(), 3, schema().slots[0])
-    with pytest.raises(TurnOutOfRangeError):
-        render_prompt(dialogue(), 0, schema().slots[0])
+def test_render_histories_has_one_history_per_turn():
+    histories = render_histories(dialogue())
+    assert len(histories) == dialogue().n_turns
+    assert histories[1].startswith(histories[0] + "\n")
 
 
 def test_template_placeholder_counts_enforced():
@@ -339,7 +350,7 @@ def test_target_round_trip_500_pairs():
 
 def test_build_dataset_cartesian_count_with_inactive():
     corpus = Corpus(schema=schema(), dialogues=(dialogue(),))
-    examples = build_dataset(corpus, include_inactive=True)
+    examples = build_all(corpus, include_inactive=True)
     assert len(examples) == 2 * 3  # 2 turns x 3 slots
     ids = [e.example_id for e in examples]
     assert ids == sorted(ids)
@@ -348,7 +359,7 @@ def test_build_dataset_cartesian_count_with_inactive():
 
 def test_build_dataset_active_only_by_default():
     corpus = Corpus(schema=schema(), dialogues=(dialogue(),))
-    examples = build_dataset(corpus)
+    examples = build_all(corpus)
     assert [e.example_id for e in examples] == [
         "d1:1:hotel-stars",
         "d1:2:hotel-stars",
@@ -359,7 +370,7 @@ def test_build_dataset_active_only_by_default():
 
 def test_build_dataset_inactive_examples_have_none_target():
     corpus = Corpus(schema=schema(), dialogues=(dialogue(),))
-    examples = build_dataset(corpus, include_inactive=True)
+    examples = build_all(corpus, include_inactive=True)
     by_id = {e.example_id: e for e in examples}
     inactive = by_id["d1:1:hotel-area"]
     assert inactive.target_value == "none"
@@ -370,17 +381,17 @@ def test_build_dataset_inactive_examples_have_none_target():
 
 def test_build_dataset_no_explanations_flag():
     corpus = Corpus(schema=schema(), dialogues=(dialogue(),))
-    examples = build_dataset(corpus, include_explanations=False)
+    examples = build_all(corpus, include_explanations=False)
     assert all(e.explanation_kind == "none" and e.explanation == "" for e in examples)
     # targets unchanged by the flag
-    with_expl = build_dataset(corpus)
+    with_expl = build_all(corpus)
     assert [e.target_value for e in examples] == [e.target_value for e in with_expl]
 
 
 def test_build_dataset_example_fields_reconstructed_independently():
     for seed in range(60):
         corpus = make_corpus(random.Random(50_000 + seed))
-        examples = build_dataset(corpus, include_inactive=True)
+        examples = build_all(corpus, include_inactive=True)
         count = 0
         for d in corpus.dialogues:
             count += d.n_turns * len(corpus.schema.slots)
@@ -412,14 +423,14 @@ def test_build_dataset_scans_each_annotated_slot_once(monkeypatch):
     for seed in range(20):
         corpus = make_corpus(random.Random(55_000 + seed))
         calls.clear()
-        build_dataset(corpus, include_inactive=True)
+        build_all(corpus, include_inactive=True)
         pairs = sum(
             len({s for turn in d.turns for s in turn.gold_state}) for d in corpus.dialogues
         )
         assert len(calls) <= pairs, (seed, len(calls), pairs)
 
 
-def test_build_dataset_split_filter():
+def test_build_dataset_split_filter(tmp_path, capsys):
     corpus = Corpus(
         schema=schema(),
         dialogues=(
@@ -427,8 +438,17 @@ def test_build_dataset_split_filter():
             Dialogue("d2", (TurnPair(1, "", "hi", {"hotel-area": "north"}),), "test"),
         ),
     )
-    train_only = build_dataset(corpus, split="train")
+    (tmp_path / "corpus.json").write_text(corpus_to_json(corpus), encoding="utf-8")
+    slots = [encode(slot) for slot in schema().slots]
+    (tmp_path / "schema.json").write_text(json.dumps(slots), encoding="utf-8")
+    out = tmp_path / "train.jsonl"
+    assert main([
+        "build", "--corpus", str(tmp_path / "corpus.json"),
+        "--schema", str(tmp_path / "schema.json"), "--split", "train", "--out", str(out),
+    ]) == 0
+    train_only = tuple(read_examples(out))
     assert {e.meta.dialogue_id for e in train_only} == {"d1"}
+    assert train_only == build_all(Corpus(schema=schema(), dialogues=(dialogue(),)))
 
 
 def test_avg_utterance_len_hand_computed():
@@ -451,7 +471,7 @@ def test_example_invariants_enforced():
 
 def test_example_target_text_round_trips():
     corpus = Corpus(schema=schema(), dialogues=(dialogue(),))
-    for example in build_dataset(corpus, include_inactive=True):
+    for example in build_all(corpus, include_inactive=True):
         value, explanation = parse_generation(example.target_text)
         assert value == example.target_value
         assert explanation == example.explanation
@@ -463,35 +483,35 @@ def test_example_target_text_round_trips():
 
 def test_examples_jsonl_round_trip(tmp_path):
     corpus = Corpus(schema=schema(), dialogues=(dialogue(),))
-    examples = build_dataset(corpus, include_inactive=True)
+    examples = build_all(corpus, include_inactive=True)
     path = tmp_path / "examples.jsonl"
     path.write_text(examples_to_jsonl(examples), encoding="utf-8")
-    assert read_examples(path) == examples
+    assert tuple(read_examples(path)) == examples
 
 
 def test_examples_jsonl_round_trip_randomized(tmp_path):
     for seed in range(30):
         corpus = make_corpus(random.Random(60_000 + seed))
-        examples = build_dataset(corpus, include_inactive=True)
+        examples = build_all(corpus, include_inactive=True)
         path = tmp_path / f"ex{seed}.jsonl"
         path.write_text(examples_to_jsonl(examples), encoding="utf-8")
-        assert read_examples(path) == examples
+        assert tuple(read_examples(path)) == examples
 
 
 def test_read_examples_names_bad_line(tmp_path):
     corpus = Corpus(schema=schema(), dialogues=(dialogue(),))
-    examples = build_dataset(corpus)
+    examples = build_all(corpus)
     path = tmp_path / "examples.jsonl"
     lines = examples_to_jsonl(examples).splitlines()
     lines[1] = "{not json"
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(FormatError, match="line 2"):
-        read_examples(path)
+        tuple(read_examples(path))
 
 
 def test_example_dict_key_order_stable():
     corpus = Corpus(schema=schema(), dialogues=(dialogue(),))
-    example = build_dataset(corpus)[0]
+    example = build_all(corpus)[0]
     assert list(encode(example)) == [
         "example_id", "input_text", "target_value",
         "explanation", "explanation_kind", "meta",

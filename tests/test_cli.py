@@ -12,9 +12,11 @@ from pathlib import Path
 import pytest
 
 import slotchain
-from slotchain.builder import read_examples
+from slotchain.builder import build_dataset, examples_to_jsonl, read_examples
 from slotchain.chains import step_histogram
 from slotchain.cli import main
+from slotchain.errors import ValidationError
+from slotchain.refiner import refine_batch
 from slotchain.corpus import corpus_to_json, load_corpus, load_schema
 
 REPO = Path(__file__).resolve().parents[1]
@@ -500,7 +502,7 @@ def test_build_emits_one_example_per_active_triple(capsys, tmp_path):
         "--overrides-file", OVERRIDES, "--out", str(out_path),
     )
     assert code == 0
-    examples = read_examples(out_path)
+    examples = tuple(read_examples(out_path))
     assert len(examples) == 35
     by_id = {e.example_id: e for e in examples}
     fig = by_id["fix001:4:hotel-stars"]
@@ -517,7 +519,7 @@ def test_build_no_explanations_arm(capsys, tmp_path):
         "--no-explanations", "--out", str(out_path),
     )
     assert code == 0
-    examples = read_examples(out_path)
+    examples = tuple(read_examples(out_path))
     assert len(examples) == 35
     assert all(e.explanation == "" and e.explanation_kind == "none" for e in examples)
 
@@ -529,7 +531,7 @@ def test_build_include_inactive_covers_every_triple(capsys, tmp_path):
         "--include-inactive", "--out", str(out_path),
     )
     assert code == 0
-    assert len(read_examples(out_path)) == 21 * 5
+    assert len(tuple(read_examples(out_path))) == 21 * 5
 
 
 def test_build_split_filter(capsys, tmp_path):
@@ -539,7 +541,7 @@ def test_build_split_filter(capsys, tmp_path):
         "--split", "test", "--out", str(out_path),
     )
     assert code == 0
-    examples = read_examples(out_path)
+    examples = tuple(read_examples(out_path))
     assert len(examples) == 11
     assert {e.meta.dialogue_id for e in examples} == {"fix007", "fix008"}
 
@@ -564,7 +566,7 @@ def test_refine_offline_round_trip(capsys, tmp_path):
         capsys, "refine", "--examples", str(examples_path), "--offline", "--out", str(out_path)
     )
     assert code == 0
-    refined = read_examples(out_path)
+    refined = tuple(read_examples(out_path))
     assert len(refined) == 35
     kinds = {e.explanation_kind for e in refined}
     assert kinds == {"refined", "none"}
@@ -611,10 +613,93 @@ def test_refine_partial_failure_exits_three(capsys, tmp_path):
     assert code == 3
     assert "warning: d2:1:hotel-stars" in err
     assert "1 example(s) left unrefined" in err
-    refined = read_examples(out_path)
+    refined = tuple(read_examples(out_path))
     assert refined[0].explanation_kind == "refined"
     assert refined[1].explanation_kind == "coarse"
     assert refined[1].explanation == "system: user:"
+
+
+# ---------------------------------------------------------------------------
+# streaming: build writes a dialogue at a time, refine a chunk at a time
+
+
+def recording(monkeypatch, name, original):
+    """Replace ``slotchain.cli.<name>`` by a wrapper that records each
+    call's first argument."""
+    calls = []
+
+    def wrapper(first, *rest, **options):
+        calls.append(first)
+        return original(first, *rest, **options)
+
+    monkeypatch.setattr(f"slotchain.cli.{name}", wrapper)
+    return calls
+
+
+def test_build_writes_one_dialogue_per_jsonl_call(capsys, tmp_path, monkeypatch):
+    built = recording(monkeypatch, "build_dataset", build_dataset)
+    written = recording(monkeypatch, "examples_to_jsonl", examples_to_jsonl)
+    out_path = build_examples_file(capsys, tmp_path)
+    ids = sorted(d.dialogue_id for d in fixture_corpus().dialogues)
+    assert [d.dialogue_id for d in built] == ids
+    assert all(isinstance(examples, tuple) for examples in written)
+    assert [{e.meta.dialogue_id for e in examples} for examples in written] == [{i} for i in ids]
+    assert out_path.read_text(encoding="utf-8") == "".join(map(examples_to_jsonl, written))
+
+
+def test_build_failing_in_a_later_dialogue_keeps_the_old_out_file(capsys, tmp_path, monkeypatch):
+    out_path = tmp_path / "examples.jsonl"
+    out_path.write_bytes(b"old output\n")
+    seen = []
+
+    def failing(dialogue, *rest, **options):
+        seen.append(dialogue)
+        if len(seen) == 3:
+            raise ValidationError("boom")
+        return build_dataset(dialogue, *rest, **options)
+
+    monkeypatch.setattr("slotchain.cli.build_dataset", failing)
+    code, out, err = run(
+        capsys, "build", "--corpus", DIALOGUES, "--schema", SCHEMA, "--out", str(out_path)
+    )
+    assert (code, err) == (1, "error: boom\n")
+    assert out_path.read_bytes() == b"old output\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["examples.jsonl"]
+
+
+def test_refine_hands_refine_batch_at_most_a_chunk(capsys, tmp_path, monkeypatch):
+    examples_path = build_examples_file(capsys, tmp_path)
+    whole = tmp_path / "whole.jsonl"
+    code, _, _ = run(capsys, "refine", "--examples", str(examples_path), "--offline",
+                     "--out", str(whole))
+    assert code == 0
+    monkeypatch.setattr("slotchain.cli.REFINE_CHUNK", 8)
+    chunks = recording(monkeypatch, "refine_batch", refine_batch)
+    chunked = tmp_path / "chunked.jsonl"
+    code, _, _ = run(capsys, "refine", "--examples", str(examples_path), "--offline",
+                     "--out", str(chunked))
+    assert code == 0
+    assert all(isinstance(chunk, tuple) for chunk in chunks)
+    assert [len(chunk) for chunk in chunks] == [8, 8, 8, 8, 3]
+    assert chunked.read_bytes() == whole.read_bytes()
+
+
+def test_refine_malformed_last_line_keeps_the_old_out_file(capsys, tmp_path, monkeypatch):
+    monkeypatch.setattr("slotchain.cli.REFINE_CHUNK", 2)
+    examples_path = build_examples_file(capsys, tmp_path)
+    with examples_path.open("a", encoding="utf-8") as handle:
+        handle.write("{not json\n")
+    out_path = tmp_path / "refined.jsonl"
+    out_path.write_bytes(b"old output\n")
+    chunks = recording(monkeypatch, "refine_batch", refine_batch)
+    code, out, err = run(
+        capsys, "refine", "--examples", str(examples_path), "--offline", "--out", str(out_path)
+    )
+    assert code == 1
+    assert f"{examples_path}: line 36: not valid JSON" in err
+    assert len(chunks) == 17  # every earlier chunk was refined before the bad line was read
+    assert out_path.read_bytes() == b"old output\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["examples.jsonl", "refined.jsonl"]
 
 
 # ---------------------------------------------------------------------------

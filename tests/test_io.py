@@ -36,7 +36,15 @@ from slotchain.evaluator import (
     load_predictions,
     read_report,
 )
-from slotchain.io import decode, encode, file_or_bundled, read_json, read_jsonl, write_text
+from slotchain.io import (
+    decode,
+    encode,
+    file_or_bundled,
+    read_json,
+    read_jsonl,
+    write_lines,
+    write_text,
+)
 from slotchain.normalize import NONE_VALUE, NormalizationPolicy
 from slotchain.refiner import RefineConfig, load_refine_config
 
@@ -51,7 +59,7 @@ LOADERS = {
     "woz_belief": lambda path: load_corpus([path], SCHEMA, style="woz_belief", split="train"),
     "m2m_flat": lambda path: load_corpus([path], SCHEMA, style="m2m_flat", split="train"),
     "sgd_state": lambda path: load_corpus([path], SCHEMA, style="sgd_state", split="train"),
-    "examples": read_examples,
+    "examples": lambda path: tuple(read_examples(path)),
     "predictions": load_predictions,
     "report": read_report,
     "bucket spec": lambda path: load_bucket_spec(str(path)),
@@ -431,6 +439,43 @@ def test_write_text_writes_a_fifo_in_place(tmp_path):
     assert not reader.is_alive()
     assert received == ["through the pipe"]
     assert fifo.is_fifo()
+
+
+def test_write_lines_keeps_the_old_file_when_the_lines_fail_partway(tmp_path):
+    path = tmp_path / "out.jsonl"
+    path.write_bytes(b"old output\n")
+
+    def lines():
+        yield "first\n"
+        yield "second\n"
+        raise FormatError("examples.jsonl: line 3: not valid JSON")
+
+    with pytest.raises(FormatError, match="line 3"):
+        write_lines(path, lines())
+    assert path.read_bytes() == b"old output\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl"]
+
+
+def test_write_lines_writes_each_line_as_it_comes(tmp_path):
+    path = tmp_path / "out.txt"
+    write_lines(path, (f"{i} é\n" for i in range(3)))
+    assert path.read_bytes() == "0 é\n1 é\n2 é\n".encode("utf-8")
+
+
+def test_write_lines_writes_a_fifo_in_place(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(
+        target=lambda: received.append(fifo.read_text(encoding="utf-8")), daemon=True
+    )
+    reader.start()
+    write_lines(fifo, iter(["through ", "the ", "pipe"]))
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received == ["through the pipe"]
+    assert fifo.is_fifo()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo"]
 
 
 def test_file_or_bundled_prefers_a_file_and_guards_bundled_names(tmp_path, monkeypatch):

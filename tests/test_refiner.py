@@ -2,6 +2,7 @@
 mode, and batch behaviour against a scripted local HTTP server."""
 
 import json
+import random
 import sys
 import threading
 import time
@@ -10,7 +11,8 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
-from slotchain.builder import CoTExample, ExampleMeta
+from slotchain.builder import CoTExample, ExampleMeta, examples_to_jsonl
+from slotchain.cli import main
 from slotchain.errors import (
     AuthError,
     EmptyCompletionError,
@@ -261,12 +263,34 @@ def test_transient_statuses_retried_until_success(server, tmp_path, api_key):
     assert server.n_requests == 3
 
 
+class TopOfRange(random.Random):
+    """A jitter source that always draws the whole backoff."""
+
+    def uniform(self, a, b):
+        return b
+
+
 @pytest.fixture
 def sleeps(monkeypatch):
-    """The delays the refiner asks to sleep, recorded instead of slept."""
+    """The delays the refiner asks to sleep, recorded instead of slept,
+    with each jittered backoff drawn at its maximum."""
     recorded = []
     monkeypatch.setattr("slotchain.refiner.time.sleep", recorded.append)
+    monkeypatch.setattr("slotchain.refiner._JITTER", TopOfRange())
     return recorded
+
+
+def test_backoff_is_a_uniform_draw_up_to_the_exponential_bound(
+    server, tmp_path, api_key, sleeps, monkeypatch
+):
+    monkeypatch.setattr("slotchain.refiner._JITTER", random.Random(7))
+    server.script += [(500, {"error": "boom"})] * 3
+    config = make_config(server, tmp_path, max_retries=3, backoff_base=0.5)
+    assert refine_one(COARSE, config).source == "api"
+    expected = random.Random(7)
+    assert sleeps == [expected.uniform(0, 0.5), expected.uniform(0, 1.0),
+                      expected.uniform(0, 2.0)]
+    assert all(0 <= delay <= bound for delay, bound in zip(sleeps, (0.5, 1.0, 2.0)))
 
 
 @pytest.mark.parametrize("status", [429, 503])
@@ -630,6 +654,83 @@ def test_batch_offline_end_to_end(tmp_path):
     for before, after in zip(examples, outcome.examples):
         assert after.explanation_kind == "refined"
         assert after.explanation == strip_speaker_tags(before.explanation)
+
+
+# ---------------------------------------------------------------------------
+# the refine command, chunk by chunk
+
+
+def run_refine(server, tmp_path, examples, **settings):
+    """``slotchain refine`` over ``examples`` against the mock server,
+    with no cache, one request at a time and no retry; returns the exit
+    code and the --out path."""
+    examples_path = tmp_path / "examples.jsonl"
+    examples_path.write_text(examples_to_jsonl(examples), encoding="utf-8")
+    config = dict(
+        endpoint_url=server.url, model_name="test-model", api_key_env_var=KEY_VAR,
+        demonstrations=[list(pair) for pair in DEMOS], backoff_base=0.0, max_retries=0,
+        max_parallel=1, cache_dir="",
+    )
+    config.update(settings)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config), encoding="utf-8")
+    out_path = tmp_path / "refined.jsonl"
+    code = main(["refine", "--examples", str(examples_path), "--config", str(config_path),
+                 "--out", str(out_path)])
+    return code, out_path
+
+
+def test_refine_requests_a_text_shared_by_the_first_and_last_chunk_once(
+    server, tmp_path, api_key, monkeypatch
+):
+    monkeypatch.setattr("slotchain.cli.REFINE_CHUNK", 2)
+    texts = [make_example(i).explanation for i in range(4)]
+    examples = tuple(with_explanation(make_example(i), texts[i % 4]) for i in range(5))
+    code, out_path = run_refine(server, tmp_path, examples)
+    assert code == 0
+    assert sorted(body["prompt"] for body in server.requests) == sorted(
+        build_refine_prompt(make_config(server, tmp_path), text) for text in texts
+    )
+    expected = refine_batch(examples, make_config(server, tmp_path, cache_dir="")).examples
+    assert out_path.read_text(encoding="utf-8") == examples_to_jsonl(expected)
+
+
+def test_refine_rejected_key_in_a_later_chunk_leaves_the_out_file(
+    server, tmp_path, api_key, monkeypatch, capsys
+):
+    monkeypatch.setattr("slotchain.cli.REFINE_CHUNK", 2)
+    server.script += [(200, {"text": "a"}), (200, {"text": "b"}), (401, {"error": "no"})]
+    (tmp_path / "refined.jsonl").write_bytes(b"old output\n")
+    code, out_path = run_refine(server, tmp_path, tuple(make_example(i) for i in range(4)))
+    assert code == 1
+    assert "HTTP 401" in capsys.readouterr().err
+    assert server.n_requests == 3
+    assert out_path.read_bytes() == b"old output\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "config.json", "examples.jsonl", "refined.jsonl"
+    ]
+
+
+def test_refine_warnings_keep_example_order_across_chunks(
+    server, tmp_path, api_key, monkeypatch, capsys
+):
+    monkeypatch.setattr("slotchain.cli.REFINE_CHUNK", 2)
+    # texts A B | C A | D: A and C fail, A's second carrier from the memo
+    server.script += [(500, {"error": "boom"}), (200, {"text": "b"}),
+                      (500, {"error": "boom"}), (200, {"text": "d"})]
+    texts = [make_example(i).explanation for i in (0, 1, 2, 0, 3)]
+    examples = tuple(with_explanation(make_example(i), text) for i, text in enumerate(texts))
+    code, out_path = run_refine(server, tmp_path, examples)
+    err = capsys.readouterr().err
+    assert code == 3
+    warned = [line.split(": ")[1] for line in err.splitlines() if line.startswith("warning: ")]
+    assert warned == [examples[i].example_id for i in (0, 2, 3)]
+    assert "3 example(s) left unrefined" in err
+    assert server.n_requests == 4
+    written = [json.loads(line) for line in out_path.read_text(encoding="utf-8").splitlines()]
+    assert [row["explanation_kind"] for row in written] == [
+        "coarse", "refined", "coarse", "coarse", "refined"
+    ]
 
 
 # ---------------------------------------------------------------------------
