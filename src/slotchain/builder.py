@@ -8,7 +8,6 @@ the turns where the value changed.
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +22,7 @@ from .errors import (
     FormatError,
     ValidationError,
 )
-from .io import decode, encode, read_json, read_jsonl
+from .io import decode, json_line, read_json, read_jsonl
 from .normalize import DEFAULT_POLICY, NONE_VALUE, NormalizationPolicy, normalize_value
 
 TARGET_SEPARATOR = " | "
@@ -315,10 +314,7 @@ def build_dataset(
 
 
 def examples_to_jsonl(examples: Iterable[CoTExample]) -> str:
-    return "".join(
-        json.dumps(encode(example), ensure_ascii=False) + "\n"
-        for example in examples
-    )
+    return "".join(map(json_line, examples))
 
 
 def read_examples(path: str | Path) -> Iterator[CoTExample]:

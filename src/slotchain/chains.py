@@ -8,7 +8,8 @@ turn; dropping a previously set slot counts as a step to "none".
 ``extract_chain`` is the only place that detects changes. The dataset
 builder, the step histogram and the step buckets scan each (dialogue,
 slot) once, through the last turn; the chain at an earlier turn is the
-prefix of that chain up to the turn.
+prefix of that chain up to the turn. A raw value equal to the turn
+before's is not normalized again.
 """
 
 from __future__ import annotations
@@ -75,8 +76,12 @@ def extract_chain(
     change_turns: list[int] = []
     values: list[str] = []
     previous = NONE_VALUE
+    previous_raw = None  # an absent value, which stands for "none" like the start
     for turn in dialogue.turns[:query_turn]:
         raw = turn.gold_state.get(slot_id)
+        if raw == previous_raw:
+            continue  # states are cumulative: most turns restate the raw value
+        previous_raw = raw
         norm = normalize_value(raw, policy) if raw is not None else NONE_VALUE
         if norm != previous:
             change_turns.append(turn.index)

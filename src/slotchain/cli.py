@@ -7,9 +7,9 @@ else (progress, warnings, errors) goes to standard error. Exit codes:
 included), 2 usage error, 3 a refine run that finished with some items
 unrefined. No subcommand rewrites its input files: an --out naming one
 is an error. --out is written atomically, so an interrupted run leaves
-the old file whole. build writes one dialogue's examples at a time and
-refine one chunk of REFINE_CHUNK examples at a time, so neither holds
-the whole dataset.
+the old file whole. ingest and sample write one dialogue at a time,
+build one dialogue's examples at a time and refine one chunk of
+REFINE_CHUNK examples at a time, so none holds the whole output.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .corpus import (
     SPLITS,
     Corpus,
     Schema,
-    corpus_to_json,
+    corpus_json_lines,
     load_corpus,
     load_schema,
 )
@@ -130,7 +130,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
         f"ingested dialogues: {summary} (total {sum(counts.values())})",
         file=sys.stderr,
     )
-    _emit(corpus_to_json(corpus), args.out)
+    _emit(corpus_json_lines(corpus), args.out)
     return 0
 
 
@@ -254,14 +254,14 @@ def _cmd_sample(args: argparse.Namespace) -> int:
         f"(fraction {args.fraction}, seed {args.seed})",
         file=sys.stderr,
     )
-    _emit(corpus_to_json(sampled), args.out)
+    _emit(corpus_json_lines(sampled), args.out)
     return 0
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
     schema = _load_schema_arg(args.schema)
     corpus = _load_corpus_arg(args, schema)
-    predictions = load_predictions(args.predictions)
+    predictions = load_predictions(args.predictions, corpus)
     policy = DEFAULT_POLICY
     if args.policy:
         policy = decode(NormalizationPolicy, read_json(args.policy, expect=dict), args.policy)

@@ -263,21 +263,34 @@ def filter_excluded_domains(corpus: Corpus, exclude_domains: set[str]) -> Corpus
     return Corpus(schema=corpus.schema, dialogues=tuple(kept))
 
 
-def corpus_to_json(corpus: Corpus) -> str:
-    """The canonical dialogue-file text for a corpus.
+_INDENTED = json.JSONEncoder(ensure_ascii=False, indent=2)
+
+
+def corpus_json_lines(corpus: Corpus) -> Iterator[str]:
+    """The canonical dialogue-file text for a corpus, one dialogue at a
+    time: together, the bytes of ``json.dumps(records,
+    ensure_ascii=False, indent=2)`` and a newline. Each record is dumped
+    on its own and indented two more spaces (a JSON string holds no raw
+    newline).
 
     State keys are sorted so repeated renders are byte-stable. The schema
     is not embedded.
     """
-    records = [
-        {
+    opening = "[\n  "
+    for dialogue in corpus.dialogues:
+        record = {
             "dialogue_id": dialogue.dialogue_id,
             "split": dialogue.split,
             "turns": [encode(turn) for turn in dialogue.turns],
         }
-        for dialogue in corpus.dialogues
-    ]
-    return json.dumps(records, ensure_ascii=False, indent=2) + "\n"
+        yield opening + _INDENTED.encode(record).replace("\n", "\n  ")
+        opening = ",\n  "
+    yield "\n]\n" if corpus.dialogues else "[]\n"
+
+
+def corpus_to_json(corpus: Corpus) -> str:
+    """The whole text of ``corpus_json_lines``."""
+    return "".join(corpus_json_lines(corpus))
 
 
 # ---------------------------------------------------------------------------

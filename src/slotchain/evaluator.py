@@ -10,13 +10,14 @@ dialogue length (turn), and by average utterance length (len).
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .builder import avg_utterance_len, parse_generation
 from .chains import max_step_at_turns
@@ -56,72 +57,82 @@ class PredictionRecord:
             raise ValidationError("field 'text' must not be blank")
 
 
-def load_predictions(path: str | Path) -> tuple[PredictionRecord, ...]:
-    """Predictions from JSONL rows {dialogue_id, turn, slot_id, text}."""
-    records: list[PredictionRecord] = []
-    seen: dict[tuple[str, int, str], int] = {}
-    for line_number, where, data in read_jsonl(path):
-        record = decode(PredictionRecord, data, where)
-        key = (record.dialogue_id, record.query_turn, record.slot_id)
-        if key in seen:
-            raise DuplicatePredictionError(f"{where}: duplicates line {seen[key]} {key}")
-        seen[key] = line_number
-        records.append(record)
-    return tuple(records)
+def load_predictions(path: str | Path, corpus: Corpus) -> dict[tuple[str, int, str], str]:
+    """The prediction index of a JSONL file of rows {dialogue_id, turn,
+    slot_id, text}, checked against ``corpus``; see index_predictions."""
+    return index_predictions(corpus, functools.partial(read_jsonl, path))
 
 
-def _index_predictions(
-    corpus: Corpus,
-    predictions: Iterable[PredictionRecord],
+def index_predictions(
+    corpus: Corpus, read_rows: Callable[[], Iterable[tuple[int, str, object]]]
 ) -> dict[tuple[str, int, str], str]:
-    by_id = {d.dialogue_id: d for d in corpus.dialogues}
+    """The one map that scoring reads, (dialogue_id, turn, slot_id) ->
+    the value parsed from the row's text, built in one pass over
+    ``read_rows()``: (line number, "<file>: line <n>", parsed row)
+    triples, as read_jsonl gives them. Each row is checked as it comes,
+    its errors naming its line: its fields, its dialogue and slot
+    against ``corpus``, its turn against the dialogue's length, and its
+    key against the rows before it. A repeated key names both lines; the
+    earlier one is found by reading the rows again."""
+    n_turns = {d.dialogue_id: d.n_turns for d in corpus.dialogues}
+    slots = corpus.schema.by_id
     indexed: dict[tuple[str, int, str], str] = {}
-    for record in predictions:
-        dialogue = by_id.get(record.dialogue_id)
-        if dialogue is None:
-            raise UnknownDialogueError(f"prediction names unknown dialogue {record.dialogue_id!r}")
-        if record.slot_id not in corpus.schema:
-            raise UnknownSlotError(f"prediction names unknown slot {record.slot_id!r}")
-        if not 1 <= record.query_turn <= dialogue.n_turns:
+    for _, where, data in read_rows():
+        record = decode(PredictionRecord, data, where)
+        dialogue_id, turn, slot_id = key = (record.dialogue_id, record.query_turn, record.slot_id)
+        turns = n_turns.get(dialogue_id)
+        if turns is None:
+            raise UnknownDialogueError(f"{where}: prediction names unknown dialogue {dialogue_id!r}")
+        if slot_id not in slots:
+            raise UnknownSlotError(f"{where}: prediction names unknown slot {slot_id!r}")
+        if not 1 <= turn <= turns:
             raise TurnOutOfRangeError(
-                f"prediction turn {record.query_turn} outside dialogue "
-                f"{record.dialogue_id!r} with {dialogue.n_turns} turns"
+                f"{where}: prediction turn {turn} outside dialogue {dialogue_id!r} "
+                f"with {turns} turns"
             )
-        key = (record.dialogue_id, record.query_turn, record.slot_id)
         if key in indexed:
-            raise DuplicatePredictionError(f"duplicate prediction for {key}")
-        value, _ = parse_generation(record.generated_text)
-        indexed[key] = value
+            first = next(
+                line for line, _, row in read_rows()
+                if (row["dialogue_id"], row["turn"], row["slot_id"]) == key
+            )
+            raise DuplicatePredictionError(f"{where}: duplicates line {first} {key}")
+        indexed[key] = parse_generation(record.generated_text)[0]
     return indexed
 
 
 def _turn_correctness(
     corpus: Corpus,
-    predictions: Iterable[PredictionRecord],
+    predictions: Mapping[tuple[str, int, str], str],
     policy: NormalizationPolicy,
     split: str | None,
 ) -> tuple[dict[tuple[str, int], bool], int]:
     """Per evaluated turn, whether every slot matched; plus how many
-    (turn, slot) lookups fell back to the "none" default."""
-    indexed = _index_predictions(corpus, predictions)
-    slots = corpus.schema.slots
+    (turn, slot) lookups fell back to the "none" default. Each distinct
+    (predicted, gold, categorical) triple is compared once: the policy
+    is fixed for the run."""
+    slots = [(slot.slot_id, slot.is_categorical) for slot in corpus.schema.slots]
+    matches: dict[tuple[str, str, bool], bool] = {}
     correctness: dict[tuple[str, int], bool] = {}
     missing = 0
     for dialogue in corpus.dialogues_in(split):
+        dialogue_id = dialogue.dialogue_id
         for turn in dialogue.turns:
             ok = True
-            for slot in slots:
-                key = (dialogue.dialogue_id, turn.index, slot.slot_id)
-                predicted = indexed.get(key)
+            for slot_id, categorical in slots:
+                predicted = predictions.get((dialogue_id, turn.index, slot_id))
                 if predicted is None:
                     missing += 1
                     predicted = NONE_VALUE
-                gold = turn.gold_state.get(slot.slot_id, NONE_VALUE)
-                if ok and not values_match(
-                    predicted, gold, policy, categorical=slot.is_categorical
-                ):
-                    ok = False
-            correctness[(dialogue.dialogue_id, turn.index)] = ok
+                if ok:
+                    gold = turn.gold_state.get(slot_id, NONE_VALUE)
+                    triple = (predicted, gold, categorical)
+                    match = matches.get(triple)
+                    if match is None:
+                        match = matches[triple] = values_match(
+                            predicted, gold, policy, categorical=categorical
+                        )
+                    ok = match
+            correctness[(dialogue_id, turn.index)] = ok
     return correctness, missing
 
 
@@ -273,23 +284,25 @@ class EvalReport:
 
 def fine_grained_report(
     corpus: Corpus,
-    predictions: Sequence[PredictionRecord],
+    predictions: Mapping[tuple[str, int, str], str],
     policy: NormalizationPolicy = DEFAULT_POLICY,
     specs: Sequence[BucketSpec] = (),
     split: str | None = None,
 ) -> EvalReport:
     """Joint goal accuracy, the fraction of turns whose full predicted
     state matches gold, plus per-bucket accuracy for each axis spec.
-    Missing predictions default to "none" and are tallied in the report."""
+    ``predictions`` is the index load_predictions gives. Missing
+    predictions default to "none" and are tallied in the report."""
     correctness, missing = _turn_correctness(corpus, predictions, policy, split)
     n_turns = len(correctness)
     buckets: list[BucketResult] = []
     for spec in specs:
-        assignment = bucketize(corpus, spec, split, policy)
-        for bucket in spec.edges:
-            keys = [k for k, b in assignment.items() if b == bucket]
-            n = len(keys)
-            jga = sum(correctness[k] for k in keys) / n if n else None
+        tallies = {bucket: [0, 0] for bucket in spec.edges}  # turns, correct turns
+        for key, bucket in bucketize(corpus, spec, split, policy).items():
+            tally = tallies[bucket]
+            tally[0] += 1
+            tally[1] += correctness[key]
+        for bucket, (n, correct) in tallies.items():
             buckets.append(
                 BucketResult(
                     axis=spec.axis,
@@ -297,7 +310,7 @@ def fine_grained_report(
                     lo=bucket.lo,
                     hi=bucket.hi,
                     n_turns=n,
-                    jga=jga,
+                    jga=correct / n if n else None,
                 )
             )
     return EvalReport(

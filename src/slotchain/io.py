@@ -113,9 +113,16 @@ def bundled(name: str) -> Path | None:
 
 # ---------------------------------------------------------------------------
 # record codec
+#
+# Each class is planned once (_plan, then _decoder and _encoder). A planned
+# decoder checks each field by its exact type and hands nested records,
+# arrays of records and objects of scalars to planned loaders; anything
+# else, and anything that does not fit, goes to the walk (_walk, _field,
+# _load), which is the one place that words a fault.
 
 _SCALARS = {str: "a string", int: "an integer", float: "a number", bool: "a boolean"}
-_WRONG = object()  # what _load returns for a value of the wrong JSON type
+_WRONG = object()  # what _load and the planned decoders return for a value that does not fit
+_JSON = json.JSONEncoder(ensure_ascii=False)  # what json.dumps(..., ensure_ascii=False) builds
 
 
 @functools.cache
@@ -193,13 +200,9 @@ def _load(form, value, where: str | Path, name: str):
     return _WRONG if any(item is _WRONG for item in items) else form[0](items)
 
 
-def decode(cls: type, data: object, where: str | Path):
-    """The ``cls`` record the JSON object ``data`` describes. Each field
-    must fit its annotation (an integer fits a float, a boolean no
-    number), and none may be unknown or missing. A fault, or a
-    ValidationError from the constructor, is a FormatError naming
-    ``where`` (the file, and line for JSONL) and the field's JSON key
-    path."""
+def _walk(cls: type, data: object, where: str | Path):
+    """``decode`` field by field through _field, raising the FormatError
+    that names the first fault."""
     if not isinstance(data, dict):
         raise FormatError(f"{where}: expected a JSON object")
     fields, required = _plan(cls)
@@ -209,7 +212,7 @@ def decode(cls: type, data: object, where: str | Path):
         if planned is None:
             raise FormatError(f"{where}: unknown fields: {sorted(data.keys() - fields.keys())}")
         name, form = planned
-        kwargs[name] = value if type(value) is form else _field(form, value, where, key)
+        kwargs[name] = _field(form, value, where, key)
     if len(kwargs) < len(fields):
         missing = [key for key in required if key not in data]
         if missing:
@@ -220,22 +223,139 @@ def decode(cls: type, data: object, where: str | Path):
         raise FormatError(f"{where}: {exc}") from exc
 
 
-def _dump(form, value):
-    if value is None or form in _SCALARS:
-        return value
+def _whole_number(value):
+    """An integer in a float field: it fits as it is."""
+    return value if type(value) is int else _WRONG
+
+
+def _quick(form):
+    """The planned loader for the values of a ``form`` field that are
+    not of its exact scalar type: a function to the decoded value or
+    _WRONG. None leaves every such value to the walk; so do nullable
+    arrays and arrays of arrays, whose faults the walk words by the
+    whole array."""
+    if form is float:
+        return _whole_number
     if not isinstance(form, tuple):
-        return encode(value)
-    if form[0] == "null":
-        return _dump(form[1], value)
-    if form[0] is dict:
-        return {key: _dump(form[1], value[key]) for key in sorted(value)}
-    items = [_dump(form[1], item) for item in value]
-    return sorted(items) if form[0] is frozenset else items
+        return None if form in _SCALARS else _decoder(form)
+    kind, item = form[0], form[1]
+    if kind == "null":
+        inner = _quick(item) if item in _SCALARS else None
+        if inner is None:
+            return lambda value: None if value is None else _WRONG
+        return lambda value: None if value is None else inner(value)
+    if kind is dict and item in _SCALARS:
+        def scalar_object(value):
+            if type(value) is not dict:
+                return _WRONG
+            for entry in value.values():
+                if type(entry) is not item:
+                    return _WRONG
+            return value
+        return scalar_object
+    if kind is tuple and form[2] is None and dataclasses.is_dataclass(item):
+        decode_item = _decoder(item)
+
+        def records(value):
+            if type(value) is not list:
+                return _WRONG
+            decoded = []
+            for entry in value:
+                record = decode_item(entry)
+                if record is _WRONG:
+                    return _WRONG
+                decoded.append(record)
+            return tuple(decoded)
+        return records
+    return None
+
+
+@functools.cache
+def _decoder(cls: type):
+    """The planned decoder of ``cls``: a function from a parsed JSON
+    value to the record, or _WRONG when anything in it does not fit (a
+    type, an unknown or missing field, a ValidationError)."""
+    fields, required = _plan(cls)
+    steps = {}
+    for key, (name, form) in fields.items():
+        exact = form[1] if isinstance(form, tuple) and form[0] == "null" else form
+        steps[key] = name, exact if exact in _SCALARS else None, _quick(form)
+    n_fields = len(fields)
+
+    def decode_planned(data):
+        if type(data) is not dict:
+            return _WRONG
+        kwargs = {}
+        for key, value in data.items():
+            step = steps.get(key)
+            if step is None:
+                return _WRONG
+            name, exact, load = step
+            if type(value) is not exact and (load is None or (value := load(value)) is _WRONG):
+                return _WRONG
+            kwargs[name] = value
+        if len(kwargs) < n_fields and any(key not in data for key in required):
+            return _WRONG
+        try:
+            return cls(**kwargs)
+        except ValidationError:
+            return _WRONG
+    return decode_planned
+
+
+def decode(cls: type, data: object, where: str | Path):
+    """The ``cls`` record the JSON object ``data`` describes. Each field
+    must fit its annotation (an integer fits a float, a boolean no
+    number), and none may be unknown or missing. A fault, or a
+    ValidationError from the constructor, is a FormatError naming
+    ``where`` (the file, and line for JSONL) and the field's JSON key
+    path."""
+    record = _decoder(cls)(data)
+    return _walk(cls, data, where) if record is _WRONG else record
+
+
+def _dumper(form):
+    """The function from a field value of ``form`` to its JSON value, or
+    None when the value is its own JSON value."""
+    if form in _SCALARS:
+        return None
+    if not isinstance(form, tuple):
+        return _encoder(form)
+    kind, item = form[0], _dumper(form[1])
+    if kind == "null":
+        return None if item is None else lambda value: None if value is None else item(value)
+    if kind is dict:
+        if item is None:
+            return lambda value: {key: value[key] for key in sorted(value)}
+        return lambda value: {key: item(value[key]) for key in sorted(value)}
+    if kind is frozenset:
+        return sorted  # the codec's frozensets hold strings
+    return list if item is None else lambda value: [item(entry) for entry in value]
+
+
+@functools.cache
+def _encoder(cls: type):
+    """The planned encoder of ``cls``: a function from a record to its
+    JSON object."""
+    fields, _ = _plan(cls)
+    steps = [(key, name, _dumper(form)) for key, (name, form) in fields.items()]
+
+    def encode_planned(record) -> dict:
+        data = {}
+        for key, name, dump in steps:
+            value = getattr(record, name)
+            data[key] = value if dump is None else dump(value)
+        return data
+    return encode_planned
 
 
 def encode(record) -> dict:
     """The JSON object for a dataclass record: one key per field, in
     field order. Tuples become arrays, frozensets sorted arrays, dicts
     objects with sorted keys, and nested records objects."""
-    fields, _ = _plan(type(record))
-    return {key: _dump(form, getattr(record, name)) for key, (name, form) in fields.items()}
+    return _encoder(type(record))(record)
+
+
+def json_line(record) -> str:
+    """A record as one JSON Lines line, non-ASCII characters kept."""
+    return _JSON.encode(encode(record)) + "\n"

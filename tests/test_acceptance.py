@@ -36,9 +36,9 @@ from slotchain.corpus import (
 from slotchain.errors import ValidationError
 from slotchain.evaluator import (
     fine_grained_report,
+    index_predictions,
     load_bucket_spec,
     low_resource_sample,
-    PredictionRecord,
 )
 from slotchain.normalize import DEFAULT_POLICY
 from slotchain.refiner import RefineConfig, refine_batch, refine_one, strip_speaker_tags
@@ -268,6 +268,11 @@ def test_mwz22_ingest_on_one_dialogue_per_split(tmp_path):
         _ingest_mwz22(tmp_path)
 
 
+def numbered(rows):
+    """Prediction rows as load_predictions reads them from a file."""
+    return ((i, f"rows: line {i}", row) for i, row in enumerate(rows, start=1))
+
+
 @criterion(3, "joint goal accuracy equals the brute-force recount")
 def test_criterion_3_jga_oracle_equivalence():
     start = time.monotonic()
@@ -275,12 +280,9 @@ def test_criterion_3_jga_oracle_equivalence():
         rng = random.Random(seed)
         corpus = make_corpus(rng, max_dialogues=5, max_turns=6, max_slots=4)
         rows = make_predictions(rng, corpus)
-        records = tuple(
-            PredictionRecord(r["dialogue_id"], r["turn"], r["slot_id"], r["text"])
-            for r in rows
-        )
+        predictions = index_predictions(corpus, lambda: numbered(rows))
         expected = oracle_jga(corpus, rows, DEFAULT_POLICY)
-        got = fine_grained_report(corpus, records).overall_jga
+        got = fine_grained_report(corpus, predictions).overall_jga
         assert got == expected, f"seed {seed}: {got} != {expected}"
     elapsed = time.monotonic() - start
     assert elapsed < 30, f"took {elapsed:.1f}s"
@@ -294,11 +296,8 @@ def test_criterion_4_fine_grained_consistency():
         rng = random.Random(seed)
         corpus = make_corpus(rng, max_dialogues=5, max_turns=6, max_slots=4)
         rows = make_predictions(rng, corpus)
-        records = tuple(
-            PredictionRecord(r["dialogue_id"], r["turn"], r["slot_id"], r["text"])
-            for r in rows
-        )
-        report = fine_grained_report(corpus, records, specs=specs)
+        predictions = index_predictions(corpus, lambda: numbered(rows))
+        report = fine_grained_report(corpus, predictions, specs=specs)
         for axis in ("step", "turn", "len"):
             buckets = [b for b in report.buckets if b.axis == axis]
             assert sum(b.n_turns for b in buckets) == report.n_turns, f"seed {seed}"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from oracles import (
     oracle_multi_step_fraction,
     oracle_step_histogram,
 )
+from slotchain import chains
 from slotchain.chains import (
     SlotChain,
     chains_by_slot,
@@ -19,7 +21,15 @@ from slotchain.chains import (
     max_step_at_turns,
     step_histogram,
 )
-from slotchain.corpus import Corpus, Dialogue, Schema, SlotSchema, TurnPair
+from slotchain.corpus import (
+    Corpus,
+    Dialogue,
+    Schema,
+    SlotSchema,
+    TurnPair,
+    load_corpus,
+    load_schema,
+)
 from slotchain.errors import TurnOutOfRangeError
 from slotchain.normalize import DEFAULT_POLICY
 
@@ -270,3 +280,26 @@ def test_histogram_to_dict_sorted():
     hist = step_histogram(corpus)
     keys = list(hist.to_dict().keys())
     assert keys == sorted(keys, key=int)
+
+
+def test_step_histogram_normalizes_each_raw_value_change_once(monkeypatch):
+    # Gold states are cumulative, so most turns restate the raw value of
+    # the turn before; only a raw value that differs needs normalizing.
+    fixtures = Path(__file__).parent / "fixtures"
+    schema = load_schema(fixtures / "fixture_schema.json")
+    corpus = load_corpus([fixtures / "fixture_dialogues.json"], schema)
+    changes = 0
+    for dialogue in corpus.dialogues:
+        for slot_id in {s for turn in dialogue.turns for s in turn.gold_state}:
+            previous = None
+            for turn in dialogue.turns:
+                raw = turn.gold_state.get(slot_id)
+                changes += raw != previous
+                previous = raw
+    calls = []
+    normalize = chains.normalize_value
+    monkeypatch.setattr(
+        chains, "normalize_value", lambda raw, policy: calls.append(raw) or normalize(raw, policy)
+    )
+    assert step_histogram(corpus).total_active == 35
+    assert 0 < len(calls) <= changes

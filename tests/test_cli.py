@@ -305,9 +305,25 @@ MALFORMED_INPUTS = {
     ),
     "predictions unknown key": (
         ["eval", "--corpus", DIALOGUES, "--schema", SCHEMA, "--predictions", "{file}"],
-        b'{"dialogue_id": "d1", "turn": 1, "slot_id": "hotel-area", "text": "north"}\n'
-        b'{"dialogue_id": "d1", "turn": 2, "slot_id": "hotel-area", "txt": "north"}\n',
+        b'{"dialogue_id": "fix007", "turn": 1, "slot_id": "hotel-area", "text": "north"}\n'
+        b'{"dialogue_id": "fix007", "turn": 2, "slot_id": "hotel-area", "txt": "north"}\n',
         "line 2: unknown fields: ['txt']",
+    ),
+    "predictions unknown dialogue": (
+        ["eval", "--corpus", DIALOGUES, "--schema", SCHEMA, "--predictions", "{file}"],
+        b'{"dialogue_id": "fix007", "turn": 1, "slot_id": "hotel-area", "text": "north"}\n'
+        b'{"dialogue_id": "ghost", "turn": 1, "slot_id": "hotel-area", "text": "north"}\n',
+        "line 2: prediction names unknown dialogue 'ghost'",
+    ),
+    "predictions unknown slot": (
+        ["eval", "--corpus", DIALOGUES, "--schema", SCHEMA, "--predictions", "{file}"],
+        b'{"dialogue_id": "fix007", "turn": 1, "slot_id": "hotel-nope", "text": "north"}\n',
+        "line 1: prediction names unknown slot 'hotel-nope'",
+    ),
+    "predictions turn out of range": (
+        ["eval", "--corpus", DIALOGUES, "--schema", SCHEMA, "--predictions", "{file}"],
+        b'\n{"dialogue_id": "fix007", "turn": 99, "slot_id": "hotel-area", "text": "north"}\n',
+        "line 2: prediction turn 99 outside dialogue 'fix007' with 3 turns",
     ),
     "canonical empty user utterance": (
         ["validate", "--corpus", "{file}", "--schema", SCHEMA],

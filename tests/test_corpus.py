@@ -15,6 +15,7 @@ from slotchain.corpus import (
     Schema,
     SlotSchema,
     TurnPair,
+    corpus_json_lines,
     corpus_to_json,
     filter_excluded_domains,
     infer_split,
@@ -24,7 +25,7 @@ from slotchain.corpus import (
     validate_schema,
 )
 from slotchain.errors import FormatError, ValidationError
-from slotchain.io import read_json
+from slotchain.io import encode, read_json
 
 
 def small_schema() -> Schema:
@@ -168,6 +169,31 @@ def test_corpus_round_trip_randomized(tmp_path):
         path.write_text(corpus_to_json(corpus), encoding="utf-8")
         loaded = load_corpus([path], corpus.schema)
         assert loaded == corpus
+
+
+def one_dump(corpus: Corpus) -> str:
+    """The corpus file text as one json.dumps of every record."""
+    records = [
+        {"dialogue_id": d.dialogue_id, "split": d.split, "turns": [encode(t) for t in d.turns]}
+        for d in corpus.dialogues
+    ]
+    return json.dumps(records, ensure_ascii=False, indent=2) + "\n"
+
+
+def test_corpus_is_written_one_dialogue_at_a_time_as_one_dump_would_write_it():
+    schema = small_schema()
+    one = Corpus(schema, (
+        Dialogue("café\n1", (
+            turn(1, {"restaurant-food": "crêpes \"maison\"", "hotel-area": "north"}),
+            turn(2, {}, system="ok\tthen", user="ünïcode and {braces} [brackets]"),
+        ), "train"),
+    ))
+    generated = make_corpus(random.Random(7))
+    for corpus in (Corpus(schema, ()), one, generated):
+        chunks = list(corpus_json_lines(corpus))
+        assert "".join(chunks) == one_dump(corpus)
+        assert len(chunks) == len(corpus.dialogues) + 1
+    assert corpus_to_json(Corpus(schema, ())) == "[]\n"
 
 
 def test_save_corpus_is_byte_stable(tmp_path):

@@ -4,9 +4,11 @@ report emission, cross-checked against the brute-force oracles."""
 import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
+from slotchain import cli, evaluator
 from slotchain.corpus import Corpus, Dialogue, Schema, SlotSchema, TurnPair
 from slotchain.errors import (
     DuplicatePredictionError,
@@ -22,9 +24,9 @@ from slotchain.evaluator import (
     BucketResult,
     BucketSpec,
     EvalReport,
-    PredictionRecord,
     bucketize,
     fine_grained_report,
+    index_predictions,
     load_bucket_spec,
     load_predictions,
     low_resource_sample,
@@ -41,9 +43,11 @@ from oracles import oracle_jga
 FUZZY_POLICY = NormalizationPolicy(fuzzy_ratio_threshold=0.9)
 
 
-def to_records(rows):
-    return tuple(
-        PredictionRecord(r["dialogue_id"], r["turn"], r["slot_id"], r["text"]) for r in rows
+def to_index(corpus, rows):
+    """The prediction index of ``rows``, built and checked as
+    load_predictions builds it from a file's lines."""
+    return index_predictions(
+        corpus, lambda: ((i, f"rows: line {i}", row) for i, row in enumerate(rows, start=1))
     )
 
 
@@ -120,7 +124,7 @@ def perfect_rows(corpus, split=None):
 
 def test_perfect_predictions_score_one():
     corpus = hand_corpus()
-    report = fine_grained_report(corpus, to_records(perfect_rows(corpus)))
+    report = fine_grained_report(corpus, to_index(corpus, perfect_rows(corpus)))
     assert report.overall_jga == 1.0
     assert report.n_turns == 6
     assert report.n_dialogues == 2
@@ -133,7 +137,7 @@ def test_one_wrong_slot_sinks_exactly_one_turn():
     for row in rows:
         if row["dialogue_id"] == "d1" and row["turn"] == 2 and row["slot_id"] == "hotel-stars":
             row["text"] = "4"
-    report = fine_grained_report(corpus, to_records(rows))
+    report = fine_grained_report(corpus, to_index(corpus, rows))
     assert report.overall_jga == pytest.approx(5 / 6)
 
 
@@ -143,14 +147,14 @@ def test_all_none_predictions_fail_every_annotated_turn():
     rows = perfect_rows(d1_only)
     for row in rows:
         row["text"] = "none"
-    report = fine_grained_report(d1_only, to_records(rows))
+    report = fine_grained_report(d1_only, to_index(d1_only, rows))
     assert report.overall_jga == 0.0
 
 
 def test_missing_predictions_default_to_none_and_are_counted():
     corpus = hand_corpus()
     rows = [r for r in perfect_rows(corpus) if r["dialogue_id"] != "d2"]
-    report = fine_grained_report(corpus, to_records(rows))
+    report = fine_grained_report(corpus, to_index(corpus, rows))
     assert report.n_missing_predictions == 9
     assert report.overall_jga == pytest.approx(4 / 6)
 
@@ -161,7 +165,7 @@ def test_normalization_applied_before_comparison():
     for row in rows:
         if row["text"] != "none":
             row["text"] = f"  {row['text'].upper()}. "
-    report = fine_grained_report(corpus, to_records(rows))
+    report = fine_grained_report(corpus, to_index(corpus, rows))
     assert report.overall_jga == 1.0
 
 
@@ -170,7 +174,7 @@ def test_explanation_suffix_ignored_for_scoring():
     rows = perfect_rows(corpus)
     for row in rows:
         row["text"] = f"{row['text']} | the user asked for it"
-    report = fine_grained_report(corpus, to_records(rows))
+    report = fine_grained_report(corpus, to_index(corpus, rows))
     assert report.overall_jga == 1.0
 
 
@@ -180,22 +184,22 @@ def test_fuzzy_matching_gated_by_policy_and_slot_kind():
     for row in rows:
         if row["text"] == "chinese":
             row["text"] = "chinesse"
-    strict = fine_grained_report(corpus, to_records(rows))
-    loose = fine_grained_report(corpus, to_records(rows), policy=FUZZY_POLICY)
+    strict = fine_grained_report(corpus, to_index(corpus, rows))
+    loose = fine_grained_report(corpus, to_index(corpus, rows), policy=FUZZY_POLICY)
     assert strict.overall_jga == pytest.approx(4 / 6)
     assert loose.overall_jga == 1.0
     for row in rows:
         if row["slot_id"] == "hotel-area" and row["text"] == "north":
             row["text"] = "norrth"
-    still_strict_on_categorical = fine_grained_report(corpus, to_records(rows), policy=FUZZY_POLICY)
+    still_strict_on_categorical = fine_grained_report(corpus, to_index(corpus, rows), policy=FUZZY_POLICY)
     assert still_strict_on_categorical.overall_jga < 1.0
 
 
 def test_split_filtering_scores_only_that_split():
     corpus = hand_corpus()
-    report = fine_grained_report(corpus, to_records(perfect_rows(corpus)), split="test")
+    report = fine_grained_report(corpus, to_index(corpus, perfect_rows(corpus)), split="test")
     assert report.n_turns == 6
-    empty = fine_grained_report(corpus, to_records(perfect_rows(corpus)), split="train")
+    empty = fine_grained_report(corpus, to_index(corpus, perfect_rows(corpus)), split="train")
     assert empty.n_turns == 0
     assert empty.n_dialogues == 0
     assert empty.overall_jga == 0.0
@@ -209,7 +213,7 @@ def test_matches_oracle_over_seeded_corpora():
         policy = FUZZY_POLICY if seed % 3 == 0 else DEFAULT_POLICY
         split = [None, "train", "dev"][seed % 3]
         expected = oracle_jga(corpus, rows, policy, split=split)
-        report = fine_grained_report(corpus, to_records(rows), policy=policy, split=split)
+        report = fine_grained_report(corpus, to_index(corpus, rows), policy=policy, split=split)
         assert report.overall_jga == pytest.approx(expected, abs=1e-12), f"seed {seed}"
 
 
@@ -220,7 +224,7 @@ def test_oracle_agreement_survives_explanation_suffixes():
         rows = make_predictions(rng, corpus)
         suffixed = [dict(r, text=r["text"] + " | so the value stands") for r in rows]
         expected = oracle_jga(corpus, rows, DEFAULT_POLICY)
-        report = fine_grained_report(corpus, to_records(suffixed))
+        report = fine_grained_report(corpus, to_index(corpus, suffixed))
         assert report.overall_jga == pytest.approx(expected, abs=1e-12), f"seed {seed}"
 
 
@@ -229,13 +233,13 @@ def test_extra_corruption_never_raises_jga():
         rng = random.Random(20_000 + seed)
         corpus = make_corpus(rng)
         rows = perfect_rows(corpus)
-        previous = fine_grained_report(corpus, to_records(rows)).overall_jga
+        previous = fine_grained_report(corpus, to_index(corpus, rows)).overall_jga
         assert previous == 1.0
         order = list(range(len(rows)))
         rng.shuffle(order)
         for position in order[:5]:
             rows[position]["text"] = "definitely wrong value"
-            current = fine_grained_report(corpus, to_records(rows)).overall_jga
+            current = fine_grained_report(corpus, to_index(corpus, rows)).overall_jga
             assert current <= previous + 1e-12
             previous = current
 
@@ -248,33 +252,33 @@ def test_duplicate_prediction_rejected():
     corpus = hand_corpus()
     rows = perfect_rows(corpus)
     with pytest.raises(DuplicatePredictionError):
-        fine_grained_report(corpus, to_records(rows + rows[:1]))
+        fine_grained_report(corpus, to_index(corpus, rows + rows[:1]))
 
 
 def test_unknown_dialogue_rejected():
     corpus = hand_corpus()
-    records = (PredictionRecord("ghost", 1, "hotel-area", "north"),)
+    rows = [{"dialogue_id": "ghost", "turn": 1, "slot_id": "hotel-area", "text": "north"}]
     with pytest.raises(UnknownDialogueError, match="ghost"):
-        fine_grained_report(corpus, records)
+        fine_grained_report(corpus, to_index(corpus, rows))
 
 
 def test_unknown_slot_rejected():
     corpus = hand_corpus()
-    records = (PredictionRecord("d1", 1, "hotel-parking", "yes"),)
+    rows = [{"dialogue_id": "d1", "turn": 1, "slot_id": "hotel-parking", "text": "yes"}]
     with pytest.raises(UnknownSlotError, match="hotel-parking"):
-        fine_grained_report(corpus, records)
+        fine_grained_report(corpus, to_index(corpus, rows))
 
 
 def test_out_of_range_turn_rejected():
     corpus = hand_corpus()
-    records = (PredictionRecord("d1", 4, "hotel-area", "north"),)
+    rows = [{"dialogue_id": "d1", "turn": 4, "slot_id": "hotel-area", "text": "north"}]
     with pytest.raises(TurnOutOfRangeError):
-        fine_grained_report(corpus, records)
+        fine_grained_report(corpus, to_index(corpus, rows))
 
 
 def test_predictions_for_other_splits_are_ignored_not_errors():
     corpus = hand_corpus()
-    report = fine_grained_report(corpus, to_records(perfect_rows(corpus)), split="train")
+    report = fine_grained_report(corpus, to_index(corpus, perfect_rows(corpus)), split="train")
     assert report.n_turns == 0
 
 
@@ -283,8 +287,7 @@ def test_load_predictions_round_trip(tmp_path):
     rows = perfect_rows(corpus)
     path = tmp_path / "predictions.jsonl"
     write_rows(path, rows)
-    records = load_predictions(path)
-    assert records == to_records(rows)
+    assert load_predictions(path, corpus) == to_index(corpus, rows)
 
 
 def test_load_predictions_skips_blank_lines(tmp_path):
@@ -295,7 +298,7 @@ def test_load_predictions_skips_blank_lines(tmp_path):
         '{"dialogue_id": "d1", "turn": 2, "slot_id": "hotel-area", "text": "north"}\n',
         encoding="utf-8",
     )
-    assert len(load_predictions(path)) == 2
+    assert len(load_predictions(path, hand_corpus())) == 2
 
 
 def test_load_predictions_names_the_bad_line(tmp_path):
@@ -306,7 +309,7 @@ def test_load_predictions_names_the_bad_line(tmp_path):
         encoding="utf-8",
     )
     with pytest.raises(FormatError, match="line 2"):
-        load_predictions(path)
+        load_predictions(path, hand_corpus())
 
 
 @pytest.mark.parametrize(
@@ -324,7 +327,7 @@ def test_load_predictions_rejects_malformed_rows(tmp_path, row):
     path = tmp_path / "predictions.jsonl"
     write_rows(path, [row])
     with pytest.raises(FormatError, match="line 1"):
-        load_predictions(path)
+        load_predictions(path, hand_corpus())
 
 
 def test_load_predictions_rejects_duplicates_naming_both_lines(tmp_path):
@@ -332,7 +335,7 @@ def test_load_predictions_rejects_duplicates_naming_both_lines(tmp_path):
     row = {"dialogue_id": "d1", "turn": 1, "slot_id": "hotel-area", "text": "north"}
     write_rows(path, [row, row])
     with pytest.raises(DuplicatePredictionError, match="line 2.*line 1"):
-        load_predictions(path)
+        load_predictions(path, hand_corpus())
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +488,7 @@ def test_bucket_jga_weighted_mean_equals_overall():
         rng = random.Random(40_000 + seed)
         corpus = make_corpus(rng)
         rows = make_predictions(rng, corpus)
-        report = fine_grained_report(corpus, to_records(rows), specs=all_specs())
+        report = fine_grained_report(corpus, to_index(corpus, rows), specs=all_specs())
         for axis in ("step", "turn", "len"):
             rows_for_axis = [b for b in report.buckets if b.axis == axis]
             assert sum(b.n_turns for b in rows_for_axis) == report.n_turns
@@ -498,8 +501,8 @@ def test_bucket_jga_weighted_mean_equals_overall():
 
 def test_empty_bucket_reports_undefined_not_zero():
     corpus = hand_corpus()
-    records = to_records(perfect_rows(corpus))
-    report = fine_grained_report(corpus, records, specs=[load_bucket_spec("mwz_turn")])
+    predictions = to_index(corpus, perfect_rows(corpus))
+    report = fine_grained_report(corpus, predictions, specs=[load_bucket_spec("mwz_turn")])
     by_label = {b.label: b for b in report.buckets}
     assert by_label["0-9"].n_turns == 6
     assert by_label["0-9"].jga == 1.0
@@ -510,7 +513,7 @@ def test_empty_bucket_reports_undefined_not_zero():
 
 def test_report_without_specs_has_no_buckets():
     corpus = hand_corpus()
-    report = fine_grained_report(corpus, to_records(perfect_rows(corpus)))
+    report = fine_grained_report(corpus, to_index(corpus, perfect_rows(corpus)))
     assert report.buckets == ()
 
 
@@ -621,7 +624,7 @@ def full_report():
         if row["dialogue_id"] == "d1" and row["turn"] == 2 and row["slot_id"] == "hotel-stars":
             row["text"] = "4"
     return fine_grained_report(
-        corpus, to_records(rows), policy=FUZZY_POLICY, specs=all_specs()
+        corpus, to_index(corpus, rows), policy=FUZZY_POLICY, specs=all_specs()
     )
 
 
@@ -656,7 +659,7 @@ def test_markdown_has_one_table_per_axis_and_na_for_empty_buckets():
 
 def test_markdown_without_buckets_has_no_tables():
     corpus = hand_corpus()
-    report = fine_grained_report(corpus, to_records(perfect_rows(corpus)))
+    report = fine_grained_report(corpus, to_index(corpus, perfect_rows(corpus)))
     text = render_report(report, "markdown")
     assert "| bucket" not in text
     assert "overall JGA: 1.0000" in text
@@ -687,3 +690,25 @@ def test_report_preserves_policy_through_serialization(tmp_path):
     path = tmp_path / "report.json"
     path.write_text(render_report(report, "json"), encoding="utf-8")
     assert read_report(path).policy == FUZZY_POLICY
+
+
+def test_report_compares_each_distinct_value_pair_once(monkeypatch, tmp_path):
+    # The policy is fixed for a run, so a (predicted, gold, categorical)
+    # triple that came up before has the same answer.
+    fixtures = Path(__file__).parent / "fixtures"
+    compared = []
+    original = evaluator.values_match
+
+    def recording(predicted, gold, policy, *, categorical):
+        compared.append((predicted, gold, categorical))
+        return original(predicted, gold, policy, categorical=categorical)
+
+    monkeypatch.setattr(evaluator, "values_match", recording)
+    code = cli.main([
+        "eval", "--corpus", str(fixtures / "fixture_dialogues.json"),
+        "--schema", str(fixtures / "fixture_schema.json"),
+        "--predictions", str(fixtures / "predictions.jsonl"),
+        "--buckets", "step", "mwz_turn", "mwz_len", "--out", str(tmp_path / "report.json"),
+    ])
+    assert code == 0
+    assert compared and len(compared) == len(set(compared))

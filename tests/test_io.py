@@ -25,7 +25,7 @@ from slotchain.builder import (
     load_template,
     read_examples,
 )
-from slotchain.corpus import TurnPair, load_corpus, load_schema
+from slotchain.corpus import Corpus, Dialogue, SlotSchema, TurnPair, load_corpus, load_schema
 from slotchain.errors import FormatError, SlotchainError
 from slotchain.evaluator import (
     AXES,
@@ -36,6 +36,7 @@ from slotchain.evaluator import (
     load_predictions,
     read_report,
 )
+from slotchain import io as io_layer
 from slotchain.io import (
     decode,
     encode,
@@ -51,6 +52,8 @@ from slotchain.refiner import RefineConfig, load_refine_config
 SRC = Path(__file__).resolve().parents[1] / "src" / "slotchain"
 FIXTURES = Path(__file__).parent / "fixtures"
 SCHEMA = load_schema(FIXTURES / "fixture_schema.json")
+# The corpus predictions are checked against: VALID_RECORDS' prediction fits it.
+CORPUS = Corpus(SCHEMA, (Dialogue("d1", (TurnPair(1, "", "hi"),), "train"),))
 
 # Every loader a CLI option reaches, called on one file.
 LOADERS = {
@@ -60,7 +63,7 @@ LOADERS = {
     "m2m_flat": lambda path: load_corpus([path], SCHEMA, style="m2m_flat", split="train"),
     "sgd_state": lambda path: load_corpus([path], SCHEMA, style="sgd_state", split="train"),
     "examples": lambda path: tuple(read_examples(path)),
-    "predictions": load_predictions,
+    "predictions": lambda path: load_predictions(path, CORPUS),
     "report": read_report,
     "bucket spec": lambda path: load_bucket_spec(str(path)),
     "template": load_template,
@@ -380,6 +383,95 @@ def test_codec_rejects_an_annotation_it_cannot_handle():
 
     with pytest.raises(TypeError, match="cannot handle"):
         encode(Odd([]))
+
+
+def codec_turn(index, state):
+    return {"index": index, "system": "ok" if index > 1 else "", "user": "hi", "state": state}
+
+
+META = {"dialogue_id": "d1", "query_turn": 2, "slot_id": "hotel-area", "step_count": 1,
+        "dialogue_turns": 3, "avg_utterance_len": 4.5}
+# Each form the planned decoder treats apart, with the exact message of
+# its fault; the walk words every fault, whichever path found it.
+CODEC_FAULTS = {
+    "array of records": (
+        EvalReport,
+        dict(VALID_RECORDS["report"], buckets=[
+            dict(VALID_RECORDS["report"]["buckets"][0], jga="x"),
+            VALID_RECORDS["report"]["buckets"][1],
+        ]),
+        "rec.json: buckets[0]: field 'jga' must be a number or null",
+    ),
+    "array of arrays": (
+        RefineConfig,
+        {"offline": True, "demonstrations": [["a", "b"], [1, {"a": 1}]]},
+        "rec.json: field 'demonstrations' must be an array of arrays of 2 strings",
+    ),
+    "nullable array": (
+        SlotSchema,
+        {"slot_id": "hotel-stars", "domain": "hotel", "name": "stars",
+         "description": "star rating", "possible_values": ["1", 2]},
+        "rec.json: field 'possible_values' must be an array of strings or null",
+    ),
+    "object of strings": (
+        Dialogue,
+        {"dialogue_id": "d1", "split": "train", "turns": [
+            codec_turn(1, {}), codec_turn(2, {"hotel-area": "north"}),
+            codec_turn(3, {"hotel-area": 2}),
+        ]},
+        "rec.json: turns[2]: state: field 'hotel-area' must be a string",
+    ),
+    "unknown field of a record in an array": (
+        Dialogue,
+        {"dialogue_id": "d1", "split": "train",
+         "turns": [codec_turn(1, {}), {"index": 2, "user": "hi", "sytem": "ok"}]},
+        "rec.json: turns[1]: unknown fields: ['sytem']",
+    ),
+    "boolean in an integer field": (
+        ExampleMeta, dict(META, query_turn=True), "rec.json: field 'query_turn' must be an integer",
+    ),
+    "boolean in a float field": (
+        ExampleMeta,
+        dict(META, avg_utterance_len=False),
+        "rec.json: field 'avg_utterance_len' must be a number",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CODEC_FAULTS))
+def test_codec_words_each_fault_exactly(case):
+    cls, data, message = CODEC_FAULTS[case]
+    with pytest.raises(FormatError) as caught:
+        decode(cls, data, "rec.json")
+    assert str(caught.value) == message
+
+
+def test_codec_keeps_an_integer_in_a_float_field():
+    meta = decode(ExampleMeta, dict(META, avg_utterance_len=4), "rec.json")
+    assert type(meta.avg_utterance_len) is int and meta.avg_utterance_len == 4
+    assert encode(meta) == dict(META, avg_utterance_len=4)
+
+
+def test_codec_plans_each_class_once(monkeypatch):
+    # Well-formed records of the hot classes never reach the walk, and
+    # each class is planned once however many records are decoded.
+    walked = []
+    load = io_layer._load
+    monkeypatch.setattr(io_layer, "_load", lambda *args: walked.append(args) or load(*args))
+    for planner in (io_layer._decoder, io_layer._encoder):
+        planner.cache_clear()
+    records = {
+        Dialogue: VALID_RECORDS["canonical corpus"],
+        CoTExample: VALID_RECORDS["examples"],
+        PredictionRecord: VALID_RECORDS["predictions"],
+    }
+    for _ in range(50):
+        for cls, data in records.items():
+            assert encode(decode(cls, data, "rec.json")) == encode(decode(cls, data, "rec.json"))
+    assert walked == []
+    planned = {Dialogue, TurnPair, CoTExample, ExampleMeta, PredictionRecord}
+    assert io_layer._decoder.cache_info().misses == len(planned)
+    assert io_layer._encoder.cache_info().misses == len(planned)
 
 
 # ---------------------------------------------------------------------------
