@@ -1,5 +1,5 @@
-"""Every JSON/JSONL read, bundled-resource lookup and output write, and
-the codec between dataclass records and JSON objects.
+"""Every JSON/JSONL read, bundled-resource lookup, output write and HTTP
+request, and the codec between dataclass records and JSON objects.
 
 A bad byte, broken JSON or a record field that does not fit its
 annotation is a FormatError naming the file (and line, and field); an
@@ -18,9 +18,12 @@ import types
 import typing
 from importlib import resources
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from .errors import FormatError, ValidationError
+
+if TYPE_CHECKING:
+    from http.client import HTTPMessage
 
 
 def _parse(text: str, where: str):
@@ -96,6 +99,38 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
         raise
 
 
+def http_post(
+    url: str, body: bytes, headers: dict[str, str], timeout: float
+) -> tuple[int, HTTPMessage, bytes]:
+    """(status, headers, body) of the reply to a POST of ``body`` to an
+    http:// or https:// ``url``, whatever its status, sent on a new
+    connection. No redirect is followed, so ``headers`` never reach
+    another host. Proxies come from ``http(s)_proxy`` and ``no_proxy``;
+    TLS is verified against the system trust store, or ``SSL_CERT_FILE``.
+    A connection that fails, times out or cuts the reply short raises
+    OSError; a URL of another scheme raises ValueError."""
+    import http.client  # here, not at the top: most runs never make a request
+    import urllib.parse
+    import urllib.request
+
+    if urllib.parse.urlsplit(url).scheme not in ("http", "https"):
+        raise ValueError(f"{url!r} is not an http:// or https:// URL")
+    # Without redirect or error handlers, the opener returns every reply.
+    opener = urllib.request.OpenerDirector()
+    for handler in (
+        urllib.request.ProxyHandler(),
+        urllib.request.HTTPHandler(),
+        urllib.request.HTTPSHandler(),
+    ):
+        opener.add_handler(handler)
+    request = urllib.request.Request(url, body, headers, method="POST")
+    try:
+        with opener.open(request, timeout=timeout) as response:
+            return response.status, response.headers, response.read()
+    except http.client.HTTPException as exc:  # a malformed or truncated reply
+        raise ConnectionError(f"bad reply: {exc!r}") from exc
+
+
 def file_or_bundled(value: str, folder: str) -> Path | None:
     """``value`` itself when it names a file; else, when ``value`` is a
     bare name, the bundled ``data/<folder>/<value>.json`` if it exists;
@@ -116,9 +151,9 @@ def bundled(name: str) -> Path | None:
 #
 # Each class is planned once (_plan, then _decoder and _encoder). A planned
 # decoder checks each field by its exact type and hands nested records,
-# arrays of records and objects of scalars to planned loaders; anything
-# else, and anything that does not fit, goes to the walk (_walk, _field,
-# _load), which is the one place that words a fault.
+# arrays of records or of scalars and objects of scalars to planned
+# loaders; arrays of arrays, and anything that does not fit, go to the
+# walk (_walk, _field, _load), which is the one place that words a fault.
 
 _SCALARS = {str: "a string", int: "an integer", float: "a number", bool: "a boolean"}
 _WRONG = object()  # what _load and the planned decoders return for a value that does not fit
@@ -231,28 +266,38 @@ def _whole_number(value):
 def _quick(form):
     """The planned loader for the values of a ``form`` field that are
     not of its exact scalar type: a function to the decoded value or
-    _WRONG. None leaves every such value to the walk; so do nullable
-    arrays and arrays of arrays, whose faults the walk words by the
-    whole array."""
+    _WRONG. None leaves every such value to the walk; so do arrays of
+    arrays, whose faults the walk words by the whole array."""
     if form is float:
         return _whole_number
     if not isinstance(form, tuple):
         return None if form in _SCALARS else _decoder(form)
     kind, item = form[0], form[1]
     if kind == "null":
-        inner = _quick(item) if item in _SCALARS else None
+        inner = _quick(item)
         if inner is None:
             return lambda value: None if value is None else _WRONG
         return lambda value: None if value is None else inner(value)
-    if kind is dict and item in _SCALARS:
-        def scalar_object(value):
-            if type(value) is not dict:
+    if item in _SCALARS:
+        if kind is dict:
+            def scalar_object(value):
+                if type(value) is not dict:
+                    return _WRONG
+                for entry in value.values():
+                    if type(entry) is not item:
+                        return _WRONG
+                return value
+            return scalar_object
+        length = form[2]
+
+        def scalar_array(value):
+            if type(value) is not list or length not in (None, len(value)):
                 return _WRONG
-            for entry in value.values():
+            for entry in value:
                 if type(entry) is not item:
                     return _WRONG
-            return value
-        return scalar_object
+            return kind(value)
+        return scalar_array
     if kind is tuple and form[2] is None and dataclasses.is_dataclass(item):
         decode_item = _decoder(item)
 

@@ -24,14 +24,14 @@ import random
 import re
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable
 
+from . import __version__
 from .builder import CoTExample
 from .errors import AuthError, EmptyCompletionError, NetworkError, ValidationError
-from .io import bundled, decode, read_json, write_text
+from .io import bundled, decode, http_post, read_json, write_text
 
 DEFAULT_API_KEY_ENV_VAR = "COTE_API_KEY"
 DEFAULT_INSTRUCTION = (
@@ -174,25 +174,27 @@ def _extract_completion_text(data: object) -> str | None:
     return None
 
 
-def _retry_after_s(response) -> float:
+def _retry_after_s(status: int, headers) -> float:
     """The delta-seconds Retry-After of a 429 or 503 (RFC 9110 section
     10.2.3), else 0; the HTTP-date form is ignored."""
-    value = response.headers.get("Retry-After", "").strip()
-    if response.status_code in (429, 503) and value.isascii() and value.isdigit():
+    value = headers.get("Retry-After", "").strip()
+    if status in (429, 503) and value.isascii() and value.isdigit():
         return float(value)
     return 0.0
 
 
 def _request_completion(config: RefineConfig, coarse: str, api_key: str) -> str:
-    import requests  # here, not at the top: most runs never make a request
-
-    body = {
+    body = json.dumps({
         "model": config.model_name,
         "prompt": build_refine_prompt(config, coarse),
         "temperature": config.temperature,
         "max_tokens": config.max_tokens,
+    }).encode("utf-8")
+    headers = {
+        "Authorization": f"Bearer {api_key}",
+        "Content-Type": "application/json",
+        "User-Agent": f"slotchain/{__version__}",
     }
-    headers = {"Authorization": f"Bearer {api_key}"}
     last_error = ""
     retry_after = 0.0
     for attempt in range(config.max_retries + 1):
@@ -200,29 +202,27 @@ def _request_completion(config: RefineConfig, coarse: str, api_key: str) -> str:
             backoff = _JITTER.uniform(0, config.backoff_base * 2 ** (attempt - 1))
             time.sleep(max(backoff, min(retry_after, config.request_timeout)))
         try:
-            response = requests.post(
-                config.endpoint_url,
-                json=body,
-                headers=headers,
-                timeout=config.request_timeout,
+            status, reply_headers, payload = http_post(
+                config.endpoint_url, body, headers, config.request_timeout
             )
-        except requests.exceptions.RequestException as exc:
+        except OSError as exc:
             last_error = f"request failed: {exc}"
             retry_after = 0.0
             continue
-        if response.status_code in (401, 403):
+        except ValueError as exc:  # a URL or header that cannot be sent at all
+            raise NetworkError(f"completion request failed: {exc}") from exc
+        if status in (401, 403):
             raise AuthError(
-                f"endpoint rejected the key from ${config.api_key_env_var} "
-                f"(HTTP {response.status_code})"
+                f"endpoint rejected the key from ${config.api_key_env_var} (HTTP {status})"
             )
-        if response.status_code in _RETRYABLE_STATUSES:
-            last_error = f"HTTP {response.status_code}"
-            retry_after = _retry_after_s(response)
+        if status in _RETRYABLE_STATUSES:
+            last_error = f"HTTP {status}"
+            retry_after = _retry_after_s(status, reply_headers)
             continue
-        if response.status_code != 200:
-            raise NetworkError(f"completion request failed: HTTP {response.status_code}")
+        if status != 200:
+            raise NetworkError(f"completion request failed: HTTP {status}")
         try:
-            data = response.json()
+            data = json.loads(payload)
         except ValueError as exc:
             raise NetworkError(f"completion response is not JSON: {exc}") from exc
         text = _extract_completion_text(data)
@@ -304,6 +304,9 @@ def refine_batch(
     if config.offline:
         settled = [(coarse, work(coarse)) for coarse in distinct]
     else:
+        # Here, not at the top: only an online batch needs a thread pool.
+        from concurrent.futures import ThreadPoolExecutor, as_completed
+
         with ThreadPoolExecutor(max_workers=config.max_parallel) as pool:
             futures = {pool.submit(work, coarse): coarse for coarse in distinct}
             for future in as_completed(futures):

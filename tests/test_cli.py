@@ -19,6 +19,8 @@ from slotchain.errors import ValidationError
 from slotchain.refiner import refine_batch
 from slotchain.corpus import corpus_to_json, load_corpus, load_schema
 
+from test_refiner import DEMOS, KEY_VAR, MockCompletionServer, make_example
+
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = Path(__file__).parent / "fixtures"
 SCHEMA = str(FIXTURES / "fixture_schema.json")
@@ -136,13 +138,40 @@ def test_installed_console_script_on_path():
     assert result.stdout.strip() == "slotchain 0.1.0"
 
 
-def test_importing_the_cli_leaves_requests_unloaded():
-    # Only an online refine makes a request; every other run skips the import.
+def test_importing_the_cli_loads_no_http_client_and_refine_needs_no_requests(tmp_path):
+    # Only an online refine sends requests; every other run skips the
+    # HTTP client and the thread pool, and none needs `requests`.
+    probe = "import sys, slotchain.cli; print(sorted(m for m in {} if m in sys.modules))"
+    loaded = ("requests", "urllib.request", "concurrent.futures")
     result = subprocess.run(
-        [sys.executable, "-c", "import sys, slotchain.cli; print('requests' in sys.modules)"],
-        capture_output=True, text=True, check=True,
+        [sys.executable, "-c", probe.format(loaded)], capture_output=True, text=True, check=True
     )
-    assert result.stdout == "False\n"
+    assert result.stdout == "[]\n"
+
+    examples_path = tmp_path / "examples.jsonl"
+    examples_path.write_text(examples_to_jsonl((make_example(0),)), encoding="utf-8")
+    server = MockCompletionServer().start()
+    try:
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "endpoint_url": server.url, "model_name": "test-model", "api_key_env_var": KEY_VAR,
+            "demonstrations": [list(pair) for pair in DEMOS], "max_retries": 0,
+        }), encoding="utf-8")
+        argv = ["refine", "--examples", str(examples_path), "--config", str(config_path),
+                "--out", str(tmp_path / "refined.jsonl")]
+        script = ("import sys; sys.modules['requests'] = None\n"
+                  "from slotchain.cli import main\n"
+                  f"sys.exit(main({argv!r}))\n")
+        result = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True, check=False,
+            env={**os.environ, KEY_VAR: "sekrit-key"},
+        )
+    finally:
+        server.stop()
+    assert result.returncode == 0, result.stderr
+    assert server.n_requests == 1
+    refined = json.loads((tmp_path / "refined.jsonl").read_text(encoding="utf-8"))
+    assert refined["explanation_kind"] == "refined"
 
 
 def test_missing_input_file_exits_one(capsys):

@@ -464,12 +464,16 @@ def test_codec_plans_each_class_once(monkeypatch):
         Dialogue: VALID_RECORDS["canonical corpus"],
         CoTExample: VALID_RECORDS["examples"],
         PredictionRecord: VALID_RECORDS["predictions"],
+        EvalReport: VALID_RECORDS["report"],
+        SlotSchema: {"slot_id": "hotel-area", "domain": "hotel", "name": "area",
+                     "description": "area", "possible_values": ["north", "south"]},
     }
     for _ in range(50):
         for cls, data in records.items():
             assert encode(decode(cls, data, "rec.json")) == encode(decode(cls, data, "rec.json"))
     assert walked == []
-    planned = {Dialogue, TurnPair, CoTExample, ExampleMeta, PredictionRecord}
+    planned = {Dialogue, TurnPair, CoTExample, ExampleMeta, PredictionRecord, EvalReport,
+               NormalizationPolicy, BucketResult, SlotSchema}
     assert io_layer._decoder.cache_info().misses == len(planned)
     assert io_layer._encoder.cache_info().misses == len(planned)
 

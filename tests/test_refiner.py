@@ -3,14 +3,17 @@ mode, and batch behaviour against a scripted local HTTP server."""
 
 import json
 import random
+import ssl
 import sys
 import threading
 import time
 from dataclasses import replace
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
+from slotchain import __version__
 from slotchain.builder import CoTExample, ExampleMeta, examples_to_jsonl
 from slotchain.cli import main
 from slotchain.errors import (
@@ -31,21 +34,27 @@ from slotchain.refiner import (
 )
 
 KEY_VAR = "SLOTCHAIN_TEST_KEY"
+# A self-signed certificate for 127.0.0.1 and its key, for the HTTPS mock.
+TLS_CERT = Path(__file__).parent / "fixtures" / "tls_127.0.0.1_cert.pem"
+TLS_KEY = Path(__file__).parent / "fixtures" / "tls_127.0.0.1_key.pem"
 
 
 class MockCompletionServer:
     """Local completion endpoint with a FIFO script of canned replies,
-    each ``(status, payload)`` or ``(status, payload, headers)``.
+    each ``(status, payload)`` or ``(status, payload, headers)``; the
+    headers replace the default Content-Type and Content-Length.
 
     Unscripted requests echo the final Dialogue block back, wrapped in
     narrated(...), so distinct inputs yield distinct outputs. Tracks
-    request bodies, headers, and the peak number of in-flight requests.
-    A request stops counting as in flight before its reply is written, so
-    a client that has its reply cannot be counted twice.
+    request targets, bodies, headers, and the peak number of in-flight
+    requests. A request stops counting as in flight before its reply is
+    written, so a client that has its reply cannot be counted twice. With
+    ``tls``, it serves HTTPS with the self-signed certificate TLS_CERT.
     """
 
-    def __init__(self):
+    def __init__(self, tls=False):
         self.script = []
+        self.paths = []
         self.requests = []
         self.request_headers = []
         self.delay = 0.0
@@ -61,8 +70,9 @@ class MockCompletionServer:
                 with outer._lock:
                     outer._in_flight += 1
                     outer.peak_in_flight = max(outer.peak_in_flight, outer._in_flight)
+                    outer.paths.append(self.path)
                     outer.requests.append(body)
-                    outer.request_headers.append(dict(self.headers))
+                    outer.request_headers.append(self.headers)
                     scripted = outer.script.pop(0) if outer.script else None
                 if outer.delay:
                     time.sleep(outer.delay)
@@ -74,10 +84,10 @@ class MockCompletionServer:
                 )
                 with outer._lock:
                     outer._in_flight -= 1
+                headers = {"Content-Type": "application/json", "Content-Length": str(len(data))}
+                headers.update(extra[0] if extra else {})
                 self.send_response(status)
-                self.send_header("Content-Type", "application/json")
-                self.send_header("Content-Length", str(len(data)))
-                for name, value in (extra[0] if extra else {}).items():
+                for name, value in headers.items():
                     self.send_header(name, value)
                 self.end_headers()
                 self.wfile.write(data)
@@ -86,6 +96,11 @@ class MockCompletionServer:
                 pass
 
         self._server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+        self.scheme = "https" if tls else "http"
+        if tls:
+            context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            context.load_cert_chain(TLS_CERT, TLS_KEY)
+            self._server.socket = context.wrap_socket(self._server.socket, server_side=True)
         self._thread = threading.Thread(
             target=lambda: self._server.serve_forever(poll_interval=0.02), daemon=True
         )
@@ -99,7 +114,7 @@ class MockCompletionServer:
     @property
     def url(self):
         host, port = self._server.server_address
-        return f"http://{host}:{port}/v1/completions"
+        return f"{self.scheme}://{host}:{port}/v1/completions"
 
     @property
     def n_requests(self):
@@ -231,7 +246,10 @@ def test_request_body_and_auth_header(server, tmp_path, api_key):
     assert body["model"] == "test-model"
     assert body["temperature"] == 0.0
     assert body["max_tokens"] == 99
-    assert server.request_headers[0]["Authorization"] == "Bearer sekrit-key"
+    headers = server.request_headers[0]
+    assert headers["Authorization"] == "Bearer sekrit-key"
+    assert headers["Content-Type"] == "application/json"
+    assert headers["User-Agent"] == f"slotchain/{__version__}"
 
 
 def test_prompt_layout(server, tmp_path):
@@ -392,6 +410,88 @@ def test_unreachable_endpoint_raises_network_error(tmp_path, api_key):
     )
     with pytest.raises(NetworkError):
         refine_one(COARSE, config)
+
+
+# ---------------------------------------------------------------------------
+# transport
+
+
+def test_redirect_is_not_followed(server, tmp_path, api_key):
+    elsewhere = MockCompletionServer().start()
+    try:
+        server.script.append((302, {"error": "moved"}, {"Location": elsewhere.url}))
+        config = make_config(server, tmp_path, max_retries=3)
+        with pytest.raises(NetworkError, match="completion request failed: HTTP 302"):
+            refine_one(COARSE, config)
+    finally:
+        elsewhere.stop()
+    assert server.n_requests == 1
+    assert elsewhere.n_requests == 0
+
+
+@pytest.fixture
+def proxy_env(monkeypatch):
+    """monkeypatch, with every proxy variable unset."""
+    for name in ("http_proxy", "https_proxy", "no_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    return monkeypatch
+
+
+def test_http_proxy_from_the_environment_gets_the_absolute_url(
+    server, tmp_path, api_key, proxy_env
+):
+    # The mock answers as the proxy; a request that bypassed it would go
+    # to a closed port on this host.
+    proxy_env.setenv("http_proxy", server.url.removesuffix("/v1/completions"))
+    target = "http://localhost:1/v1/completions"
+    config = make_config(server, tmp_path, endpoint_url=target, max_retries=0)
+    assert refine_one(COARSE, config).refined == f"narrated({COARSE})"
+    assert server.paths == [target]
+
+
+def test_no_proxy_from_the_environment_bypasses_the_proxy(
+    server, tmp_path, api_key, proxy_env
+):
+    proxy_env.setenv("http_proxy", "http://127.0.0.1:1")
+    proxy_env.setenv("no_proxy", "127.0.0.1")
+    config = make_config(server, tmp_path, max_retries=0)
+    assert refine_one(COARSE, config).source == "api"
+    assert server.paths == ["/v1/completions"]
+
+
+@pytest.fixture
+def tls_server():
+    srv = MockCompletionServer(tls=True).start()
+    yield srv
+    srv.stop()
+
+
+def test_https_trusts_the_system_store_or_ssl_cert_file(tls_server, tmp_path, api_key, monkeypatch):
+    config = make_config(tls_server, tmp_path, max_retries=0)
+    monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+    with pytest.raises(NetworkError, match="CERTIFICATE_VERIFY_FAILED"):
+        refine_one(COARSE, config)
+    monkeypatch.setenv("SSL_CERT_FILE", str(TLS_CERT))
+    result = refine_one(COARSE, config)
+    assert result.source == "api"
+    assert result.refined == f"narrated({COARSE})"
+    assert tls_server.n_requests == 1
+
+
+def test_reply_cut_off_mid_body_is_retried_then_fails(server, tmp_path, api_key):
+    server.script += [(200, '{"text": "cut', {"Content-Length": "100"})] * 2
+    config = make_config(server, tmp_path, max_retries=1)
+    with pytest.raises(NetworkError, match="failed after 2 attempts"):
+        refine_one(COARSE, config)
+    assert server.n_requests == 2
+
+
+def test_endpoint_without_a_scheme_raises_network_error(server, tmp_path, api_key):
+    config = make_config(server, tmp_path, endpoint_url=server.url.removeprefix("http://"))
+    with pytest.raises(NetworkError, match="not an http:// or https:// URL"):
+        refine_one(COARSE, config)
+    assert server.n_requests == 0
 
 
 # ---------------------------------------------------------------------------
@@ -731,6 +831,19 @@ def test_refine_warnings_keep_example_order_across_chunks(
     assert [row["explanation_kind"] for row in written] == [
         "coarse", "refined", "coarse", "coarse", "refined"
     ]
+
+
+def test_refine_warns_on_an_endpoint_without_a_scheme(server, tmp_path, api_key, capsys):
+    example = make_example(0)
+    code, out_path = run_refine(
+        server, tmp_path, (example,), endpoint_url=server.url.removeprefix("http://")
+    )
+    err = capsys.readouterr().err
+    assert code == 3
+    assert f"warning: {example.example_id}: completion request failed" in err
+    assert "Traceback" not in err
+    assert out_path.read_text(encoding="utf-8") == examples_to_jsonl((example,))
+    assert server.n_requests == 0
 
 
 # ---------------------------------------------------------------------------
