@@ -274,7 +274,7 @@ class EvalReport:
     def __post_init__(self) -> None:
         if not 0.0 <= self.overall_jga <= 1.0:
             raise ValidationError(f"overall_jga {self.overall_jga} outside [0, 1]")
-        for axis in {b.axis for b in self.buckets}:
+        for axis in dict.fromkeys(b.axis for b in self.buckets):  # first-seen order
             axis_total = sum(b.n_turns for b in self.buckets if b.axis == axis)
             if axis_total != self.n_turns:
                 raise ValidationError(

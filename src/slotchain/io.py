@@ -26,9 +26,18 @@ if TYPE_CHECKING:
     from http.client import HTTPMessage
 
 
+def _reject_constant(name: str):
+    raise ValueError(f"non-finite number {name}")  # RFC 8259 has no NaN or Infinity
+
+
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+
+
 def _parse(text: str, where: str):
     try:
-        return json.loads(text)
+        if text.startswith("\ufeff"):  # as json.loads words it
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return _DECODER.decode(text)
     except (ValueError, RecursionError) as exc:
         # ValueError: bad syntax or an over-long integer; RecursionError: deep nesting.
         raise FormatError(f"{where}: not valid JSON: {exc}") from exc
@@ -150,14 +159,21 @@ def bundled(name: str) -> Path | None:
 # record codec
 #
 # Each class is planned once (_plan, then _decoder and _encoder). A planned
-# decoder checks each field by its exact type and hands nested records,
-# arrays of records or of scalars and objects of scalars to planned
-# loaders; arrays of arrays, and anything that does not fit, go to the
-# walk (_walk, _field, _load), which is the one place that words a fault.
+# decoder keeps a field value of exactly the field's scalar type as it is
+# and hands any other value to the field's loader (_loader), which returns
+# the decoded value, or _WRONG when its shape does not fit; the record
+# words that as "field 'x' must be ...". A fault inside a nested record or
+# object raises _Fault, whose message each enclosing level prefixes with
+# its own segment, and decode adds the location it was given.
 
 _SCALARS = {str: "a string", int: "an integer", float: "a number", bool: "a boolean"}
-_WRONG = object()  # what _load and the planned decoders return for a value that does not fit
+_WRONG = object()  # what a loader returns for a value that does not fit
 _JSON = json.JSONEncoder(ensure_ascii=False)  # what json.dumps(..., ensure_ascii=False) builds
+
+
+class _Fault(Exception):
+    """A fault inside a record; its one argument is the message from just
+    after the record's location, e.g. ": turns[1]: unknown fields: [...]"."""
 
 
 @functools.cache
@@ -174,10 +190,10 @@ def _plan(cls: type) -> tuple[dict, list[str]]:
 
 
 def _form(annotation):
-    """A field annotation as _load reads it: a JSON scalar type, a record
-    class, ("null", form) for ``X | None``, (dict, value form) for an
-    object keyed by strings, or (tuple or frozenset, item form, length or
-    None) for an array."""
+    """A field annotation as the codec reads it: a JSON scalar type, a
+    record class, ("null", form) for ``X | None``, (dict, value form) for
+    an object keyed by strings, or (tuple or frozenset, item form, length
+    or None) for an array."""
     origin, args = typing.get_origin(annotation), typing.get_args(annotation)
     if annotation in _SCALARS or dataclasses.is_dataclass(annotation):
         return annotation
@@ -203,128 +219,76 @@ def _describe(form) -> str:
     return f"an array of {items}" if form[2] is None else f"an array of {form[2]} {items}"
 
 
-def _field(form, value, where: str | Path, name: str):
-    """``value`` decoded as the field ``name`` of the object at ``where``."""
-    if type(value) is form:  # a value of exactly the field's type fits as it is
-        return value
-    value = _load(form, value, where, name)
-    if value is _WRONG:
-        raise FormatError(f"{where}: field {name!r} must be {_describe(form)}")
-    return value
-
-
-def _load(form, value, where: str | Path, name: str):
-    """``value`` decoded by ``form``, or _WRONG; ``where`` and ``name``
-    locate the field for the errors of an object nested in it."""
+def _loader(form):
+    """The function from a parsed JSON value to its decoded value as a
+    ``form`` field, or _WRONG when its shape does not fit."""
     if form in _SCALARS:
-        # Python's bool is an int, but JSON's true and false are not numbers.
-        fits = isinstance(value, (int, float) if form is float else form)
-        return value if fits and (form is bool or not isinstance(value, bool)) else _WRONG
+        fits = (int, float) if form is float else (form,)  # a boolean is no number
+        return lambda value: value if type(value) in fits else _WRONG
     if not isinstance(form, tuple):
-        return decode(form, value, f"{where}: {name}") if isinstance(value, dict) else _WRONG
-    if form[0] == "null":
-        return None if value is None else _load(form[1], value, where, name)
-    if form[0] is dict:
-        if not isinstance(value, dict):
-            return _WRONG
-        # A value is checked like a record field named by its key.
-        return {key: _field(form[1], item, f"{where}: {name}", key) for key, item in value.items()}
-    if not isinstance(value, list) or form[2] not in (None, len(value)):
-        return _WRONG
-    items = [_load(form[1], item, where, f"{name}[{i}]") for i, item in enumerate(value)]
-    return _WRONG if any(item is _WRONG for item in items) else form[0](items)
-
-
-def _walk(cls: type, data: object, where: str | Path):
-    """``decode`` field by field through _field, raising the FormatError
-    that names the first fault."""
-    if not isinstance(data, dict):
-        raise FormatError(f"{where}: expected a JSON object")
-    fields, required = _plan(cls)
-    kwargs = {}
-    for key, value in data.items():
-        planned = fields.get(key)
-        if planned is None:
-            raise FormatError(f"{where}: unknown fields: {sorted(data.keys() - fields.keys())}")
-        name, form = planned
-        kwargs[name] = _field(form, value, where, key)
-    if len(kwargs) < len(fields):
-        missing = [key for key in required if key not in data]
-        if missing:
-            raise FormatError(f"{where}: missing fields: {missing}")
-    try:
-        return cls(**kwargs)
-    except ValidationError as exc:
-        raise FormatError(f"{where}: {exc}") from exc
-
-
-def _whole_number(value):
-    """An integer in a float field: it fits as it is."""
-    return value if type(value) is int else _WRONG
-
-
-def _quick(form):
-    """The planned loader for the values of a ``form`` field that are
-    not of its exact scalar type: a function to the decoded value or
-    _WRONG. None leaves every such value to the walk; so do arrays of
-    arrays, whose faults the walk words by the whole array."""
-    if form is float:
-        return _whole_number
-    if not isinstance(form, tuple):
-        return None if form in _SCALARS else _decoder(form)
-    kind, item = form[0], form[1]
+        return _decoder(form)
+    kind, item = form[0], _loader(form[1])
     if kind == "null":
-        inner = _quick(item)
-        if inner is None:
-            return lambda value: None if value is None else _WRONG
-        return lambda value: None if value is None else inner(value)
-    if item in _SCALARS:
-        if kind is dict:
-            def scalar_object(value):
-                if type(value) is not dict:
-                    return _WRONG
-                for entry in value.values():
-                    if type(entry) is not item:
-                        return _WRONG
+        return lambda value: None if value is None else item(value)
+    exact = form[1] if form[1] in _SCALARS else None  # entries that fit as they are
+    if kind is dict:
+        description = _describe(form[1])
+
+        def load_object(value):
+            if type(value) is not dict:
+                return _WRONG
+            for entry in value.values():
+                if type(entry) is not exact:
+                    break
+            else:
                 return value
-            return scalar_object
-        length = form[2]
+            decoded = {}
+            for key, entry in value.items():
+                try:
+                    entry = item(entry)
+                except _Fault as fault:
+                    fault.args = (f": {key}{fault.args[0]}",)
+                    raise
+                if entry is _WRONG:  # an entry is checked like a record field named by its key
+                    raise _Fault(f": field {key!r} must be {description}")
+                decoded[key] = entry
+            return decoded
+        return load_object
+    length = form[2]
 
-        def scalar_array(value):
-            if type(value) is not list or length not in (None, len(value)):
-                return _WRONG
-            for entry in value:
-                if type(entry) is not item:
-                    return _WRONG
+    def load_array(value):
+        if type(value) is not list or length is not None and len(value) != length:
+            return _WRONG
+        for entry in value:
+            if type(entry) is not exact:
+                break
+        else:
             return kind(value)
-        return scalar_array
-    if kind is tuple and form[2] is None and dataclasses.is_dataclass(item):
-        decode_item = _decoder(item)
-
-        def records(value):
-            if type(value) is not list:
-                return _WRONG
-            decoded = []
-            for entry in value:
-                record = decode_item(entry)
-                if record is _WRONG:
-                    return _WRONG
-                decoded.append(record)
-            return tuple(decoded)
-        return records
-    return None
+        decoded, misfit = [], False
+        for entry in value:
+            try:
+                entry = item(entry)
+            except _Fault as fault:
+                fault.args = (f"[{len(decoded)}]{fault.args[0]}",)
+                raise
+            if entry is _WRONG:
+                misfit = True  # a later entry's fault is still named first
+            decoded.append(entry)
+        return _WRONG if misfit else kind(decoded)
+    return load_array
 
 
 @functools.cache
 def _decoder(cls: type):
     """The planned decoder of ``cls``: a function from a parsed JSON
-    value to the record, or _WRONG when anything in it does not fit (a
-    type, an unknown or missing field, a ValidationError)."""
+    value to the record, or _WRONG when the value is not an object. A
+    fault in the object (a field that does not fit, an unknown or missing
+    field, a ValidationError) raises _Fault."""
     fields, required = _plan(cls)
     steps = {}
     for key, (name, form) in fields.items():
         exact = form[1] if isinstance(form, tuple) and form[0] == "null" else form
-        steps[key] = name, exact if exact in _SCALARS else None, _quick(form)
+        steps[key] = name, exact if exact in _SCALARS else None, _loader(form)
     n_fields = len(fields)
 
     def decode_planned(data):
@@ -334,17 +298,25 @@ def _decoder(cls: type):
         for key, value in data.items():
             step = steps.get(key)
             if step is None:
-                return _WRONG
+                raise _Fault(f": unknown fields: {sorted(data.keys() - fields.keys())}")
             name, exact, load = step
-            if type(value) is not exact and (load is None or (value := load(value)) is _WRONG):
-                return _WRONG
+            if type(value) is not exact:
+                try:
+                    value = load(value)
+                except _Fault as fault:
+                    fault.args = (f": {key}{fault.args[0]}",)
+                    raise
+                if value is _WRONG:
+                    raise _Fault(f": field {key!r} must be {_describe(fields[key][1])}")
             kwargs[name] = value
-        if len(kwargs) < n_fields and any(key not in data for key in required):
-            return _WRONG
+        if len(kwargs) < n_fields:
+            missing = [key for key in required if key not in data]
+            if missing:
+                raise _Fault(f": missing fields: {missing}")
         try:
             return cls(**kwargs)
-        except ValidationError:
-            return _WRONG
+        except ValidationError as exc:
+            raise _Fault(f": {exc}") from exc
     return decode_planned
 
 
@@ -355,8 +327,13 @@ def decode(cls: type, data: object, where: str | Path):
     ValidationError from the constructor, is a FormatError naming
     ``where`` (the file, and line for JSONL) and the field's JSON key
     path."""
-    record = _decoder(cls)(data)
-    return _walk(cls, data, where) if record is _WRONG else record
+    try:
+        record = _decoder(cls)(data)
+    except _Fault as fault:
+        raise FormatError(f"{where}{fault.args[0]}") from fault.__cause__
+    if record is _WRONG:
+        raise FormatError(f"{where}: expected a JSON object")
+    return record
 
 
 def _dumper(form):

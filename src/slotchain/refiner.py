@@ -70,6 +70,8 @@ class RefineConfig:
             raise ValidationError(f"max_retries must be >= 0, got {self.max_retries}")
         if self.backoff_base < 0:
             raise ValidationError(f"backoff_base must be >= 0, got {self.backoff_base}")
+        if not self.request_timeout > 0:
+            raise ValidationError(f"request_timeout must be > 0, got {self.request_timeout}")
         if not self.offline:
             if not self.demonstrations:
                 raise ValidationError("demonstrations must be non-empty unless offline")

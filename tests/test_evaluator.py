@@ -3,7 +3,10 @@ report emission, cross-checked against the brute-force oracles."""
 
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -529,6 +532,30 @@ def test_eval_report_validation():
             n_missing_predictions=0, policy=DEFAULT_POLICY,
             buckets=(BucketResult("step", "0", 0, None, 1, 1.0),),
         )
+
+
+SHORT_AXES = """
+from slotchain.errors import ValidationError
+from slotchain.evaluator import BucketResult, EvalReport
+from slotchain.normalize import DEFAULT_POLICY
+try:
+    EvalReport(1.0, 1, 2, 0, DEFAULT_POLICY, (
+        BucketResult("step", "0+", 0, None, 1, 1.0), BucketResult("turn", "0+", 0, None, 1, 1.0),
+    ))
+except ValidationError as exc:
+    print(exc)
+"""
+
+
+def test_eval_report_names_the_first_short_axis_whatever_the_hash_seed():
+    messages = {
+        subprocess.run(
+            [sys.executable, "-c", SHORT_AXES], env={**os.environ, "PYTHONHASHSEED": seed},
+            capture_output=True, text=True, check=True,
+        ).stdout
+        for seed in ("1", "3")
+    }
+    assert messages == {"axis 'step' buckets cover 1 turns of 2\n"}
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import ast
 import json
+import math
 import os
 import threading
 from dataclasses import dataclass, fields
@@ -221,14 +222,16 @@ VALID_RECORDS = {
     "template": {"template_text": "[History] [Question] [Choices]", "choices_section_marker": "C"},
 }
 NULLABLE = {"hi", "jga", "fuzzy_ratio_threshold"}
+# JSON has no NaN or Infinity, so a record that holds one is not valid JSON.
+finite_scalars = scalars.filter(lambda value: not isinstance(value, float) or math.isfinite(value))
 JSON_TYPES = {
     "null": st.none(),
     "boolean": st.booleans(),
     "integer": st.integers(-5, 5),
     "number": st.floats(allow_nan=False, allow_infinity=False),
     "string": st.text(max_size=4),
-    "array": st.lists(scalars, max_size=2),
-    "object": st.dictionaries(st.text(max_size=3), scalars, max_size=2),
+    "array": st.lists(finite_scalars, max_size=2),
+    "object": st.dictionaries(st.text(max_size=3), finite_scalars, max_size=2),
 }
 
 
@@ -391,8 +394,8 @@ def codec_turn(index, state):
 
 META = {"dialogue_id": "d1", "query_turn": 2, "slot_id": "hotel-area", "step_count": 1,
         "dialogue_turns": 3, "avg_utterance_len": 4.5}
-# Each form the planned decoder treats apart, with the exact message of
-# its fault; the walk words every fault, whichever path found it.
+# Each form the planned decoder treats apart, and each way a nested fault
+# reaches the top, with the exact message of its fault.
 CODEC_FAULTS = {
     "array of records": (
         EvalReport,
@@ -435,6 +438,30 @@ CODEC_FAULTS = {
         dict(META, avg_utterance_len=False),
         "rec.json: field 'avg_utterance_len' must be a number",
     ),
+    "misfit entry before a nested fault in an array": (
+        Dialogue,
+        {"dialogue_id": "d1", "split": "train",
+         "turns": [5, {"index": 2, "user": "hi", "sytem": "ok"}]},
+        "rec.json: turns[1]: unknown fields: ['sytem']",
+    ),
+    "validation error of a nested record": (
+        EvalReport,
+        dict(VALID_RECORDS["report"], policy=dict(VALID_POLICY, fuzzy_ratio_threshold=2)),
+        "rec.json: policy: fuzzy_ratio_threshold must be in (0, 1], got 2",
+    ),
+    "nested record that is not an object": (
+        EvalReport,
+        dict(VALID_RECORDS["report"], policy=["lowercase"]),
+        "rec.json: field 'policy' must be an object",
+    ),
+    "top level that is not an object": (
+        ExampleMeta, [META], "rec.json: expected a JSON object",
+    ),
+    "missing field of a nested record": (
+        CoTExample,
+        dict(VALID_RECORDS["examples"], meta={k: v for k, v in META.items() if k != "slot_id"}),
+        "rec.json: meta: missing fields: ['slot_id']",
+    ),
 }
 
 
@@ -452,12 +479,8 @@ def test_codec_keeps_an_integer_in_a_float_field():
     assert encode(meta) == dict(META, avg_utterance_len=4)
 
 
-def test_codec_plans_each_class_once(monkeypatch):
-    # Well-formed records of the hot classes never reach the walk, and
-    # each class is planned once however many records are decoded.
-    walked = []
-    load = io_layer._load
-    monkeypatch.setattr(io_layer, "_load", lambda *args: walked.append(args) or load(*args))
+def test_codec_plans_each_class_once():
+    # Each class is planned once however many records are decoded.
     for planner in (io_layer._decoder, io_layer._encoder):
         planner.cache_clear()
     records = {
@@ -471,7 +494,6 @@ def test_codec_plans_each_class_once(monkeypatch):
     for _ in range(50):
         for cls, data in records.items():
             assert encode(decode(cls, data, "rec.json")) == encode(decode(cls, data, "rec.json"))
-    assert walked == []
     planned = {Dialogue, TurnPair, CoTExample, ExampleMeta, PredictionRecord, EvalReport,
                NormalizationPolicy, BucketResult, SlotSchema}
     assert io_layer._decoder.cache_info().misses == len(planned)
@@ -489,6 +511,12 @@ def test_read_json_names_the_file_and_the_problem(tmp_path):
         read_json(path)
     path.write_text("[1,", encoding="utf-8")
     with pytest.raises(FormatError, match=r"x\.json: not valid JSON"):
+        read_json(path)
+    path.write_text('\ufeff{}', encoding="utf-8")
+    with pytest.raises(FormatError, match=r"x\.json: not valid JSON: Unexpected UTF-8 BOM"):
+        read_json(path)
+    path.write_text('{"backoff_base": NaN}', encoding="utf-8")
+    with pytest.raises(FormatError, match=r"x\.json: not valid JSON: non-finite number NaN"):
         read_json(path)
     path.write_text("[1]", encoding="utf-8")
     assert read_json(path, expect=list) == [1]
@@ -508,6 +536,9 @@ def test_read_jsonl_skips_blank_lines_and_names_bad_ones(tmp_path):
         list(read_jsonl(path))
     path.write_bytes(b'{"a": 1}\n\n{"a": \n')
     with pytest.raises(FormatError, match=r"x\.jsonl: line 3: not valid JSON"):
+        list(read_jsonl(path))
+    path.write_bytes(b'{"a": 1}\n{"a": -Infinity}\n')
+    with pytest.raises(FormatError, match=r"x\.jsonl: line 2: not valid JSON: non-finite number"):
         list(read_jsonl(path))
 
 

@@ -903,6 +903,8 @@ def test_config_validation_bounds():
         RefineConfig(offline=True, max_retries=-1)
     with pytest.raises(ValidationError):
         RefineConfig(offline=True, backoff_base=-1.0)
+    with pytest.raises(ValidationError, match="request_timeout must be > 0, got 0"):
+        RefineConfig(offline=True, request_timeout=0)
 
 
 def test_online_config_requires_endpoint_model_and_demos():
