@@ -9,12 +9,17 @@ unrefined. No subcommand rewrites its input files: an --out naming one
 is an error. --out is written atomically, so an interrupted run leaves
 the old file whole. ingest and sample write one dialogue at a time,
 build one dialogue's examples at a time and refine one chunk of
-REFINE_CHUNK examples at a time, so none holds the whole output.
+REFINE_CHUNK lines at a time, so none holds the whole output. An offline
+refine of more than one chunk refines its chunks in a pool of
+min(--max-parallel, usable CPUs) worker processes, at most two chunks per
+worker in flight, and writes them in input order; an online refine sends
+up to --max-parallel requests at once from threads.
 """
 
 from __future__ import annotations
 
 import argparse
+import collections
 import itertools
 import json
 import os
@@ -22,8 +27,10 @@ import sys
 from typing import Iterable, Iterator
 
 from . import __version__
-from .builder import (
+# read_examples is not called here, but bench/spans.py wraps cli.read_examples.
+from .builder import (  # noqa: F401
     DEFAULT_TEMPLATE,
+    CoTExample,
     build_dataset,
     examples_to_jsonl,
     load_question_overrides,
@@ -49,13 +56,14 @@ from .evaluator import (
     read_report,
     render_report,
 )
-from .io import decode, file_or_bundled, read_json, write_lines
+from .io import decode, file_or_bundled, parse_jsonl, read_json, read_lines, write_lines
 from .normalize import DEFAULT_POLICY, NormalizationPolicy
-from .refiner import load_refine_config, refine_batch
+from .refiner import RefineConfig, RefineFailure, load_refine_config, refine_batch
 
 _LEGACY_STYLES = ("woz_belief", "m2m_flat", "sgd_state")
-# Examples that refine reads, refines and writes at a time. Each distinct
-# coarse text is still refined once per run, whichever chunk it is in.
+# Lines that refine reads, refines and writes at a time. Each distinct
+# coarse text is still refined once per run (offline, once per worker
+# process), whichever chunk it is in.
 REFINE_CHUNK = 1000
 # Options that name files a subcommand reads; --out must name none of them.
 _INPUT_OPTIONS = (
@@ -209,6 +217,82 @@ def _chunks(items: Iterable, size: int) -> Iterator[tuple]:
         yield chunk
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _refine_lines(
+    path: str, lines: Iterable[tuple[int, bytes]], config: RefineConfig, memo: dict
+) -> tuple[str, int, int, tuple[RefineFailure, ...]]:
+    """Parse, decode and refine ``lines``, numbered raw lines of the
+    examples file ``path``: (the refined examples' JSONL, examples read,
+    examples refined, failures)."""
+    examples = tuple(
+        decode(CoTExample, data, where) for _, where, data in parse_jsonl(path, lines)
+    )
+    outcome = refine_batch(examples, config, memo)
+    refined = sum(
+        1
+        for before, after in zip(examples, outcome.examples)
+        if before.explanation_kind == "coarse" and after.explanation_kind == "refined"
+    )
+    return examples_to_jsonl(outcome.examples), len(examples), refined, outcome.failures
+
+
+_WORKER_MEMO = {}  # what a worker process has refined; filled only in workers
+
+
+def _refine_lines_in_worker(path: str, lines: tuple, config: RefineConfig) -> tuple:
+    return _refine_lines(path, lines, config, _WORKER_MEMO)
+
+
+def _refined_chunks(path: str, config: RefineConfig) -> Iterator[tuple]:
+    """_refine_lines of each chunk of REFINE_CHUNK lines of ``path``, in
+    order. Offline, when there are two chunks or more and two usable CPUs
+    or more, the chunks are refined in worker processes, each with a memo
+    of its own; otherwise they are refined here as they are read, sharing
+    one memo, so each distinct text is refined once."""
+    lines = read_lines(path)
+    workers = min(config.max_parallel, _usable_cpus()) if config.offline else 1
+    if workers >= 2:
+        chunks = _chunks(lines, REFINE_CHUNK)
+        head = tuple(itertools.islice(chunks, 2))
+        if len(head) == 2:
+            yield from _refined_in_pool(path, config, workers, itertools.chain(head, chunks))
+            return
+        lines = itertools.chain.from_iterable(head)
+    memo = {}
+    for first in lines:
+        chunk = itertools.chain((first,), itertools.islice(lines, REFINE_CHUNK - 1))
+        yield _refine_lines(path, chunk, config, memo)
+
+
+def _refined_in_pool(
+    path: str, config: RefineConfig, workers: int, chunks: Iterable[tuple]
+) -> Iterator[tuple]:
+    """_refine_lines of each of ``chunks`` in a pool of ``workers``
+    processes, at most two chunks per worker in flight, in order."""
+    # Here, not at the top: only an offline run of several chunks needs a pool.
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
+    pool = ProcessPoolExecutor(max_workers=workers)
+    pending = collections.deque()
+    try:
+        for lines in chunks:
+            if len(pending) == 2 * workers:
+                yield pending.popleft().result()
+            pending.append(pool.submit(_refine_lines_in_worker, path, lines, config))
+        while pending:
+            yield pending.popleft().result()
+    except BrokenProcessPool as exc:
+        raise SlotchainError(f"a refine worker process stopped: {exc}") from exc
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def _cmd_refine(args: argparse.Namespace) -> int:
     overrides = {}
     if args.offline:
@@ -218,23 +302,17 @@ def _cmd_refine(args: argparse.Namespace) -> int:
     if args.cache_dir is not None:
         overrides["cache_dir"] = args.cache_dir
     config = load_refine_config(args.config, **overrides)
-    memo = {}  # shared by the chunks, so each distinct text is refined once
     seen = refined = failed = 0
 
     def lines() -> Iterator[str]:
         nonlocal seen, refined, failed
-        for chunk in _chunks(read_examples(args.examples), REFINE_CHUNK):
-            outcome = refine_batch(chunk, config, memo)
-            for failure in outcome.failures:
+        for text, n_read, n_refined, failures in _refined_chunks(args.examples, config):
+            for failure in failures:
                 print(f"warning: {failure.example_id}: {failure.error}", file=sys.stderr)
-            seen += len(chunk)
-            failed += len(outcome.failures)
-            refined += sum(
-                1
-                for before, after in zip(chunk, outcome.examples)
-                if before.explanation_kind == "coarse" and after.explanation_kind == "refined"
-            )
-            yield examples_to_jsonl(outcome.examples)
+            seen += n_read
+            refined += n_refined
+            failed += len(failures)
+            yield text
 
     _emit(lines(), args.out)
     _note(args, f"refined {refined} of {seen} examples")
@@ -353,7 +431,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--examples", required=True, help="examples JSONL from build")
     p.add_argument("--config", help="refine config JSON (bundled defaults otherwise)")
     p.add_argument("--offline", action="store_true", help="strip speaker tags, no network")
-    p.add_argument("--max-parallel", type=_at_least_one, help="request concurrency ceiling")
+    p.add_argument(
+        "--max-parallel",
+        type=_at_least_one,
+        help="request threads online, worker processes offline (capped at usable CPUs)",
+    )
     p.add_argument("--cache-dir", help="completion cache directory")
 
     p = sub.add_parser("sample", parents=[common], help="keep a seeded fraction of train")

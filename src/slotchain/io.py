@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import math
 import os
 import re
 import secrets
@@ -30,7 +31,14 @@ def _reject_constant(name: str):
     raise ValueError(f"non-finite number {name}")  # RFC 8259 has no NaN or Infinity
 
 
-_DECODER = json.JSONDecoder(parse_constant=_reject_constant)
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if math.isinf(value):  # a literal too large for a float, such as 1e999
+        raise ValueError(f"non-finite number {text}")
+    return value
+
+
+_DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_finite_float)
 
 
 def _parse(text: str, where: str):
@@ -59,18 +67,32 @@ def read_json(source: str | Path, expect: type | None = None):
     return data
 
 
-def read_jsonl(path: str | Path) -> Iterator[tuple[int, str, object]]:
-    """(line number, "<path>: line <n>", parsed value) for each
-    non-blank line of a UTF-8 JSON Lines file."""
+def read_lines(path: str | Path) -> Iterator[tuple[int, bytes]]:
+    """(line number, raw bytes) for each line of a file, read as they
+    are consumed."""
     with open(path, "rb") as handle:
-        for line_number, raw in enumerate(handle, start=1):
-            where = f"{path}: line {line_number}"
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise FormatError(f"{where}: not UTF-8: {exc}") from exc
-            if line.strip():
-                yield line_number, where, _parse(line, where)
+        yield from enumerate(handle, start=1)
+
+
+def parse_jsonl(
+    path: str | Path, lines: Iterable[tuple[int, bytes]]
+) -> Iterator[tuple[int, str, object]]:
+    """(line number, "<path>: line <n>", parsed value) for each
+    non-blank line of ``lines``, numbered raw lines of the UTF-8 JSON
+    Lines file ``path`` as read_lines gives them."""
+    for line_number, raw in lines:
+        where = f"{path}: line {line_number}"
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{where}: not UTF-8: {exc}") from exc
+        if line.strip():
+            yield line_number, where, _parse(line, where)
+
+
+def read_jsonl(path: str | Path) -> Iterator[tuple[int, str, object]]:
+    """parse_jsonl over every line of the JSON Lines file ``path``."""
+    return parse_jsonl(path, read_lines(path))
 
 
 def write_text(path: str | Path, text: str) -> None:

@@ -3,7 +3,9 @@ and that no subcommand rewrites its inputs."""
 
 import hashlib
 import json
+import multiprocessing
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -17,9 +19,10 @@ from slotchain.chains import step_histogram
 from slotchain.cli import main
 from slotchain.errors import ValidationError
 from slotchain.refiner import refine_batch
-from slotchain.corpus import corpus_to_json, load_corpus, load_schema
+from slotchain.corpus import Corpus, corpus_to_json, load_corpus, load_schema
 
-from test_refiner import DEMOS, KEY_VAR, MockCompletionServer, make_example
+from gen import make_dialogue
+from test_refiner import DEMOS, KEY_VAR, MockCompletionServer, make_example, with_explanation
 
 REPO = Path(__file__).resolve().parents[1]
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -722,7 +725,7 @@ def test_refine_hands_refine_batch_at_most_a_chunk(capsys, tmp_path, monkeypatch
     chunks = recording(monkeypatch, "refine_batch", refine_batch)
     chunked = tmp_path / "chunked.jsonl"
     code, _, _ = run(capsys, "refine", "--examples", str(examples_path), "--offline",
-                     "--out", str(chunked))
+                     "--max-parallel", "1", "--out", str(chunked))
     assert code == 0
     assert all(isinstance(chunk, tuple) for chunk in chunks)
     assert [len(chunk) for chunk in chunks] == [8, 8, 8, 8, 3]
@@ -738,13 +741,164 @@ def test_refine_malformed_last_line_keeps_the_old_out_file(capsys, tmp_path, mon
     out_path.write_bytes(b"old output\n")
     chunks = recording(monkeypatch, "refine_batch", refine_batch)
     code, out, err = run(
-        capsys, "refine", "--examples", str(examples_path), "--offline", "--out", str(out_path)
+        capsys, "refine", "--examples", str(examples_path), "--offline",
+        "--max-parallel", "1", "--out", str(out_path),
     )
     assert code == 1
     assert f"{examples_path}: line 36: not valid JSON" in err
     assert len(chunks) == 17  # every earlier chunk was refined before the bad line was read
     assert out_path.read_bytes() == b"old output\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["examples.jsonl", "refined.jsonl"]
+
+
+# ---------------------------------------------------------------------------
+# offline refine across worker processes
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Refine in chunks of 2 lines with two usable CPUs; the fixture's
+    value is the max_workers of each process pool that refine starts."""
+    import concurrent.futures
+
+    monkeypatch.setattr("slotchain.cli.REFINE_CHUNK", 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    sizes = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **options):
+            sizes.append(max_workers)
+            super().__init__(max_workers, **options)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def refine_offline(capsys, examples_path, out_path, workers):
+    return run(capsys, "refine", "--examples", str(examples_path), "--offline",
+               "--max-parallel", str(workers), "--out", str(out_path))
+
+
+def test_refine_pool_writes_the_bytes_of_one_worker(capsys, tmp_path, pools):
+    examples_path = build_examples_file(capsys, tmp_path)
+    outputs = {}
+    for workers in (1, 2):
+        outputs[workers] = tmp_path / f"refined{workers}.jsonl"
+        code, _, err = refine_offline(capsys, examples_path, outputs[workers], workers)
+        assert (code, err) == (0, "")
+    assert pools == [2]
+    assert outputs[2].read_bytes() == outputs[1].read_bytes()
+
+
+def test_refine_pool_malformed_later_line_keeps_the_old_out_file(capsys, tmp_path, pools):
+    examples_path = build_examples_file(capsys, tmp_path)
+    with examples_path.open("a", encoding="utf-8") as handle:
+        handle.write("{not json\n")
+    out_path = tmp_path / "refined.jsonl"
+    out_path.write_bytes(b"old output\n")
+    code, out, err = refine_offline(capsys, examples_path, out_path, 2)
+    assert pools == [2]
+    assert code == 1
+    assert err.startswith(f"error: {examples_path}: line 36: not valid JSON")
+    assert out_path.read_bytes() == b"old output\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["examples.jsonl", "refined.jsonl"]
+
+
+def test_refine_pool_warns_in_example_order(capsys, tmp_path, pools):
+    examples_path = tmp_path / "mixed.jsonl"
+    # only speaker tags: strip_speaker_tags leaves nothing of the odd examples
+    examples = [
+        make_example(i) if i % 2 == 0 else with_explanation(make_example(i), "system: user:")
+        for i in range(9)
+    ]
+    examples_path.write_text(examples_to_jsonl(examples), encoding="utf-8")
+    outputs = {}
+    for workers in (2, 1):
+        outputs[workers] = tmp_path / f"refined{workers}.jsonl"
+        code, out, err = refine_offline(capsys, examples_path, outputs[workers], workers)
+        assert code == 3
+        warned = [line.split(": ")[1] for line in err.splitlines() if line.startswith("warning: ")]
+        assert warned == [examples[i].example_id for i in (1, 3, 5, 7)]
+        assert err.endswith("4 example(s) left unrefined\n")
+    assert pools == [2]
+    assert outputs[2].read_bytes() == outputs[1].read_bytes()
+
+
+@pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="a worker sees the monkeypatched refine_batch only when forked",
+)
+def test_refine_worker_that_dies_is_an_error_not_a_traceback(
+    capsys, tmp_path, monkeypatch, pools
+):
+    examples_path = build_examples_file(capsys, tmp_path)
+    parent = os.getpid()
+
+    def dying(*args, **options):
+        assert os.getpid() != parent, "refine_batch ran in the parent, not in a worker"
+        os._exit(7)
+
+    monkeypatch.setattr("slotchain.cli.refine_batch", dying)
+    out_path = tmp_path / "refined.jsonl"
+    out_path.write_bytes(b"old output\n")
+    code, out, err = refine_offline(capsys, examples_path, out_path, 2)
+    assert pools == [2]
+    assert code == 1
+    assert err.startswith("error: a refine worker process stopped")
+    assert "Traceback" not in err
+    assert out_path.read_bytes() == b"old output\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["examples.jsonl", "refined.jsonl"]
+
+
+@pytest.mark.parametrize("cpus, max_parallel, expected", [
+    ({0}, 2, []),
+    ({0, 1}, 5, [2]),
+    ({0, 1, 2, 3}, 2, [2]),
+    (None, 2, []),  # no sched_getaffinity and os.cpu_count() of None: one CPU
+])
+def test_refine_workers_are_capped_at_usable_cpus(
+    capsys, tmp_path, monkeypatch, pools, cpus, max_parallel, expected
+):
+    if cpus is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus, raising=False)
+    examples_path = build_examples_file(capsys, tmp_path)
+    inline = recording(monkeypatch, "refine_batch", refine_batch)
+    code, _, _ = refine_offline(capsys, examples_path, tmp_path / "refined.jsonl", max_parallel)
+    assert code == 0
+    assert pools == expected
+    assert len(inline) == (0 if expected else 18)
+
+
+def test_refine_offline_child_process_pool_matches_one_worker(capsys, tmp_path):
+    # The benchmark's path: the CLI as its own process, nothing monkeypatched,
+    # on a file of more than one REFINE_CHUNK.
+    schema = load_schema(SCHEMA)
+    rng = random.Random(14)
+    dialogues = tuple(make_dialogue(rng, schema, f"gen{i:03d}", "train") for i in range(150))
+    corpus_path = tmp_path / "corpus.json"
+    corpus_path.write_text(corpus_to_json(Corpus(schema, dialogues)), encoding="utf-8")
+    examples_path = tmp_path / "examples.jsonl"
+    code, _, _ = run(capsys, "build", "--corpus", str(corpus_path), "--schema", SCHEMA,
+                     "--out", str(examples_path))
+    assert code == 0
+    n_examples = len(examples_path.read_bytes().splitlines())
+    assert n_examples > 1000
+    outputs = {}
+    for workers in (2, 1):
+        outputs[workers] = tmp_path / f"refined{workers}.jsonl"
+        result = subprocess.run(
+            [sys.executable, "-m", "slotchain.cli", "refine", "--examples", str(examples_path),
+             "--offline", "--max-parallel", str(workers), "--out", str(outputs[workers])],
+            capture_output=True, text=True, check=False,
+        )
+        assert (result.returncode, result.stderr) == (0, "")
+    assert outputs[2].read_bytes() == outputs[1].read_bytes()
+    refined = tuple(read_examples(outputs[2]))
+    assert len(refined) == n_examples
+    assert {e.explanation_kind for e in refined} == {"refined", "none"}
 
 
 # ---------------------------------------------------------------------------

@@ -518,6 +518,9 @@ def test_read_json_names_the_file_and_the_problem(tmp_path):
     path.write_text('{"backoff_base": NaN}', encoding="utf-8")
     with pytest.raises(FormatError, match=r"x\.json: not valid JSON: non-finite number NaN"):
         read_json(path)
+    path.write_text('{"backoff_base": 1e999}', encoding="utf-8")
+    with pytest.raises(FormatError, match=r"x\.json: not valid JSON: non-finite number 1e999"):
+        read_json(path)
     path.write_text("[1]", encoding="utf-8")
     assert read_json(path, expect=list) == [1]
     with pytest.raises(FormatError, match=r"x\.json: expected a JSON object"):
@@ -539,6 +542,9 @@ def test_read_jsonl_skips_blank_lines_and_names_bad_ones(tmp_path):
         list(read_jsonl(path))
     path.write_bytes(b'{"a": 1}\n{"a": -Infinity}\n')
     with pytest.raises(FormatError, match=r"x\.jsonl: line 2: not valid JSON: non-finite number"):
+        list(read_jsonl(path))
+    path.write_bytes(b'{"a": 1.5}\n{"a": -2E400}\n')
+    with pytest.raises(FormatError, match=r"x\.jsonl: line 2: .* non-finite number -2E400"):
         list(read_jsonl(path))
 
 
