@@ -16,14 +16,9 @@ from typing import Iterable, Iterator, Mapping, Sequence
 # extract_chain is not called here, but bench/spans.py wraps builder.extract_chain.
 from .chains import SlotChain, chains_by_slot, extract_chain  # noqa: F401
 from .corpus import Dialogue, Schema, SlotSchema
-from .errors import (
-    EmptyChainError,
-    EmptyGenerationError,
-    FormatError,
-    ValidationError,
-)
+from .errors import FormatError, ValidationError
 from .io import decode, json_line, read_json, read_jsonl
-from .normalize import DEFAULT_POLICY, NONE_VALUE, NormalizationPolicy, normalize_value
+from .normalize import NONE_VALUE, normalize_value
 
 TARGET_SEPARATOR = " | "
 DEFAULT_TEMPLATE_TEXT = "Dialogue: [History] Domain: [Domain] Question: [Question] [Choices]"
@@ -101,9 +96,9 @@ def render_histories(dialogue: Dialogue) -> list[str]:
     return histories
 
 
-def _choices_block(slot: SlotSchema, marker: str, policy: NormalizationPolicy) -> str:
+def _choices_block(slot: SlotSchema, marker: str) -> str:
     values = list(slot.possible_values or ())
-    if not any(normalize_value(v, policy) == NONE_VALUE for v in values):
+    if not any(normalize_value(v) == NONE_VALUE for v in values):
         values.append(NONE_VALUE)
     return f"{marker}: " + ", ".join(values)
 
@@ -122,7 +117,6 @@ def slot_prompt(
     slot: SlotSchema,
     template: PromptTemplate = DEFAULT_TEMPLATE,
     overrides: Mapping[str, str] | None = None,
-    policy: NormalizationPolicy = DEFAULT_POLICY,
 ) -> SlotPrompt:
     """Fill the template's [Domain], [Question] and [Choices] for one slot.
 
@@ -138,7 +132,7 @@ def slot_prompt(
     substitutions = {
         "[Domain]": slot.domain,
         "[Question]": build_question(slot, overrides),
-        "[Choices]": _choices_block(slot, template.choices_section_marker, policy),
+        "[Choices]": _choices_block(slot, template.choices_section_marker),
     }
     parts = [substitutions.get(part, part) for part in _PLACEHOLDER_RE.split(text)]
     split = parts.index("[History]")
@@ -149,11 +143,10 @@ def slot_prompts(
     schema: Schema,
     template: PromptTemplate = DEFAULT_TEMPLATE,
     overrides: Mapping[str, str] | None = None,
-    policy: NormalizationPolicy = DEFAULT_POLICY,
 ) -> tuple[SlotPrompt, ...]:
     """``slot_prompt`` of every schema slot, sorted by slot id."""
     slots = sorted(schema.slots, key=lambda s: s.slot_id)
-    return tuple(slot_prompt(slot, template, overrides, policy) for slot in slots)
+    return tuple(slot_prompt(slot, template, overrides) for slot in slots)
 
 
 def render_prompt(prompt: SlotPrompt, history: str) -> str:
@@ -165,7 +158,7 @@ def build_coarse_explanation(chain: SlotChain, dialogue: Dialogue) -> str:
     """System/user pairs of the change turns, chronologically, joined by
     single spaces. The turns need not be consecutive."""
     if not chain.change_turns:
-        raise EmptyChainError(
+        raise ValidationError(
             f"slot {chain.slot_id!r} has no chain at turn {chain.query_turn} "
             f"of dialogue {chain.dialogue_id!r}"
         )
@@ -201,7 +194,7 @@ def parse_generation(text: str) -> tuple[str, str]:
     explanation, both parts trimmed."""
     stripped = text.strip()
     if not stripped:
-        raise EmptyGenerationError("generation is empty or whitespace-only")
+        raise ValidationError("generation is empty or whitespace-only")
     value, _, explanation = stripped.partition(TARGET_SEPARATOR)
     return value.strip(), explanation.strip()
 
@@ -262,13 +255,12 @@ def build_dataset(
     prompts: Sequence[SlotPrompt],
     include_explanations: bool = True,
     include_inactive: bool = False,
-    policy: NormalizationPolicy = DEFAULT_POLICY,
 ) -> tuple[CoTExample, ...]:
     """The examples of one dialogue: one per (turn, slot of ``prompts``),
     restricted to slots with a non-empty chain unless include_inactive,
     in (query_turn, prompts) order. The histories, the average utterance
     length and the chains of the annotated slots are computed once."""
-    chains = chains_by_slot(dialogue, policy)
+    chains = chains_by_slot(dialogue)
     if not include_inactive:
         prompts = [prompt for prompt in prompts if prompt.slot.slot_id in chains]
     utterance_len = avg_utterance_len(dialogue)
@@ -287,7 +279,7 @@ def build_dataset(
             explain = (
                 include_explanations
                 and chain.step_count > 0
-                and normalize_value(target_value, policy) != NONE_VALUE
+                and normalize_value(target_value) != NONE_VALUE
             )
             examples.append(
                 CoTExample(

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .corpus import Corpus, Dialogue
-from .errors import TurnOutOfRangeError
+from .errors import ValidationError
 from .normalize import DEFAULT_POLICY, NONE_VALUE, NormalizationPolicy, normalize_value
 
 
@@ -69,7 +69,7 @@ def extract_chain(
     each other: the chain at turn t is a prefix of the chain at t+1.
     """
     if not 1 <= query_turn <= dialogue.n_turns:
-        raise TurnOutOfRangeError(
+        raise ValidationError(
             f"turn {query_turn} outside dialogue {dialogue.dialogue_id!r} "
             f"with {dialogue.n_turns} turns"
         )
@@ -141,16 +141,12 @@ class StepHistogram:
         return {str(steps): self.counts[steps] for steps in sorted(self.counts)}
 
 
-def step_histogram(
-    corpus: Corpus,
-    split: str | None = None,
-    policy: NormalizationPolicy = DEFAULT_POLICY,
-) -> StepHistogram:
+def step_histogram(corpus: Corpus, split: str | None = None) -> StepHistogram:
     """Histogram of chain lengths over every (dialogue, turn, slot) with
     a non-empty chain, for one split or the whole corpus."""
     counts: dict[int, int] = {}
     for dialogue in corpus.dialogues_in(split):
-        for chain in chains_by_slot(dialogue, policy).values():
+        for chain in chains_by_slot(dialogue).values():
             # step i holds from change turn c_i up to the next change
             ends = chain.change_turns[1:] + (dialogue.n_turns + 1,)
             for steps, (start, end) in enumerate(zip(chain.change_turns, ends), start=1):

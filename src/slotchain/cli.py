@@ -378,6 +378,10 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--verbose", action="store_true", help="chatty progress on stderr")
     common.add_argument("--out", help="write output here instead of stdout")
+    corpus_args = argparse.ArgumentParser(add_help=False, parents=[common])
+    corpus_args.add_argument("--corpus", required=True, help="canonical corpus file")
+    corpus_args.add_argument("--schema", required=True, help="schema file or bundled name")
+    corpus_args.add_argument("--exclude-domains", default="")
 
     parser = argparse.ArgumentParser(
         prog="slotchain",
@@ -403,21 +407,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", help="split for legacy files when not inferable from the name")
     p.add_argument("--exclude-domains", default="", help="comma-separated domains to drop")
 
-    p = sub.add_parser("validate", parents=[common], help="check a corpus and print a summary")
-    p.add_argument("--corpus", required=True, help="canonical corpus file")
-    p.add_argument("--schema", required=True, help="schema file or bundled name")
-    p.add_argument("--exclude-domains", default="")
+    sub.add_parser("validate", parents=[corpus_args], help="check a corpus and print a summary")
 
-    p = sub.add_parser("stats", parents=[common], help="step histogram over slot chains")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--schema", required=True)
+    p = sub.add_parser("stats", parents=[corpus_args], help="step histogram over slot chains")
     p.add_argument("--split", choices=SPLITS, help="restrict to one split")
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--exclude-domains", default="")
 
-    p = sub.add_parser("build", parents=[common], help="render prompt/target examples")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--schema", required=True)
+    p = sub.add_parser("build", parents=[corpus_args], help="render prompt/target examples")
     p.add_argument("--template-file", help="prompt template JSON")
     p.add_argument("--overrides-file", help="slot question overrides JSON")
     p.add_argument("--no-explanations", action="store_true", help="emit bare values")
@@ -425,7 +421,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--include-inactive", action="store_true", help="keep slots with no value yet"
     )
     p.add_argument("--split", choices=SPLITS)
-    p.add_argument("--exclude-domains", default="")
 
     p = sub.add_parser("refine", parents=[common], help="paraphrase coarse explanations")
     p.add_argument("--examples", required=True, help="examples JSONL from build")
@@ -438,16 +433,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--cache-dir", help="completion cache directory")
 
-    p = sub.add_parser("sample", parents=[common], help="keep a seeded fraction of train")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--schema", required=True)
+    p = sub.add_parser("sample", parents=[corpus_args], help="keep a seeded fraction of train")
     p.add_argument("--fraction", type=float, required=True, help="train fraction in (0, 1]")
     p.add_argument("--seed", type=int, default=13, help="random seed (default 13)")
-    p.add_argument("--exclude-domains", default="")
 
-    p = sub.add_parser("eval", parents=[common], help="score predictions against gold states")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--schema", required=True)
+    p = sub.add_parser("eval", parents=[corpus_args], help="score predictions against gold states")
     p.add_argument("--predictions", required=True, help="predictions JSONL")
     p.add_argument("--policy", help="normalization policy JSON")
     p.add_argument(
@@ -458,7 +448,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--format", choices=("json", "markdown", "csv"), default="json")
     p.add_argument("--split", choices=SPLITS)
-    p.add_argument("--exclude-domains", default="")
 
     p = sub.add_parser("report", parents=[common], help="re-render a saved JSON report")
     p.add_argument("--report", required=True, help="report JSON from eval")
@@ -476,10 +465,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _check_out_is_not_an_input(args)
         return _HANDLERS[args.subcommand](args)
-    except SlotchainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (SlotchainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

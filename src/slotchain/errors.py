@@ -1,4 +1,13 @@
-"""Exception types shared across the pipeline."""
+"""Exception types shared across the pipeline.
+
+Four kinds of error, all under ``SlotchainError``: ``FormatError`` (an
+input file does not have the expected layout), ``ValidationError`` (a
+value breaks a rule of the data model or names something that does not
+exist), ``AuthError`` (the API key is missing or rejected) and
+``NetworkError`` (a completion request failed). The CLI reports each as
+``error: <message>`` with exit code 1, except that ``refine`` reports an
+error that left one text unrefined as a warning and exits 3.
+"""
 
 from __future__ import annotations
 
@@ -16,44 +25,15 @@ class FormatError(SlotchainError):
 
 
 class ValidationError(SlotchainError):
-    """A structural invariant of the data model is violated."""
-
-
-class UnknownSlotError(SlotchainError):
-    """A slot_id does not resolve against the schema."""
-
-
-class UnknownDialogueError(SlotchainError):
-    """A dialogue_id does not resolve against the corpus."""
-
-
-class TurnOutOfRangeError(SlotchainError):
-    """A turn index falls outside 1..N for its dialogue."""
-
-
-class EmptyChainError(SlotchainError):
-    """An operation requiring a non-empty slot chain received an empty one."""
-
-
-class EmptyGenerationError(SlotchainError):
-    """A model generation was empty or whitespace-only."""
-
-
-class DuplicatePredictionError(SlotchainError):
-    """Two prediction records share the same (dialogue, turn, slot) key."""
-
-
-class InvalidFractionError(SlotchainError):
-    """A sampling fraction falls outside (0, 1]."""
+    """A structural invariant of the data model is violated: an unknown
+    dialogue or slot, a turn out of range, a repeated prediction, an
+    empty chain, generation or narration, a bad sampling fraction."""
 
 
 class NetworkError(SlotchainError):
-    """A remote completion request failed after all retries."""
+    """A remote completion request failed after all retries, or its
+    reply carried no usable text."""
 
 
 class AuthError(SlotchainError):
     """The API key is missing or was rejected. Never retried."""
-
-
-class EmptyCompletionError(SlotchainError):
-    """The remote model returned a whitespace-only completion."""

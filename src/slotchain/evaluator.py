@@ -22,15 +22,7 @@ from typing import Callable, Iterable, Mapping, Sequence
 from .builder import avg_utterance_len, parse_generation
 from .chains import max_step_at_turns
 from .corpus import Corpus, Dialogue
-from .errors import (
-    DuplicatePredictionError,
-    FormatError,
-    InvalidFractionError,
-    TurnOutOfRangeError,
-    UnknownDialogueError,
-    UnknownSlotError,
-    ValidationError,
-)
+from .errors import FormatError, ValidationError
 from .io import decode, encode, file_or_bundled, read_json, read_jsonl
 from .normalize import DEFAULT_POLICY, NONE_VALUE, NormalizationPolicy, values_match
 
@@ -82,11 +74,11 @@ def index_predictions(
         dialogue_id, turn, slot_id = key = (record.dialogue_id, record.query_turn, record.slot_id)
         turns = n_turns.get(dialogue_id)
         if turns is None:
-            raise UnknownDialogueError(f"{where}: prediction names unknown dialogue {dialogue_id!r}")
+            raise ValidationError(f"{where}: prediction names unknown dialogue {dialogue_id!r}")
         if slot_id not in slots:
-            raise UnknownSlotError(f"{where}: prediction names unknown slot {slot_id!r}")
+            raise ValidationError(f"{where}: prediction names unknown slot {slot_id!r}")
         if not 1 <= turn <= turns:
-            raise TurnOutOfRangeError(
+            raise ValidationError(
                 f"{where}: prediction turn {turn} outside dialogue {dialogue_id!r} "
                 f"with {turns} turns"
             )
@@ -95,7 +87,7 @@ def index_predictions(
                 line for line, _, row in read_rows()
                 if (row["dialogue_id"], row["turn"], row["slot_id"]) == key
             )
-            raise DuplicatePredictionError(f"{where}: duplicates line {first} {key}")
+            raise ValidationError(f"{where}: duplicates line {first} {key}")
         indexed[key] = parse_generation(record.generated_text)[0]
     return indexed
 
@@ -332,7 +324,7 @@ def low_resource_sample(corpus: Corpus, fraction: float, seed: int) -> Corpus:
     seeded shuffle of the sorted dialogue ids; dev and test untouched.
     Pure function of (corpus, fraction, seed)."""
     if not 0.0 < fraction <= 1.0:
-        raise InvalidFractionError(f"fraction must be in (0, 1], got {fraction}")
+        raise ValidationError(f"fraction must be in (0, 1], got {fraction}")
     train_ids = sorted(d.dialogue_id for d in corpus.dialogues_in("train"))
     if not train_ids:
         raise ValidationError("corpus has no train dialogues to sample")

@@ -51,7 +51,7 @@ def _parse(text: str, where: str):
         raise FormatError(f"{where}: not valid JSON: {exc}") from exc
 
 
-def read_json(source: str | Path, expect: type | None = None):
+def read_json(source: str | Path, expect: type):
     """The parsed content of a UTF-8 JSON file. ``expect`` (list or
     dict) is the type the top-level value must have."""
     if isinstance(source, str):
@@ -61,7 +61,7 @@ def read_json(source: str | Path, expect: type | None = None):
     except UnicodeDecodeError as exc:
         raise FormatError(f"{source}: not UTF-8: {exc}") from exc
     data = _parse(text, str(source))
-    if expect is not None and not isinstance(data, expect):
+    if not isinstance(data, expect):
         kind = "array" if expect is list else "object"
         raise FormatError(f"{source}: expected a JSON {kind}")
     return data

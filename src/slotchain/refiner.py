@@ -32,7 +32,7 @@ from typing import Iterable
 
 from . import __version__
 from .builder import CoTExample
-from .errors import AuthError, EmptyCompletionError, NetworkError, ValidationError
+from .errors import AuthError, NetworkError, ValidationError
 from .io import bundled, decode, http_post, read_json, write_text
 
 DEFAULT_API_KEY_ENV_VAR = "COTE_API_KEY"
@@ -85,10 +85,8 @@ class RefineConfig:
 
 @dataclass(frozen=True)
 class RefineResult:
-    coarse: str
     refined: str
     source: str  # "api" | "cache" | "offline_passthrough"
-    request_fingerprint: str
 
 
 @dataclass(frozen=True)
@@ -244,30 +242,30 @@ def _request_completion(config: RefineConfig, coarse: str, api_key: str) -> str:
 def refine_one(coarse: str, config: RefineConfig) -> RefineResult:
     """Refine one coarse explanation.
 
-    Offline mode is a pure function and never touches the cache, so
-    offline artifacts are reproducible regardless of cache state. Online,
-    the cache is consulted before the key is even looked up, letting
-    warm-cache runs work without credentials.
+    Offline mode is a pure function that neither hashes the request nor
+    touches the cache, so offline artifacts are reproducible regardless
+    of cache state. Online, the cache is consulted before the key is even
+    looked up, letting warm-cache runs work without credentials.
     """
     if not coarse:
         raise ValidationError("cannot refine an empty coarse explanation")
-    fingerprint = request_fingerprint(config, coarse)
     if config.offline:
         refined = strip_speaker_tags(coarse)
         if not refined:
-            raise EmptyCompletionError("offline passthrough produced an empty narration")
-        return RefineResult(coarse, refined, "offline_passthrough", fingerprint)
+            raise ValidationError("offline passthrough produced an empty narration")
+        return RefineResult(refined, "offline_passthrough")
+    fingerprint = request_fingerprint(config, coarse)
     cached = _cache_read(config, fingerprint)
     if cached is not None:
-        return RefineResult(coarse, cached, "cache", fingerprint)
+        return RefineResult(cached, "cache")
     api_key = os.environ.get(config.api_key_env_var, "")
     if not api_key:
         raise AuthError(f"environment variable {config.api_key_env_var} is not set")
     refined = _request_completion(config, coarse, api_key).strip()
     if not refined:
-        raise EmptyCompletionError("endpoint returned a whitespace-only completion")
+        raise NetworkError("endpoint returned a whitespace-only completion")
     _cache_write(config, fingerprint, refined)
-    return RefineResult(coarse, refined, "api", fingerprint)
+    return RefineResult(refined, "api")
 
 
 def refine_batch(

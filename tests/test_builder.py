@@ -32,12 +32,7 @@ from slotchain.builder import (
 from slotchain.chains import extract_chain
 from slotchain.cli import main
 from slotchain.corpus import Corpus, Dialogue, Schema, SlotSchema, TurnPair, corpus_to_json
-from slotchain.errors import (
-    EmptyChainError,
-    EmptyGenerationError,
-    FormatError,
-    ValidationError,
-)
+from slotchain.errors import FormatError, ValidationError
 from slotchain.io import encode
 from slotchain.normalize import DEFAULT_POLICY
 
@@ -277,7 +272,9 @@ def test_coarse_explanation_ordering_matches_sorted_turns():
 def test_coarse_explanation_requires_chain():
     d = dialogue()
     chain = extract_chain(d, "hotel-area", 2)
-    with pytest.raises(EmptyChainError):
+    with pytest.raises(
+        ValidationError, match=r"^slot 'hotel-area' has no chain at turn 2 of dialogue 'd1'$"
+    ):
         build_coarse_explanation(chain, d)
 
 
@@ -327,7 +324,7 @@ def test_parse_generation_value_only():
 
 
 def test_parse_generation_rejects_blank():
-    with pytest.raises(EmptyGenerationError):
+    with pytest.raises(ValidationError, match=r"^generation is empty or whitespace-only$"):
         parse_generation("   \n ")
 
 

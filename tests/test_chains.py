@@ -30,7 +30,7 @@ from slotchain.corpus import (
     load_corpus,
     load_schema,
 )
-from slotchain.errors import TurnOutOfRangeError
+from slotchain.errors import ValidationError
 from slotchain.normalize import DEFAULT_POLICY
 
 
@@ -154,9 +154,9 @@ def test_empty_chain_for_untouched_slot():
 
 
 def test_query_turn_bounds():
-    with pytest.raises(TurnOutOfRangeError):
+    with pytest.raises(ValidationError, match=r"^turn 0 outside dialogue 'stars' with 4 turns$"):
         extract_chain(stars_dialogue(), "hotel-stars", 0)
-    with pytest.raises(TurnOutOfRangeError):
+    with pytest.raises(ValidationError, match=r"^turn 5 outside dialogue 'stars' with 4 turns$"):
         extract_chain(stars_dialogue(), "hotel-stars", 5)
 
 

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import slotchain
+import slotchain.errors
 from slotchain.builder import build_dataset, examples_to_jsonl, read_examples
 from slotchain.chains import step_histogram
 from slotchain.cli import main
@@ -181,6 +182,16 @@ def test_missing_input_file_exits_one(capsys):
     code, out, err = run(capsys, "stats", "--corpus", "no/such/file.json", "--schema", SCHEMA)
     assert code == 1
     assert "error:" in err
+
+
+def test_errors_are_the_five_kinds():
+    classes = {
+        name for name, value in vars(slotchain.errors).items()
+        if isinstance(value, type) and issubclass(value, Exception)
+    }
+    assert classes == {
+        "SlotchainError", "FormatError", "ValidationError", "NetworkError", "AuthError"
+    }
 
 
 def test_bad_schema_name_exits_one(capsys):
@@ -621,6 +632,21 @@ def test_refine_offline_round_trip(capsys, tmp_path):
     for example in refined:
         assert "system:" not in example.explanation
         assert "user:" not in example.explanation
+
+
+def test_refine_offline_matches_golden_without_fingerprints(capsys, tmp_path, monkeypatch):
+    def refuse(config, coarse):
+        raise AssertionError("offline refine hashed a request fingerprint")
+
+    monkeypatch.setattr("slotchain.refiner.request_fingerprint", refuse)
+    golden = REPO / "tests" / "golden" / "e2e"
+    out_path = tmp_path / "refined.jsonl"
+    code, _, err = run(
+        capsys, "refine", "--examples", str(golden / "examples_coarse.jsonl"), "--offline",
+        "--out", str(out_path),
+    )
+    assert (code, err) == (0, "")
+    assert out_path.read_bytes() == (golden / "examples_refined.jsonl").read_bytes()
 
 
 def test_refine_offline_is_byte_deterministic(capsys, tmp_path):

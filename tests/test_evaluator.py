@@ -13,15 +13,7 @@ import pytest
 
 from slotchain import cli, evaluator
 from slotchain.corpus import Corpus, Dialogue, Schema, SlotSchema, TurnPair
-from slotchain.errors import (
-    DuplicatePredictionError,
-    FormatError,
-    InvalidFractionError,
-    TurnOutOfRangeError,
-    UnknownDialogueError,
-    UnknownSlotError,
-    ValidationError,
-)
+from slotchain.errors import FormatError, ValidationError
 from slotchain.evaluator import (
     Bucket,
     BucketResult,
@@ -254,28 +246,37 @@ def test_extra_corruption_never_raises_jga():
 def test_duplicate_prediction_rejected():
     corpus = hand_corpus()
     rows = perfect_rows(corpus)
-    with pytest.raises(DuplicatePredictionError):
+    with pytest.raises(
+        ValidationError, match=r"^rows: line 19: duplicates line 1 \('d1', 1, 'hotel-area'\)$"
+    ):
         fine_grained_report(corpus, to_index(corpus, rows + rows[:1]))
 
 
 def test_unknown_dialogue_rejected():
     corpus = hand_corpus()
     rows = [{"dialogue_id": "ghost", "turn": 1, "slot_id": "hotel-area", "text": "north"}]
-    with pytest.raises(UnknownDialogueError, match="ghost"):
+    with pytest.raises(
+        ValidationError, match=r"^rows: line 1: prediction names unknown dialogue 'ghost'$"
+    ):
         fine_grained_report(corpus, to_index(corpus, rows))
 
 
 def test_unknown_slot_rejected():
     corpus = hand_corpus()
     rows = [{"dialogue_id": "d1", "turn": 1, "slot_id": "hotel-parking", "text": "yes"}]
-    with pytest.raises(UnknownSlotError, match="hotel-parking"):
+    with pytest.raises(
+        ValidationError, match=r"^rows: line 1: prediction names unknown slot 'hotel-parking'$"
+    ):
         fine_grained_report(corpus, to_index(corpus, rows))
 
 
 def test_out_of_range_turn_rejected():
     corpus = hand_corpus()
     rows = [{"dialogue_id": "d1", "turn": 4, "slot_id": "hotel-area", "text": "north"}]
-    with pytest.raises(TurnOutOfRangeError):
+    with pytest.raises(
+        ValidationError,
+        match=r"^rows: line 1: prediction turn 4 outside dialogue 'd1' with 3 turns$",
+    ):
         fine_grained_report(corpus, to_index(corpus, rows))
 
 
@@ -337,7 +338,9 @@ def test_load_predictions_rejects_duplicates_naming_both_lines(tmp_path):
     path = tmp_path / "predictions.jsonl"
     row = {"dialogue_id": "d1", "turn": 1, "slot_id": "hotel-area", "text": "north"}
     write_rows(path, [row, row])
-    with pytest.raises(DuplicatePredictionError, match="line 2.*line 1"):
+    with pytest.raises(
+        ValidationError, match=r": line 2: duplicates line 1 \('d1', 1, 'hotel-area'\)$"
+    ):
         load_predictions(path, hand_corpus())
 
 
@@ -623,7 +626,9 @@ def test_sample_keeps_whole_dialogues_in_original_order():
 def test_sample_fraction_bounds():
     corpus = tiny_corpus(10)
     for fraction in (0.0, -0.1, 1.0001, 2.0):
-        with pytest.raises(InvalidFractionError):
+        with pytest.raises(
+            ValidationError, match=rf"^fraction must be in \(0, 1\], got {fraction}$"
+        ):
             low_resource_sample(corpus, fraction, seed=13)
     low_resource_sample(corpus, 1.0, seed=13)
 

@@ -508,19 +508,19 @@ def test_read_json_names_the_file_and_the_problem(tmp_path):
     path = tmp_path / "x.json"
     path.write_bytes(b'{"a": "\xe9"}')
     with pytest.raises(FormatError, match=r"x\.json: not UTF-8"):
-        read_json(path)
+        read_json(path, expect=dict)
     path.write_text("[1,", encoding="utf-8")
     with pytest.raises(FormatError, match=r"x\.json: not valid JSON"):
-        read_json(path)
+        read_json(path, expect=dict)
     path.write_text('\ufeff{}', encoding="utf-8")
     with pytest.raises(FormatError, match=r"x\.json: not valid JSON: Unexpected UTF-8 BOM"):
-        read_json(path)
+        read_json(path, expect=dict)
     path.write_text('{"backoff_base": NaN}', encoding="utf-8")
     with pytest.raises(FormatError, match=r"x\.json: not valid JSON: non-finite number NaN"):
-        read_json(path)
+        read_json(path, expect=dict)
     path.write_text('{"backoff_base": 1e999}', encoding="utf-8")
     with pytest.raises(FormatError, match=r"x\.json: not valid JSON: non-finite number 1e999"):
-        read_json(path)
+        read_json(path, expect=dict)
     path.write_text("[1]", encoding="utf-8")
     assert read_json(path, expect=list) == [1]
     with pytest.raises(FormatError, match=r"x\.json: expected a JSON object"):

@@ -18,7 +18,6 @@ from slotchain.builder import CoTExample, ExampleMeta, examples_to_jsonl
 from slotchain.cli import main
 from slotchain.errors import (
     AuthError,
-    EmptyCompletionError,
     FormatError,
     NetworkError,
     ValidationError,
@@ -197,7 +196,6 @@ def test_offline_strips_tags_and_skips_network_and_cache(tmp_path):
     result = refine_one(COARSE, config)
     assert result.refined == "The York is 5-star. Book it."
     assert result.source == "offline_passthrough"
-    assert result.coarse == COARSE
     assert not (tmp_path / "cache").exists()
 
 
@@ -214,9 +212,20 @@ def test_offline_collapses_interior_whitespace():
     assert result.refined == "Twelve noon. Fine."
 
 
+def test_offline_hashes_no_fingerprint(monkeypatch):
+    def refuse(config, coarse):
+        raise AssertionError("offline refine hashed a request fingerprint")
+
+    monkeypatch.setattr("slotchain.refiner.request_fingerprint", refuse)
+    result = refine_one(COARSE, RefineConfig(offline=True))
+    assert (result.refined, result.source) == ("The York is 5-star. Book it.", "offline_passthrough")
+
+
 def test_offline_empty_after_stripping_raises():
     config = RefineConfig(offline=True)
-    with pytest.raises(EmptyCompletionError):
+    with pytest.raises(
+        ValidationError, match=r"^offline passthrough produced an empty narration$"
+    ):
         refine_one("system: user:  ", config)
 
 
@@ -511,7 +520,7 @@ def test_second_call_served_from_cache(server, tmp_path, api_key):
 def test_cache_file_named_by_fingerprint_and_holds_refined_text(server, tmp_path, api_key):
     config = make_config(server, tmp_path)
     result = refine_one(COARSE, config)
-    cache_file = tmp_path / "cache" / result.request_fingerprint
+    cache_file = tmp_path / "cache" / request_fingerprint(config, COARSE)
     assert cache_file.read_text(encoding="utf-8") == result.refined
     leftovers = [p for p in (tmp_path / "cache").iterdir() if p.name.startswith(".tmp-")]
     assert leftovers == []
@@ -537,7 +546,9 @@ def test_no_cache_dir_means_every_call_hits_api(server, tmp_path, api_key):
 def test_empty_completion_raises_and_is_not_cached(server, tmp_path, api_key):
     server.script.append((200, {"text": "   "}))
     config = make_config(server, tmp_path)
-    with pytest.raises(EmptyCompletionError):
+    with pytest.raises(
+        NetworkError, match=r"^endpoint returned a whitespace-only completion$"
+    ):
         refine_one(COARSE, config)
     cache_dir = tmp_path / "cache"
     assert not cache_dir.exists() or list(cache_dir.iterdir()) == []
