@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, Sequence
 
 # extract_chain is not called here, but bench/spans.py wraps builder.extract_chain.
-from .chains import SlotChain, chains_by_slot, extract_chain  # noqa: F401
+from .chains import chains_by_slot, extract_chain  # noqa: F401
 from .corpus import Dialogue, Schema, SlotSchema
 from .errors import FormatError, ValidationError
 from .io import decode, json_line, read_json, read_jsonl
@@ -74,15 +74,6 @@ def build_question(slot: SlotSchema, overrides: Mapping[str, str] | None = None)
     if description.endswith("."):
         description = description[:-1]
     return f"What's {description}?"
-
-
-def _speaker_pair(system: str, user: str) -> str:
-    parts = ["system:"]
-    if system:
-        parts.append(system)
-    parts.append("user:")
-    parts.append(user)
-    return " ".join(parts)
 
 
 def render_histories(dialogue: Dialogue) -> list[str]:
@@ -154,23 +145,18 @@ def render_prompt(prompt: SlotPrompt, history: str) -> str:
     return f"{prompt.before}{history}{prompt.after}".strip()
 
 
-def build_coarse_explanation(chain: SlotChain, dialogue: Dialogue) -> str:
+def build_coarse_explanation(dialogue: Dialogue, change_turns: Sequence[int]) -> str:
     """System/user pairs of the change turns, chronologically, joined by
     single spaces. The turns need not be consecutive."""
-    if not chain.change_turns:
+    if not change_turns:
         raise ValidationError(
-            f"slot {chain.slot_id!r} has no chain at turn {chain.query_turn} "
-            f"of dialogue {chain.dialogue_id!r}"
-        )
-    if chain.dialogue_id != dialogue.dialogue_id:
-        raise ValidationError(
-            f"chain belongs to dialogue {chain.dialogue_id!r}, "
-            f"got {dialogue.dialogue_id!r}"
+            f"no change turns to explain in dialogue {dialogue.dialogue_id!r}"
         )
     pairs = []
-    for turn_index in chain.change_turns:
+    for turn_index in change_turns:
         turn = dialogue.turns[turn_index - 1]
-        pairs.append(_speaker_pair(turn.system_utterance, turn.user_utterance))
+        system = f"system: {turn.system_utterance}" if turn.system_utterance else "system:"
+        pairs.append(f"{system} user: {turn.user_utterance}")
     return " ".join(pairs)
 
 
@@ -268,31 +254,26 @@ def build_dataset(
     for turn, history in zip(dialogue.turns, render_histories(dialogue)):
         for prompt in prompts:
             slot_id = prompt.slot.slot_id
-            full = chains.get(slot_id)
-            if full is None:
-                chain = SlotChain(dialogue.dialogue_id, slot_id, turn.index, (), ())
-            else:
-                chain = full.through(turn.index)
-                if not include_inactive and chain.step_count == 0:
-                    continue
-            target_value = chain.final_value
-            explain = (
-                include_explanations
-                and chain.step_count > 0
-                and normalize_value(target_value) != NONE_VALUE
-            )
+            chain = chains.get(slot_id)
+            steps = chain.steps_at(turn.index) if chain else 0
+            if not include_inactive and steps == 0:
+                continue
+            target_value = chain.values[steps - 1] if steps else NONE_VALUE
+            explanation = ""
+            if include_explanations and steps and normalize_value(target_value) != NONE_VALUE:
+                explanation = build_coarse_explanation(dialogue, chain.change_turns[:steps])
             examples.append(
                 CoTExample(
                     example_id=f"{dialogue.dialogue_id}:{turn.index}:{slot_id}",
                     input_text=render_prompt(prompt, history),
                     target_value=target_value,
-                    explanation=build_coarse_explanation(chain, dialogue) if explain else "",
-                    explanation_kind="coarse" if explain else "none",
+                    explanation=explanation,
+                    explanation_kind="coarse" if explanation else "none",
                     meta=ExampleMeta(
                         dialogue_id=dialogue.dialogue_id,
                         query_turn=turn.index,
                         slot_id=slot_id,
-                        step_count=chain.step_count,
+                        step_count=steps,
                         dialogue_turns=dialogue.n_turns,
                         avg_utterance_len=utterance_len,
                     ),

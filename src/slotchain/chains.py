@@ -1,15 +1,15 @@
 """Slot reasoning chains: the turns at which a slot's value changed.
 
-A chain collects, in order, every turn up to a query turn where the
-normalized value of one slot differs from the turn before. Its length is
-the number of reasoning steps needed to justify the value at the query
-turn; dropping a previously set slot counts as a step to "none".
+A chain collects, in order, every turn of a dialogue where the
+normalized value of one slot differs from the turn before; dropping a
+previously set slot counts as a change to "none". The chain at turn t is
+its first ``steps_at(t)`` changes, and that count is the number of
+reasoning steps needed to justify the slot's value at turn t.
 
 ``extract_chain`` is the only place that detects changes. The dataset
 builder, the step histogram and the step buckets scan each (dialogue,
-slot) once, through the last turn; the chain at an earlier turn is the
-prefix of that chain up to the turn. A raw value equal to the turn
-before's is not normalized again.
+slot) once, through the last turn, and read every turn off that one
+chain. A raw value equal to the turn before's is not normalized again.
 """
 
 from __future__ import annotations
@@ -19,65 +19,42 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .corpus import Corpus, Dialogue
-from .errors import ValidationError
 from .normalize import DEFAULT_POLICY, NONE_VALUE, NormalizationPolicy, normalize_value
 
 
 @dataclass(frozen=True)
 class SlotChain:
-    """Change history of one slot through ``query_turn``.
+    """Change history of one slot through the dialogue's last turn.
 
     ``change_turns`` and ``values`` run in parallel: the value as
     annotated at each change turn, with the sentinel "none" standing in
     when the slot was dropped there.
     """
 
-    dialogue_id: str
-    slot_id: str
-    query_turn: int
     change_turns: tuple[int, ...]
     values: tuple[str, ...]
 
-    @property
-    def step_count(self) -> int:
-        return len(self.change_turns)
-
-    @property
-    def final_value(self) -> str:
-        """Value in force at the query turn; "none" when never set."""
-        return self.values[-1] if self.values else NONE_VALUE
-
-    def through(self, query_turn: int) -> SlotChain:
-        """The chain at an earlier (or the same) query turn: a prefix."""
-        k = bisect_right(self.change_turns, query_turn)
-        return SlotChain(
-            self.dialogue_id, self.slot_id, query_turn, self.change_turns[:k], self.values[:k]
-        )
+    def steps_at(self, turn: int) -> int:
+        """Number of changes at or before ``turn``: the chain at that
+        turn is the first ``steps_at(turn)`` changes."""
+        return bisect_right(self.change_turns, turn)
 
 
 def extract_chain(
     dialogue: Dialogue,
     slot_id: str,
-    query_turn: int,
     policy: NormalizationPolicy = DEFAULT_POLICY,
 ) -> SlotChain:
-    """Chain for one slot through ``query_turn`` (1-based, inclusive).
+    """Chain for one slot over every turn of the dialogue.
 
-    The chain is empty exactly when the slot never held a value in the
-    prefix. Values that only restate the previous one (up to
-    normalization) add no step. Chains over growing query turns extend
-    each other: the chain at turn t is a prefix of the chain at t+1.
+    The chain is empty exactly when the slot never held a value. Values
+    that only restate the previous one (up to normalization) add no step.
     """
-    if not 1 <= query_turn <= dialogue.n_turns:
-        raise ValidationError(
-            f"turn {query_turn} outside dialogue {dialogue.dialogue_id!r} "
-            f"with {dialogue.n_turns} turns"
-        )
     change_turns: list[int] = []
     values: list[str] = []
     previous = NONE_VALUE
     previous_raw = None  # an absent value, which stands for "none" like the start
-    for turn in dialogue.turns[:query_turn]:
+    for turn in dialogue.turns:
         raw = turn.gold_state.get(slot_id)
         if raw == previous_raw:
             continue  # states are cumulative: most turns restate the raw value
@@ -87,22 +64,15 @@ def extract_chain(
             change_turns.append(turn.index)
             values.append(raw if raw is not None else NONE_VALUE)
             previous = norm
-    return SlotChain(
-        dialogue_id=dialogue.dialogue_id,
-        slot_id=slot_id,
-        query_turn=query_turn,
-        change_turns=tuple(change_turns),
-        values=tuple(values),
-    )
+    return SlotChain(tuple(change_turns), tuple(values))
 
 
 def chains_by_slot(
     dialogue: Dialogue, policy: NormalizationPolicy = DEFAULT_POLICY
 ) -> dict[str, SlotChain]:
-    """Chain through the last turn of every slot annotated in the
-    dialogue, one scan each; ``.through(t)`` gives the chain at turn t."""
+    """Chain of every slot annotated in the dialogue, one scan each."""
     slot_ids = {slot_id for turn in dialogue.turns for slot_id in turn.gold_state}
-    return {s: extract_chain(dialogue, s, dialogue.n_turns, policy) for s in slot_ids}
+    return {s: extract_chain(dialogue, s, policy) for s in slot_ids}
 
 
 def max_step_at_turns(
@@ -112,7 +82,7 @@ def max_step_at_turns(
     the first slot is filled. Used to bucket turns by reasoning depth."""
     chains = chains_by_slot(dialogue, policy).values()
     return tuple(
-        max((bisect_right(c.change_turns, t) for c in chains), default=0)
+        max((c.steps_at(t) for c in chains), default=0)
         for t in range(1, dialogue.n_turns + 1)
     )
 

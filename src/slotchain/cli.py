@@ -21,7 +21,6 @@ from __future__ import annotations
 import argparse
 import collections
 import itertools
-import json
 import os
 import sys
 from typing import Iterable, Iterator
@@ -56,7 +55,9 @@ from .evaluator import (
     read_report,
     render_report,
 )
-from .io import decode, file_or_bundled, parse_jsonl, read_json, read_lines, write_lines
+from .io import (
+    decode, file_or_bundled, json_text, parse_jsonl, read_json, read_lines, write_lines,
+)
 from .normalize import DEFAULT_POLICY, NormalizationPolicy
 from .refiner import RefineConfig, RefineFailure, load_refine_config, refine_batch
 
@@ -153,7 +154,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         "slots": len(schema.slots),
     }
     print("corpus is valid", file=sys.stderr)
-    _emit(json.dumps(summary, ensure_ascii=False, indent=2) + "\n", args.out)
+    _emit(json_text(summary), args.out)
     return 0
 
 
@@ -167,7 +168,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             "total_active": histogram.total_active,
             "multi_step_fraction": histogram.multi_step_fraction,
         }
-        _emit(json.dumps(payload, ensure_ascii=False, indent=2) + "\n", args.out)
+        _emit(json_text(payload), args.out)
         return 0
     lines = [f"{'step':<6}{'samples':>9}{'share':>9}"]
     total = histogram.total_active

@@ -8,7 +8,6 @@ safe to share across threads.
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -16,7 +15,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import FormatError, ValidationError
-from .io import decode, encode, read_json
+from .io import decode, encode, json_text, read_json
 from .normalize import DEFAULT_POLICY, normalize_value
 
 SPLITS = ("train", "dev", "test")
@@ -124,6 +123,8 @@ def validate_schema(schema: Schema) -> None:
 
 
 def validate_dialogue(dialogue: Dialogue, schema: Schema) -> None:
+    if not dialogue.dialogue_id:
+        raise ValidationError("empty dialogue_id")
     if dialogue.split not in SPLITS:
         raise ValidationError(
             f"dialogue {dialogue.dialogue_id!r}: unknown split {dialogue.split!r}"
@@ -263,9 +264,6 @@ def filter_excluded_domains(corpus: Corpus, exclude_domains: set[str]) -> Corpus
     return Corpus(schema=corpus.schema, dialogues=tuple(kept))
 
 
-_INDENTED = json.JSONEncoder(ensure_ascii=False, indent=2)
-
-
 def corpus_json_lines(corpus: Corpus) -> Iterator[str]:
     """The canonical dialogue-file text for a corpus, one dialogue at a
     time: together, the bytes of ``json.dumps(records,
@@ -283,7 +281,7 @@ def corpus_json_lines(corpus: Corpus) -> Iterator[str]:
             "split": dialogue.split,
             "turns": [encode(turn) for turn in dialogue.turns],
         }
-        yield opening + _INDENTED.encode(record).replace("\n", "\n  ")
+        yield opening + json_text(record).removesuffix("\n").replace("\n", "\n  ")
         opening = ",\n  "
     yield "\n]\n" if corpus.dialogues else "[]\n"
 
@@ -360,6 +358,18 @@ def _object(value: object, where: str) -> dict:
     return value
 
 
+def _string(value: object, where: str) -> str:
+    """``value`` when it is a JSON string; ``where`` names the field."""
+    if not isinstance(value, str):
+        raise FormatError(f"{where}: expected a string")
+    return value
+
+
+def _text(record: dict, key: str, where: str) -> str:
+    """The string field ``key`` of a legacy record, "" when it is missing."""
+    return _string(record.get(key, ""), f"{where} {key}")
+
+
 def _slot_name_index(schema: Schema, domain: str | None = None) -> dict[str, str | None]:
     """Map bare slot names (space/underscore tolerant) to slot ids.
 
@@ -418,12 +428,12 @@ def _ingest_woz_belief(path: Path, schema: Schema, split: str) -> tuple[Dialogue
                     raw_name, value = pair
                     slot_id = _resolve_slot_name(name_index, raw_name, turn_where)
                     if value:
-                        state[slot_id] = str(value)
+                        state[slot_id] = _string(value, f"{turn_where} slots {raw_name!r}")
             turns.append(
                 TurnPair(
                     index=j + 1,
-                    system_utterance=str(raw_turn.get("system_transcript", "")),
-                    user_utterance=str(raw_turn.get("transcript", "")),
+                    system_utterance=_text(raw_turn, "system_transcript", turn_where),
+                    user_utterance=_text(raw_turn, "transcript", turn_where),
                     gold_state=state,
                 )
             )
@@ -450,14 +460,14 @@ def _ingest_m2m_flat(path: Path, schema: Schema, split: str) -> tuple[Dialogue, 
                 slot_id = _resolve_slot_name(name_index, item.get("slot"), turn_where)
                 value = item.get("value")
                 if value:
-                    state[slot_id] = str(value)
+                    state[slot_id] = _string(value, f"{turn_where} dialogue_state value")
             system = _object(raw_turn.get("system_utterance"), f"{turn_where} system_utterance")
             user = _object(raw_turn.get("user_utterance"), f"{turn_where} user_utterance")
             turns.append(
                 TurnPair(
                     index=j + 1,
-                    system_utterance=str(system.get("text", "")),
-                    user_utterance=str(user.get("text", "")),
+                    system_utterance=_text(system, "text", f"{turn_where} system_utterance"),
+                    user_utterance=_text(user, "text", f"{turn_where} user_utterance"),
                     gold_state=state,
                 )
             )
@@ -476,30 +486,26 @@ def _ingest_sgd_state(path: Path, schema: Schema, split: str) -> tuple[Dialogue,
         turns: list[TurnPair] = []
         pending_system = ""
         for j, raw_turn in enumerate(_objects(raw_turns, f"{where} turn")):
-            speaker = str(raw_turn.get("speaker", "")).upper()
-            utterance = str(raw_turn.get("utterance", ""))
+            turn_where = f"{where} turn {j}"
+            speaker = _text(raw_turn, "speaker", turn_where).upper()
+            utterance = _text(raw_turn, "utterance", turn_where)
             if speaker == "SYSTEM":
                 pending_system = utterance
                 continue
             if speaker != "USER":
-                raise FormatError(f"{where} turn {j}: unknown speaker {speaker!r}")
+                raise FormatError(f"{turn_where}: unknown speaker {speaker!r}")
             state: dict[str, str] = {}
-            frames = _objects(raw_turn.get("frames", []), f"{where} turn {j} frame")
+            frames = _objects(raw_turn.get("frames", []), f"{turn_where} frame")
             for k, frame in enumerate(frames):
-                frame_where = f"{where} turn {j} frame {k}"
+                frame_where = f"{turn_where} frame {k}"
                 frame_state = _object(frame.get("state"), f"{frame_where} state")
                 slot_values = _object(frame_state.get("slot_values"), f"{frame_where} slot_values")
                 for slot_id, variants in slot_values.items():
                     if slot_id not in schema:
-                        raise FormatError(
-                            f"{where} turn {j}: state names unknown slot {slot_id!r}"
-                        )
-                    if isinstance(variants, list):
-                        if not variants:
-                            continue
-                        state[slot_id] = str(variants[0])
-                    else:
-                        state[slot_id] = str(variants)
+                        raise FormatError(f"{turn_where}: state names unknown slot {slot_id!r}")
+                    value = variants[0] if isinstance(variants, list) and variants else variants
+                    if value:
+                        state[slot_id] = _string(value, f"{frame_where} slot_values {slot_id!r}")
             turns.append(
                 TurnPair(
                     index=len(turns) + 1,

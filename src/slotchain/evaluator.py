@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import json
 import math
 import random
 from dataclasses import dataclass, field
@@ -23,7 +22,7 @@ from .builder import avg_utterance_len, parse_generation
 from .chains import max_step_at_turns
 from .corpus import Corpus, Dialogue
 from .errors import FormatError, ValidationError
-from .io import decode, encode, file_or_bundled, read_json, read_jsonl
+from .io import decode, encode, file_or_bundled, json_text, read_json, read_jsonl
 from .normalize import DEFAULT_POLICY, NONE_VALUE, NormalizationPolicy, values_match
 
 AXES = ("step", "turn", "len")
@@ -352,7 +351,7 @@ def _format_jga(jga: float | None) -> str:
 def render_report(report: EvalReport, format: str) -> str:
     """Report as json, markdown, or csv text (stable field order)."""
     if format == "json":
-        return json.dumps(encode(report), ensure_ascii=False, indent=2) + "\n"
+        return json_text(encode(report))
     if format == "markdown":
         lines = [
             "# Evaluation report",

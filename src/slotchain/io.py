@@ -191,6 +191,7 @@ def bundled(name: str) -> Path | None:
 _SCALARS = {str: "a string", int: "an integer", float: "a number", bool: "a boolean"}
 _WRONG = object()  # what a loader returns for a value that does not fit
 _JSON = json.JSONEncoder(ensure_ascii=False)  # what json.dumps(..., ensure_ascii=False) builds
+_INDENTED = json.JSONEncoder(ensure_ascii=False, indent=2)
 
 
 class _Fault(Exception):
@@ -403,3 +404,9 @@ def encode(record) -> dict:
 def json_line(record) -> str:
     """A record as one JSON Lines line, non-ASCII characters kept."""
     return _JSON.encode(encode(record)) + "\n"
+
+
+def json_text(value) -> str:
+    """A JSON value as the text of a file: indented by two spaces,
+    non-ASCII characters kept, and a final newline."""
+    return _INDENTED.encode(value) + "\n"

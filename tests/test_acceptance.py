@@ -21,7 +21,7 @@ from pathlib import Path
 import pytest
 
 from slotchain.builder import parse_generation, render_target
-from slotchain.chains import extract_chain, step_histogram
+from slotchain.chains import step_histogram
 from slotchain.corpus import (
     SPLITS,
     Corpus,
@@ -45,6 +45,7 @@ from slotchain.refiner import RefineConfig, refine_batch, refine_one, strip_spea
 
 from gen import make_corpus, make_predictions
 from oracles import oracle_chain, oracle_jga, oracle_step_histogram
+from test_chains import chain_at
 from test_corpus import load_sgd_schema
 from test_refiner import DEMOS, KEY_VAR, MockCompletionServer, make_example
 
@@ -319,21 +320,18 @@ def test_criterion_5_chain_oracle_equivalence():
         corpus = make_corpus(rng, max_dialogues=5, max_turns=6, max_slots=4)
         for dialogue in corpus.dialogues:
             for slot in corpus.schema.slots:
-                previous = None
+                previous: list = []
                 for turn in dialogue.turns:
-                    chain = extract_chain(dialogue, slot.slot_id, turn.index)
+                    chain = chain_at(dialogue, slot.slot_id, turn.index)
                     expected = oracle_chain(
                         dialogue, slot.slot_id, turn.index, DEFAULT_POLICY
                     )
-                    assert list(zip(chain.change_turns, chain.values)) == expected, (
+                    assert chain == expected, (
                         f"seed {seed} {dialogue.dialogue_id} {slot.slot_id} t{turn.index}"
                     )
-                    if previous is not None:
-                        n = len(previous.change_turns)
-                        assert chain.change_turns[:n] == previous.change_turns
-                        assert chain.values[:n] == previous.values
+                    assert chain[: len(previous)] == previous
                     previous = chain
-                    deletions_seen += chain.values.count("none")
+                    deletions_seen += sum(value == "none" for _, value in chain)
     elapsed = time.monotonic() - start
     assert deletions_seen > 0, "random corpora never exercised a deletion"
     assert elapsed < 30, f"took {elapsed:.1f}s"

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import json
 import random
+from pathlib import Path
 
 import pytest
 
 from gen import make_corpus
 from oracles import oracle_chain
+from test_chains import chain_at
 from slotchain.builder import (
     CoTExample,
     DEFAULT_TEMPLATE,
@@ -29,12 +31,23 @@ from slotchain.builder import (
     slot_prompt,
     slot_prompts,
 )
-from slotchain.chains import extract_chain
+from slotchain.chains import SlotChain, extract_chain
 from slotchain.cli import main
-from slotchain.corpus import Corpus, Dialogue, Schema, SlotSchema, TurnPair, corpus_to_json
+from slotchain.corpus import (
+    Corpus,
+    Dialogue,
+    Schema,
+    SlotSchema,
+    TurnPair,
+    corpus_to_json,
+    load_corpus,
+    load_schema,
+)
 from slotchain.errors import FormatError, ValidationError
 from slotchain.io import encode
 from slotchain.normalize import DEFAULT_POLICY
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def schema() -> Schema:
@@ -236,15 +249,17 @@ def test_coarse_explanation_non_consecutive_pairs():
         ),
         "train",
     )
-    chain = extract_chain(d, "hotel-stars", 4)
+    chain = extract_chain(d, "hotel-stars")
     assert chain.change_turns == (2, 4)
-    assert build_coarse_explanation(chain, d) == "system: a2 user: u2 system: a4 user: u4"
+    assert build_coarse_explanation(d, chain.change_turns) == (
+        "system: a2 user: u2 system: a4 user: u4"
+    )
 
 
 def test_coarse_explanation_single_pair_empty_system():
     d = dialogue()
-    chain = extract_chain(d, "hotel-stars", 1)
-    assert build_coarse_explanation(chain, d) == "system: user: find a 3 star hotel"
+    turns = [t for t, _ in chain_at(d, "hotel-stars", 1)]
+    assert build_coarse_explanation(d, turns) == "system: user: find a 3 star hotel"
 
 
 def coarse_text(d, turn_indices):
@@ -262,28 +277,20 @@ def test_coarse_explanation_ordering_matches_sorted_turns():
         corpus = make_corpus(random.Random(40_000 + seed))
         for d in corpus.dialogues:
             for slot in corpus.schema.slots:
-                chain = extract_chain(d, slot.slot_id, d.n_turns)
+                chain = extract_chain(d, slot.slot_id)
                 if not chain.change_turns:
                     continue
-                text = build_coarse_explanation(chain, d)
+                text = build_coarse_explanation(d, chain.change_turns)
                 assert text == coarse_text(d, sorted(chain.change_turns))
 
 
 def test_coarse_explanation_requires_chain():
     d = dialogue()
-    chain = extract_chain(d, "hotel-area", 2)
+    turns = extract_chain(d, "hotel-area").change_turns
     with pytest.raises(
-        ValidationError, match=r"^slot 'hotel-area' has no chain at turn 2 of dialogue 'd1'$"
+        ValidationError, match=r"^no change turns to explain in dialogue 'd1'$"
     ):
-        build_coarse_explanation(chain, d)
-
-
-def test_coarse_explanation_rejects_foreign_dialogue():
-    d = dialogue()
-    chain = extract_chain(d, "hotel-stars", 2)
-    other = Dialogue("other", d.turns, "train")
-    with pytest.raises(ValidationError, match="belongs to"):
-        build_coarse_explanation(chain, other)
+        build_coarse_explanation(d, turns)
 
 
 # ---------------------------------------------------------------------------
@@ -425,6 +432,25 @@ def test_build_dataset_scans_each_annotated_slot_once(monkeypatch):
             len({s for turn in d.turns for s in turn.gold_state}) for d in corpus.dialogues
         )
         assert len(calls) <= pairs, (seed, len(calls), pairs)
+
+
+def test_build_constructs_one_chain_per_annotated_slot(monkeypatch):
+    made = []
+
+    def counting(*args, **kwargs):
+        made.append(args)
+        return SlotChain(*args, **kwargs)
+
+    # count constructions made through either module's name for the class
+    monkeypatch.setattr("slotchain.chains.SlotChain", counting)
+    monkeypatch.setattr("slotchain.builder.SlotChain", counting, raising=False)
+    fixture_schema = load_schema(FIXTURES / "fixture_schema.json")
+    corpus = load_corpus([FIXTURES / "fixture_dialogues.json"], fixture_schema)
+    pairs = sum(len({s for turn in d.turns for s in turn.gold_state}) for d in corpus.dialogues)
+    for include_inactive in (False, True):
+        made.clear()
+        assert build_all(corpus, include_inactive=include_inactive)
+        assert len(made) == pairs, (include_inactive, len(made), pairs)
 
 
 def test_build_dataset_split_filter(tmp_path, capsys):

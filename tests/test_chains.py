@@ -5,8 +5,6 @@ from __future__ import annotations
 import random
 from pathlib import Path
 
-import pytest
-
 from gen import make_corpus
 from oracles import (
     oracle_chain,
@@ -30,7 +28,6 @@ from slotchain.corpus import (
     load_corpus,
     load_schema,
 )
-from slotchain.errors import ValidationError
 from slotchain.normalize import DEFAULT_POLICY
 
 
@@ -64,24 +61,26 @@ def stars_schema() -> Schema:
     )
 
 
+def chain_at(dialogue: Dialogue, slot_id: str, turn: int) -> list[tuple[int, str]]:
+    """(change turn, value) pairs of the slot's chain at ``turn``: the
+    first ``steps_at(turn)`` changes of its one chain."""
+    chain = extract_chain(dialogue, slot_id)
+    steps = chain.steps_at(turn)
+    return list(zip(chain.change_turns[:steps], chain.values[:steps]))
+
+
 def test_three_step_chain_by_inspection():
-    chain = extract_chain(stars_dialogue(), "hotel-stars", 4)
-    assert chain == SlotChain(
-        dialogue_id="stars",
-        slot_id="hotel-stars",
-        query_turn=4,
-        change_turns=(1, 2, 4),
-        values=("3", "4", "5"),
-    )
-    assert chain.step_count == 3
-    assert chain.final_value == "5"
+    chain = extract_chain(stars_dialogue(), "hotel-stars")
+    assert chain == SlotChain(change_turns=(1, 2, 4), values=("3", "4", "5"))
+    assert chain.steps_at(4) == 3
+    assert chain_at(stars_dialogue(), "hotel-stars", 4)[-1] == (4, "5")
 
 
 def test_single_step_chain_stays_single():
-    chain = extract_chain(stars_dialogue(), "hotel-area", 4)
+    chain = extract_chain(stars_dialogue(), "hotel-area")
     assert chain.change_turns == (1,)
     assert chain.values == ("north",)
-    assert chain.step_count == 1
+    assert chain.steps_at(4) == 1
 
 
 def test_restatement_adds_no_step():
@@ -92,7 +91,7 @@ def test_restatement_adds_no_step():
         ),
         "train",
     )
-    chain = extract_chain(dialogue, "hotel-price", 2)
+    chain = extract_chain(dialogue, "hotel-price")
     assert chain.change_turns == (1,)
     assert chain.values == ("cheap",)
 
@@ -115,10 +114,10 @@ def test_set_restate_change_case():
         ),
         "train",
     )
-    chain = extract_chain(dialogue, "hotel-price", 6)
+    chain = extract_chain(dialogue, "hotel-price")
     assert chain.change_turns == (2, 5)
     assert chain.values == ("cheap", "expensive")
-    assert chain.step_count == 2
+    assert chain.steps_at(6) == 2
 
 
 def test_deletion_is_a_step_to_none():
@@ -130,40 +129,31 @@ def test_deletion_is_a_step_to_none():
         ),
         "train",
     )
-    chain = extract_chain(dialogue, "taxi-dest", 2)
-    assert chain.change_turns == (1, 2)
-    assert chain.values == ("museum", "none")
+    assert chain_at(dialogue, "taxi-dest", 2) == [(1, "museum"), (2, "none")]
     # refilling after a drop is a third step
-    assert extract_chain(dialogue, "taxi-dest", 3).step_count == 3
-    assert extract_chain(dialogue, "taxi-dest", 3).final_value == "museum"
+    assert len(chain_at(dialogue, "taxi-dest", 3)) == 3
+    assert chain_at(dialogue, "taxi-dest", 3)[-1] == (3, "museum")
 
 
 def test_literal_none_annotation_is_no_value():
     dialogue = Dialogue(
         "d", (TurnPair(1, "", "hi", {"hotel-area": "None"}),), "train"
     )
-    chain = extract_chain(dialogue, "hotel-area", 1)
+    chain = extract_chain(dialogue, "hotel-area")
     assert chain.change_turns == ()
-    assert chain.final_value == "none"
+    assert chain.steps_at(1) == 0
 
 
 def test_empty_chain_for_untouched_slot():
-    chain = extract_chain(stars_dialogue(), "hotel-parking", 4)
-    assert chain.change_turns == ()
-    assert chain.final_value == "none"
-
-
-def test_query_turn_bounds():
-    with pytest.raises(ValidationError, match=r"^turn 0 outside dialogue 'stars' with 4 turns$"):
-        extract_chain(stars_dialogue(), "hotel-stars", 0)
-    with pytest.raises(ValidationError, match=r"^turn 5 outside dialogue 'stars' with 4 turns$"):
-        extract_chain(stars_dialogue(), "hotel-stars", 5)
+    chain = extract_chain(stars_dialogue(), "hotel-parking")
+    assert chain == SlotChain(change_turns=(), values=())
+    assert chain.steps_at(4) == 0
 
 
 def test_reasoning_steps_matches_chain_length():
-    assert extract_chain(stars_dialogue(), "hotel-stars", 4).step_count == 3
-    assert extract_chain(stars_dialogue(), "hotel-stars", 1).step_count == 1
-    assert extract_chain(stars_dialogue(), "hotel-parking", 4).step_count == 0
+    assert extract_chain(stars_dialogue(), "hotel-stars").steps_at(4) == 3
+    assert extract_chain(stars_dialogue(), "hotel-stars").steps_at(1) == 1
+    assert extract_chain(stars_dialogue(), "hotel-parking").steps_at(4) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -181,9 +171,8 @@ def test_chain_matches_oracle_on_random_corpora():
     for seed in range(300):
         corpus = make_corpus(random.Random(seed))
         for dialogue, slot_id, query_turn in all_triples(corpus):
-            got = extract_chain(dialogue, slot_id, query_turn)
             expected = oracle_chain(dialogue, slot_id, query_turn, DEFAULT_POLICY)
-            assert list(zip(got.change_turns, got.values)) == expected, (
+            assert chain_at(dialogue, slot_id, query_turn) == expected, (
                 seed, dialogue.dialogue_id, slot_id, query_turn
             )
 
@@ -193,15 +182,14 @@ def test_chain_prefix_monotone():
         corpus = make_corpus(random.Random(10_000 + seed))
         for dialogue in corpus.dialogues:
             for slot in corpus.schema.slots:
-                previous: tuple = ()
+                previous: list = []
                 for query_turn in range(1, dialogue.n_turns + 1):
-                    chain = extract_chain(dialogue, slot.slot_id, query_turn)
-                    pairs = tuple(zip(chain.change_turns, chain.values))
+                    pairs = chain_at(dialogue, slot.slot_id, query_turn)
                     assert pairs[: len(previous)] == previous
                     previous = pairs
 
 
-def test_chain_through_earlier_turn_is_the_chain_at_that_turn():
+def test_chains_by_slot_match_oracle_at_every_turn():
     for seed in range(100):
         corpus = make_corpus(random.Random(15_000 + seed))
         for dialogue in corpus.dialogues:
@@ -209,11 +197,11 @@ def test_chain_through_earlier_turn_is_the_chain_at_that_turn():
             annotated = {s for turn in dialogue.turns for s in turn.gold_state}
             assert set(chains) == annotated
             for slot_id, chain in chains.items():
-                assert chain.query_turn == dialogue.n_turns
                 for query_turn in range(1, dialogue.n_turns + 1):
-                    assert chain.through(query_turn) == extract_chain(
-                        dialogue, slot_id, query_turn
-                    ), (seed, dialogue.dialogue_id, slot_id, query_turn)
+                    steps = chain.steps_at(query_turn)
+                    got = list(zip(chain.change_turns[:steps], chain.values[:steps]))
+                    expected = oracle_chain(dialogue, slot_id, query_turn, DEFAULT_POLICY)
+                    assert got == expected, (seed, dialogue.dialogue_id, slot_id, query_turn)
 
 
 def test_histogram_matches_oracle():

@@ -488,6 +488,31 @@ MALFORMED_INPUTS = {
                   "step_count": 1, "dialogue_turns": 1, "avg_utterance_len": 1.0}},
         "line 1: field 'input_text' must be a string",
     ),
+    "woz_belief null transcript": (
+        ingest_argv("woz_belief", "woz20"),
+        [{"dialogue_idx": 1, "dialogue": [{"transcript": None}]}],
+        "dialogue '1' turn 0 transcript: expected a string",
+    ),
+    "m2m_flat object state value": (
+        ingest_argv("m2m_flat", "m2m"),
+        [{"id": "sim-R-1", "domain": "restaurant", "turns": [
+            {"user_utterance": {"text": "hi"},
+             "dialogue_state": [{"slot": "meal", "value": {"x": 1}}]}]}],
+        "dialogue 'sim-R-1' turn 0 dialogue_state value: expected a string",
+    ),
+    "sgd_state object slot value": (
+        ingest_argv("sgd_state", SCHEMA),
+        [{"dialogue_id": "x1", "turns": [
+            {"speaker": "USER", "utterance": "hi",
+             "frames": [{"state": {"slot_values": {"hotel-area": [{"x": 1}]}}}]}]}],
+        "dialogue 'x1' turn 0 frame 0 slot_values 'hotel-area': expected a string",
+    ),
+    "canonical empty dialogue_id": (
+        ["validate", "--corpus", "{file}", "--schema", SCHEMA],
+        [{"dialogue_id": "", "split": "train",
+          "turns": [{"index": 1, "system": "", "user": "hi", "state": {}}]}],
+        "empty dialogue_id",
+    ),
 }
 
 

@@ -561,6 +561,69 @@ def test_ingest_sgd_state(tmp_path):
     )
 
 
+# Legacy fields that must be strings, besides the one per style in
+# test_cli's MALFORMED_INPUTS.
+NON_STRING_LEGACY_FIELDS = {
+    "woz belief value": (
+        "woz_belief", woz_schema,
+        [{"dialogue_idx": 1, "dialogue": [
+            {"transcript": "hi", "belief_state": [{"slots": [["area", {"x": 1}]]}]}]}],
+        "dialogue '1' turn 0 slots 'area': expected a string",
+    ),
+    "m2m user text": (
+        "m2m_flat", m2m_schema,
+        [{"id": "r1", "turns": [{"user_utterance": {"text": 7}}]}],
+        "dialogue 'r1' turn 0 user_utterance text: expected a string",
+    ),
+    "sgd speaker": (
+        "sgd_state", sgd_like_schema,
+        [{"dialogue_id": "s1", "turns": [{"speaker": 1, "utterance": "hi"}]}],
+        "dialogue 's1' turn 0 speaker: expected a string",
+    ),
+    "sgd utterance": (
+        "sgd_state", sgd_like_schema,
+        [{"dialogue_id": "s1", "turns": [{"speaker": "USER", "utterance": None}]}],
+        "dialogue 's1' turn 0 utterance: expected a string",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NON_STRING_LEGACY_FIELDS))
+def test_ingest_rejects_a_non_string_legacy_field(tmp_path, case):
+    style, schema, raw, message = NON_STRING_LEGACY_FIELDS[case]
+    path = tmp_path / "legacy_train.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    with pytest.raises(FormatError) as caught:
+        load_corpus([path], schema(), style=style)
+    assert str(caught.value) == f"{path}: {message}"
+
+
+def test_ingest_skips_null_and_empty_legacy_values(tmp_path):
+    raw = {
+        "woz_belief": [{"dialogue_idx": 1, "dialogue": [{"transcript": "hi", "belief_state": [
+            {"slots": [["food", None], ["area", ""], ["pricerange", "cheap"]]}]}]}],
+        "m2m_flat": [{"id": "r1", "domain": "restaurant", "turns": [
+            {"user_utterance": {"text": "hi"}, "dialogue_state": [
+                {"slot": "date", "value": None}, {"slot": "time", "value": ""},
+                {"slot": "num_people", "value": "2"}]}]}],
+        "sgd_state": [{"dialogue_id": "1", "turns": [{"speaker": "USER", "utterance": "hi",
+            "frames": [{"state": {"slot_values": {"hotel-area": [],
+                                                  "hotel-pricerange": None}}}]}]}],
+    }
+    expected = {
+        "woz_belief": {"restaurant-pricerange": "cheap"},
+        "m2m_flat": {"restaurant-num_people": "2"},
+        "sgd_state": {},
+    }
+    schemas = {"woz_belief": woz_schema, "m2m_flat": m2m_schema, "sgd_state": sgd_like_schema}
+    for style, dialogues in raw.items():
+        path = tmp_path / f"{style}_train.json"
+        path.write_text(json.dumps(dialogues), encoding="utf-8")
+        corpus = load_corpus([path], schemas[style](), style=style)
+        # a missing system utterance reads as ""
+        assert corpus.dialogues[0].turns == (TurnPair(1, "", "hi", expected[style]),), style
+
+
 def test_ingest_requires_split_when_not_inferable(tmp_path):
     path = tmp_path / "dialogues_001.json"
     path.write_text("[]", encoding="utf-8")
