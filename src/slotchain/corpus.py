@@ -370,6 +370,18 @@ def _text(record: dict, key: str, where: str) -> str:
     return _string(record.get(key, ""), f"{where} {key}")
 
 
+def _dialogue_id(entry: dict, keys: tuple[str, ...], where: str) -> str:
+    """The id of a legacy record: the first of its fields ``keys`` that
+    is present, "" when none is. It must be a string, or an integer (WOZ
+    2.0's dialogue_idx), which reads as its decimal digits; ``where``
+    names the record."""
+    for key in keys:
+        if key in entry:
+            value = entry[key]
+            return str(value) if type(value) is int else _string(value, f"{where} {key}")
+    return ""
+
+
 def _slot_name_index(schema: Schema, domain: str | None = None) -> dict[str, str | None]:
     """Map bare slot names (space/underscore tolerant) to slot ids.
 
@@ -405,8 +417,8 @@ def _resolve_slot_name(
 def _ingest_woz_belief(path: Path, schema: Schema, split: str) -> tuple[Dialogue, ...]:
     name_index = _slot_name_index(schema)
     dialogues: list[Dialogue] = []
-    for entry in _load_json_array(path):
-        dialogue_id = str(entry.get("dialogue_idx", entry.get("dialogue_id", "")))
+    for k, entry in enumerate(_load_json_array(path)):
+        dialogue_id = _dialogue_id(entry, ("dialogue_idx", "dialogue_id"), f"{path}: record {k}")
         where = f"{path}: dialogue {dialogue_id!r}"
         raw_turns = entry.get("dialogue")
         if not isinstance(raw_turns, list):
@@ -443,8 +455,8 @@ def _ingest_woz_belief(path: Path, schema: Schema, split: str) -> tuple[Dialogue
 
 def _ingest_m2m_flat(path: Path, schema: Schema, split: str) -> tuple[Dialogue, ...]:
     dialogues: list[Dialogue] = []
-    for entry in _load_json_array(path):
-        dialogue_id = str(entry.get("id", entry.get("dialogue_id", "")))
+    for k, entry in enumerate(_load_json_array(path)):
+        dialogue_id = _dialogue_id(entry, ("id", "dialogue_id"), f"{path}: record {k}")
         where = f"{path}: dialogue {dialogue_id!r}"
         domain = entry.get("domain")
         name_index = _slot_name_index(schema, domain=domain)
@@ -477,8 +489,8 @@ def _ingest_m2m_flat(path: Path, schema: Schema, split: str) -> tuple[Dialogue, 
 
 def _ingest_sgd_state(path: Path, schema: Schema, split: str) -> tuple[Dialogue, ...]:
     dialogues: list[Dialogue] = []
-    for entry in _load_json_array(path):
-        dialogue_id = str(entry.get("dialogue_id", ""))
+    for k, entry in enumerate(_load_json_array(path)):
+        dialogue_id = _dialogue_id(entry, ("dialogue_id",), f"{path}: record {k}")
         where = f"{path}: dialogue {dialogue_id!r}"
         raw_turns = entry.get("turns")
         if not isinstance(raw_turns, list):

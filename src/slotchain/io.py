@@ -18,6 +18,7 @@ import secrets
 import types
 import typing
 from importlib import resources
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -180,13 +181,17 @@ def bundled(name: str) -> Path | None:
 # ---------------------------------------------------------------------------
 # record codec
 #
-# Each class is planned once (_plan, then _decoder and _encoder). A planned
-# decoder keeps a field value of exactly the field's scalar type as it is
-# and hands any other value to the field's loader (_loader), which returns
-# the decoded value, or _WRONG when its shape does not fit; the record
-# words that as "field 'x' must be ...". A fault inside a nested record or
-# object raises _Fault, whose message each enclosing level prefixes with
-# its own segment, and decode adds the location it was given.
+# Each class is planned once (_plan, then _decoder, _encoder and
+# _text_encoder). A planned decoder keeps a field value of exactly the
+# field's scalar type as it is and hands any other value to the field's
+# loader (_loader), which returns the decoded value, or _WRONG when its
+# shape does not fit; the record words that as "field 'x' must be ...". A
+# fault inside a nested record or object raises _Fault, whose message each
+# enclosing level prefixes with its own segment, and decode adds the
+# location it was given. encode gives a record's JSON object, for indented
+# output (json_text); a JSON Lines line (json_line) skips that object: the
+# class's text encoder writes the bytes _JSON would write for it, at about
+# the C string escaper's cost.
 
 _SCALARS = {str: "a string", int: "an integer", float: "a number", bool: "a boolean"}
 _WRONG = object()  # what a loader returns for a value that does not fit
@@ -401,9 +406,51 @@ def encode(record) -> dict:
     return _encoder(type(record))(record)
 
 
+@functools.cache
+def _text_encoder(cls: type):
+    """The planned text encoder of ``cls``: a function, generated from
+    the class's plan as dataclasses generates ``__init__``, from a record
+    to the text _JSON gives for its JSON object. A string field goes
+    through the C escaper, an int or finite float field through repr, and
+    a nested record through its own text encoder; a number of another
+    type (a boolean, NaN, an int in a float field) and every other form
+    go through _JSON. Keys are escaped once and passed in as constants,
+    so no record text reaches the generated source."""
+    fields, _ = _plan(cls)
+    names = {"_esc": encode_basestring, "_json": _JSON.encode}
+    loads, parts = [], []
+    for i, (key, (attr, form)) in enumerate(fields.items()):
+        names[f"_k{i}"] = ("{" if i == 0 else ", ") + encode_basestring(key) + ": "
+        value = f"record.{attr}"  # attr is a dataclass field name, so an identifier
+        if form is str:
+            text = f"_esc({value})"
+        elif form is int or form is float:
+            v = f"v{i}"
+            loads.append(f"    {v} = {value}\n")
+            if form is int:
+                fits = f"type({v}) is int"
+            else:  # v - v is 0 for a finite float, NaN for NaN and the infinities
+                fits = f"type({v}) is float and {v} - {v} == 0"
+            text = f"repr({v}) if {fits} else _json({v})"
+        elif dataclasses.is_dataclass(form):
+            names[f"_f{i}"] = _text_encoder(form)
+            text = f"_f{i}({value})"
+        elif (dump := _dumper(form)) is None:
+            text = f"_json({value})"
+        else:
+            names[f"_f{i}"] = dump
+            text = f"_json(_f{i}({value}))"
+        parts.append(f"{{_k{i}}}{{{text}}}")
+    parts.append("}}" if fields else "{{}}")
+    source = f"def encode_text(record):\n{''.join(loads)}    return f\"{''.join(parts)}\"\n"
+    exec(source, names)
+    return names["encode_text"]
+
+
 def json_line(record) -> str:
-    """A record as one JSON Lines line, non-ASCII characters kept."""
-    return _JSON.encode(encode(record)) + "\n"
+    """A record as one JSON Lines line, non-ASCII characters kept: the
+    text of json.dumps(encode(record), ensure_ascii=False) and a newline."""
+    return _text_encoder(type(record))(record) + "\n"
 
 
 def json_text(value) -> str:

@@ -9,6 +9,7 @@ import random
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -21,8 +22,9 @@ from slotchain.cli import main
 from slotchain.errors import ValidationError
 from slotchain.refiner import refine_batch
 from slotchain.corpus import Corpus, corpus_to_json, load_corpus, load_schema
+from slotchain.io import encode
 
-from gen import make_dialogue
+from gen import make_corpus, make_dialogue
 from test_refiner import DEMOS, KEY_VAR, MockCompletionServer, make_example, with_explanation
 
 REPO = Path(__file__).resolve().parents[1]
@@ -716,6 +718,60 @@ def test_refine_partial_failure_exits_three(capsys, tmp_path):
     assert refined[0].explanation_kind == "refined"
     assert refined[1].explanation_kind == "coarse"
     assert refined[1].explanation == "system: user:"
+
+
+# ---------------------------------------------------------------------------
+# bytes written: the planned line encoder against json.dumps
+
+AWKWARD = 'Ünï "quoted" \\ back\u2028slash {braces} \x01 漢 😀'
+
+
+def reference_line(record) -> str:
+    return json.dumps(encode(record), ensure_ascii=False) + "\n"
+
+
+def test_build_and_refine_write_the_bytes_of_json_dumps(capsys, tmp_path, monkeypatch):
+    generated = make_corpus(random.Random(17), max_dialogues=4, max_turns=5, max_slots=4)
+    dialogues = tuple(
+        replace(dialogue, dialogue_id=f"{AWKWARD} {i}", turns=tuple(
+            replace(turn, user_utterance=f"{turn.user_utterance} {AWKWARD}")
+            for turn in dialogue.turns
+        ))
+        for i, dialogue in enumerate(generated.dialogues)
+    )
+    corpus, schema = tmp_path / "corpus.json", tmp_path / "schema.json"
+    template = tmp_path / "template.json"
+    corpus.write_text(corpus_to_json(Corpus(generated.schema, dialogues)), encoding="utf-8")
+    schema.write_text(json.dumps([encode(s) for s in generated.schema.slots]), encoding="utf-8")
+    template.write_text(json.dumps({
+        "template_text": f"{AWKWARD} [History] [Question] [Choices]",
+        "choices_section_marker": AWKWARD,
+    }), encoding="utf-8")
+    arms = {
+        "default": [],
+        "include inactive": ["--include-inactive"],
+        "no explanations": ["--no-explanations"],
+        "custom template": ["--template-file", str(template)],
+    }
+    written = {}  # refine runs here, in one process, so it also writes through the patch
+    for writer in ("planned", "reference"):
+        if writer == "reference":
+            monkeypatch.setattr("slotchain.builder.json_line", reference_line)
+        for arm, flags in arms.items():
+            built = tmp_path / f"{writer} {arm}.jsonl"
+            refined = tmp_path / f"{writer} {arm} refined.jsonl"
+            code, _, _ = run(capsys, "build", "--corpus", str(corpus), "--schema", str(schema),
+                             *flags, "--out", str(built))
+            assert code == 0
+            code, _, _ = run(capsys, "refine", "--examples", str(built), "--offline",
+                             "--max-parallel", "1", "--out", str(refined))
+            assert code == 0
+            written[writer, arm] = built.read_bytes(), refined.read_bytes()
+    escaped = json.dumps(AWKWARD, ensure_ascii=False)[1:-1].encode("utf-8")
+    for arm in arms:
+        built, refined = written["planned", arm]
+        assert escaped in built and escaped in refined
+        assert (built, refined) == written["reference", arm], arm
 
 
 # ---------------------------------------------------------------------------

@@ -585,6 +585,34 @@ NON_STRING_LEGACY_FIELDS = {
         [{"dialogue_id": "s1", "turns": [{"speaker": "USER", "utterance": None}]}],
         "dialogue 's1' turn 0 utterance: expected a string",
     ),
+    # A dialogue id may be an integer (WOZ 2.0's dialogue_idx), but no
+    # other non-string: each used to be loaded as its Python str().
+    "woz null dialogue id": (
+        "woz_belief", woz_schema,
+        [{"dialogue_idx": 1, "dialogue": [{"transcript": "hi"}]},
+         {"dialogue_idx": None, "dialogue": [{"transcript": "hi"}]}],
+        "record 1 dialogue_idx: expected a string",
+    ),
+    "woz float dialogue id": (
+        "woz_belief", woz_schema,
+        [{"dialogue_id": 1.5, "dialogue": [{"transcript": "hi"}]}],
+        "record 0 dialogue_id: expected a string",
+    ),
+    "m2m object dialogue id": (
+        "m2m_flat", m2m_schema,
+        [{"id": {"x": 1}, "turns": [{"user_utterance": {"text": "hi"}}]}],
+        "record 0 id: expected a string",
+    ),
+    "sgd boolean dialogue id": (
+        "sgd_state", sgd_like_schema,
+        [{"dialogue_id": True, "turns": [{"speaker": "USER", "utterance": "hi"}]}],
+        "record 0 dialogue_id: expected a string",
+    ),
+    "sgd array dialogue id": (
+        "sgd_state", sgd_like_schema,
+        [{"dialogue_id": ["s1"], "turns": [{"speaker": "USER", "utterance": "hi"}]}],
+        "record 0 dialogue_id: expected a string",
+    ),
 }
 
 
