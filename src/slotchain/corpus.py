@@ -358,6 +358,11 @@ def _object(value: object, where: str) -> dict:
     return value
 
 
+# The state values a legacy corpus leaves a slot unset with; any other
+# value must be a string.
+_UNSET = (None, "")
+
+
 def _string(value: object, where: str) -> str:
     """``value`` when it is a JSON string; ``where`` names the field."""
     if not isinstance(value, str):
@@ -439,7 +444,7 @@ def _ingest_woz_belief(path: Path, schema: Schema, split: str) -> tuple[Dialogue
                         raise FormatError(f"{turn_where}: malformed belief slot pair {pair!r}")
                     raw_name, value = pair
                     slot_id = _resolve_slot_name(name_index, raw_name, turn_where)
-                    if value:
+                    if value not in _UNSET:
                         state[slot_id] = _string(value, f"{turn_where} slots {raw_name!r}")
             turns.append(
                 TurnPair(
@@ -471,7 +476,7 @@ def _ingest_m2m_flat(path: Path, schema: Schema, split: str) -> tuple[Dialogue, 
             for item in _objects(items, f"{turn_where} dialogue_state item"):
                 slot_id = _resolve_slot_name(name_index, item.get("slot"), turn_where)
                 value = item.get("value")
-                if value:
+                if value not in _UNSET:
                     state[slot_id] = _string(value, f"{turn_where} dialogue_state value")
             system = _object(raw_turn.get("system_utterance"), f"{turn_where} system_utterance")
             user = _object(raw_turn.get("user_utterance"), f"{turn_where} user_utterance")
@@ -515,8 +520,10 @@ def _ingest_sgd_state(path: Path, schema: Schema, split: str) -> tuple[Dialogue,
                 for slot_id, variants in slot_values.items():
                     if slot_id not in schema:
                         raise FormatError(f"{turn_where}: state names unknown slot {slot_id!r}")
-                    value = variants[0] if isinstance(variants, list) and variants else variants
-                    if value:
+                    if variants == []:  # no variant: the slot is unset
+                        continue
+                    value = variants[0] if isinstance(variants, list) else variants
+                    if value not in _UNSET:
                         state[slot_id] = _string(value, f"{frame_where} slot_values {slot_id!r}")
             turns.append(
                 TurnPair(

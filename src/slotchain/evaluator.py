@@ -64,13 +64,32 @@ def index_predictions(
     its errors naming its line: its fields, its dialogue and slot
     against ``corpus``, its turn against the dialogue's length, and its
     key against the rows before it. A repeated key names both lines; the
-    earlier one is found by reading the rows again."""
+    earlier one is found by reading the rows again.
+
+    A row's fields are read and checked in place, as PredictionRecord
+    would check them; only a row that fails goes through the codec, so
+    that PredictionRecord words its fault."""
     n_turns = {d.dialogue_id: d.n_turns for d in corpus.dialogues}
     slots = corpus.schema.by_id
     indexed: dict[tuple[str, int, str], str] = {}
     for _, where, data in read_rows():
-        record = decode(PredictionRecord, data, where)
-        dialogue_id, turn, slot_id = key = (record.dialogue_id, record.query_turn, record.slot_id)
+        if type(data) is dict and len(data) == 4:
+            dialogue_id = data.get("dialogue_id")
+            turn = data.get("turn")
+            slot_id = data.get("slot_id")
+            text = data.get("text")
+        else:
+            dialogue_id = None  # not a row of four fields: the codec words it
+        if not (
+            type(dialogue_id) is str and dialogue_id
+            and type(turn) is int  # type(), not isinstance(): true and false are no turn
+            and type(slot_id) is str and slot_id
+            and type(text) is str and text and not text.isspace()
+        ):
+            record = decode(PredictionRecord, data, where)
+            dialogue_id, turn, slot_id = record.dialogue_id, record.query_turn, record.slot_id
+            text = record.generated_text
+        key = (dialogue_id, turn, slot_id)
         turns = n_turns.get(dialogue_id)
         if turns is None:
             raise ValidationError(f"{where}: prediction names unknown dialogue {dialogue_id!r}")
@@ -87,7 +106,7 @@ def index_predictions(
                 if (row["dialogue_id"], row["turn"], row["slot_id"]) == key
             )
             raise ValidationError(f"{where}: duplicates line {first} {key}")
-        indexed[key] = parse_generation(record.generated_text)[0]
+        indexed[key] = parse_generation(text)[0]
     return indexed
 
 

@@ -147,12 +147,15 @@ def _cache_path(config: RefineConfig, fingerprint: str) -> Path | None:
 
 def _cache_read(config: RefineConfig, fingerprint: str) -> str | None:
     """Cached narration, or None on a miss. Narrations are stored
-    stripped and non-empty, so a blank file is a miss the next answer
-    overwrites."""
+    stripped, non-empty and in UTF-8, so a blank file, or one that is not
+    UTF-8, is a corrupt entry: a miss the next answer overwrites."""
     path = _cache_path(config, fingerprint)
     if path is None or not path.is_file():
         return None
-    text = path.read_text(encoding="utf-8")
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        return None
     return text if text.strip() else None
 
 

@@ -7,7 +7,11 @@ and obvious.
 
 from __future__ import annotations
 
+from slotchain.builder import parse_generation
 from slotchain.corpus import Corpus, Dialogue
+from slotchain.errors import ValidationError
+from slotchain.evaluator import PredictionRecord
+from slotchain.io import decode
 from slotchain.normalize import (
     DONTCARE_VALUE,
     NONE_VALUE,
@@ -64,6 +68,37 @@ def oracle_jga(
             if turn_ok:
                 correct += 1
     return correct / total if total else 0.0
+
+
+def oracle_prediction_index(corpus: Corpus, rows: list) -> dict[tuple[str, int, str], str]:
+    """(dialogue_id, turn, slot_id) -> parsed value for parsed JSON
+    ``rows`` named "rows: line <n>" from line 1: each row decoded into a
+    PredictionRecord, then checked against the corpus and the rows
+    before it, raising the error index_predictions words."""
+    indexed: dict[tuple[str, int, str], str] = {}
+    lines: dict[tuple[str, int, str], int] = {}
+    for line, row in enumerate(rows, start=1):
+        where = f"rows: line {line}"
+        record = decode(PredictionRecord, row, where)
+        key = (record.dialogue_id, record.query_turn, record.slot_id)
+        dialogues = [d for d in corpus.dialogues if d.dialogue_id == record.dialogue_id]
+        if not dialogues:
+            raise ValidationError(
+                f"{where}: prediction names unknown dialogue {record.dialogue_id!r}"
+            )
+        if record.slot_id not in [slot.slot_id for slot in corpus.schema.slots]:
+            raise ValidationError(f"{where}: prediction names unknown slot {record.slot_id!r}")
+        n_turns = len(dialogues[0].turns)
+        if record.query_turn < 1 or record.query_turn > n_turns:
+            raise ValidationError(
+                f"{where}: prediction turn {record.query_turn} outside dialogue "
+                f"{record.dialogue_id!r} with {n_turns} turns"
+            )
+        if key in lines:
+            raise ValidationError(f"{where}: duplicates line {lines[key]} {key}")
+        lines[key] = line
+        indexed[key] = parse_generation(record.generated_text)[0]
+    return indexed
 
 
 def oracle_chain(

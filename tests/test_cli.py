@@ -509,6 +509,26 @@ MALFORMED_INPUTS = {
              "frames": [{"state": {"slot_values": {"hotel-area": [{"x": 1}]}}}]}]}],
         "dialogue 'x1' turn 0 frame 0 slot_values 'hotel-area': expected a string",
     ),
+    "woz_belief zero state value": (
+        ingest_argv("woz_belief", "woz20"),
+        [{"dialogue_idx": 1, "dialogue": [
+            {"transcript": "hi", "belief_state": [{"slots": [["area", 0]]}]}]}],
+        "dialogue '1' turn 0 slots 'area': expected a string",
+    ),
+    "m2m_flat zero state value": (
+        ingest_argv("m2m_flat", "m2m"),
+        [{"id": "sim-R-1", "domain": "restaurant", "turns": [
+            {"user_utterance": {"text": "hi"},
+             "dialogue_state": [{"slot": "price_range", "value": 0}]}]}],
+        "dialogue 'sim-R-1' turn 0 dialogue_state value: expected a string",
+    ),
+    "sgd_state false slot value": (
+        ingest_argv("sgd_state", SCHEMA),
+        [{"dialogue_id": "x1", "turns": [
+            {"speaker": "USER", "utterance": "hi",
+             "frames": [{"state": {"slot_values": {"hotel-area": [False]}}}]}]}],
+        "dialogue 'x1' turn 0 frame 0 slot_values 'hotel-area': expected a string",
+    ),
     "canonical empty dialogue_id": (
         ["validate", "--corpus", "{file}", "--schema", SCHEMA],
         [{"dialogue_id": "", "split": "train",

@@ -570,6 +570,26 @@ NON_STRING_LEGACY_FIELDS = {
             {"transcript": "hi", "belief_state": [{"slots": [["area", {"x": 1}]]}]}]}],
         "dialogue '1' turn 0 slots 'area': expected a string",
     ),
+    "woz false value": (
+        "woz_belief", woz_schema,
+        [{"dialogue_idx": 1, "dialogue": [
+            {"transcript": "hi", "belief_state": [{"slots": [["food", False]]}]}]}],
+        "dialogue '1' turn 0 slots 'food': expected a string",
+    ),
+    # Only an empty variant list leaves an sgd slot unset, not another
+    # empty value.
+    "sgd empty object value": (
+        "sgd_state", sgd_like_schema,
+        [{"dialogue_id": "s1", "turns": [{"speaker": "USER", "utterance": "hi",
+            "frames": [{"state": {"slot_values": {"hotel-area": {}}}}]}]}],
+        "dialogue 's1' turn 0 frame 0 slot_values 'hotel-area': expected a string",
+    ),
+    "sgd empty list variant": (
+        "sgd_state", sgd_like_schema,
+        [{"dialogue_id": "s1", "turns": [{"speaker": "USER", "utterance": "hi",
+            "frames": [{"state": {"slot_values": {"hotel-area": [[]]}}}]}]}],
+        "dialogue 's1' turn 0 frame 0 slot_values 'hotel-area': expected a string",
+    ),
     "m2m user text": (
         "m2m_flat", m2m_schema,
         [{"id": "r1", "turns": [{"user_utterance": {"text": 7}}]}],
@@ -636,7 +656,9 @@ def test_ingest_skips_null_and_empty_legacy_values(tmp_path):
                 {"slot": "num_people", "value": "2"}]}]}],
         "sgd_state": [{"dialogue_id": "1", "turns": [{"speaker": "USER", "utterance": "hi",
             "frames": [{"state": {"slot_values": {"hotel-area": [],
-                                                  "hotel-pricerange": None}}}]}]}],
+                                                  "hotel-pricerange": None}}},
+                       {"state": {"slot_values": {"hotel-area": [None],
+                                                  "hotel-pricerange": [""]}}}]}]}],
     }
     expected = {
         "woz_belief": {"restaurant-pricerange": "cheap"},

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,7 +34,7 @@ from slotchain.io import decode, encode
 from slotchain.normalize import DEFAULT_POLICY, NormalizationPolicy
 
 from gen import make_corpus, make_predictions
-from oracles import oracle_jga
+from oracles import oracle_jga, oracle_prediction_index
 
 FUZZY_POLICY = NormalizationPolicy(fuzzy_ratio_threshold=0.9)
 
@@ -316,22 +317,110 @@ def test_load_predictions_names_the_bad_line(tmp_path):
         load_predictions(path, hand_corpus())
 
 
+# (row, what the error says after "<file>: line 1: "), as PredictionRecord words it
+MALFORMED_ROWS = [
+    ({"turn": 1, "slot_id": "hotel-area", "text": "north"},
+     r"missing fields: \['dialogue_id'\]"),
+    ({"dialogue_id": "d1", "turn": "1", "slot_id": "hotel-area", "text": "north"},
+     r"field 'turn' must be an integer"),
+    ({"dialogue_id": "d1", "turn": True, "slot_id": "hotel-area", "text": "north"},
+     r"field 'turn' must be an integer"),
+    ({"dialogue_id": "d1", "turn": 1, "text": "north"},
+     r"missing fields: \['slot_id'\]"),
+    ({"dialogue_id": "d1", "turn": 1, "slot_id": "hotel-area", "text": "  "},
+     r"field 'text' must not be blank"),
+    ({"dialogue_id": "d1", "turn": 1, "slot_id": "hotel-area"},
+     r"missing fields: \['text'\]"),
+    ({"dialogue_id": "", "turn": 1, "slot_id": "hotel-area", "text": "north"},
+     r"field 'dialogue_id' must not be empty"),
+    ({"dialogue_id": "d1", "turn": 1, "slot_id": "", "text": "north"},
+     r"field 'slot_id' must not be empty"),
+    ({"dialogue_id": "d1", "turn": 1, "slot_id": "hotel-area", "text": "north", "score": 1},
+     r"unknown fields: \['score'\]"),
+    ({"dialogue_id": "d1", "turn": 1.0, "slot_id": "hotel-area", "text": "north"},
+     r"field 'turn' must be an integer"),
+    ({"dialogue_id": "d1", "turn": 1, "slot_id": "hotel-area", "text": None},
+     r"field 'text' must be a string"),
+    ([], r"expected a JSON object"),
+    ("row", r"expected a JSON object"),
+    (None, r"expected a JSON object"),
+]
+
+
 @pytest.mark.parametrize(
-    "row",
-    [
-        {"turn": 1, "slot_id": "hotel-area", "text": "north"},
-        {"dialogue_id": "d1", "turn": "1", "slot_id": "hotel-area", "text": "north"},
-        {"dialogue_id": "d1", "turn": True, "slot_id": "hotel-area", "text": "north"},
-        {"dialogue_id": "d1", "turn": 1, "text": "north"},
-        {"dialogue_id": "d1", "turn": 1, "slot_id": "hotel-area", "text": "  "},
-        {"dialogue_id": "d1", "turn": 1, "slot_id": "hotel-area"},
-    ],
+    "row, message", MALFORMED_ROWS, ids=[f"row{i}" for i in range(len(MALFORMED_ROWS))]
 )
-def test_load_predictions_rejects_malformed_rows(tmp_path, row):
+def test_load_predictions_rejects_malformed_rows(tmp_path, row, message):
     path = tmp_path / "predictions.jsonl"
     write_rows(path, [row])
-    with pytest.raises(FormatError, match="line 1"):
+    with pytest.raises(FormatError, match=rf"^{re.escape(str(path))}: line 1: {message}$"):
         load_predictions(path, hand_corpus())
+
+
+def test_load_predictions_reads_a_row_whose_keys_come_in_another_order(tmp_path):
+    path = tmp_path / "predictions.jsonl"
+    write_rows(path, [
+        {"dialogue_id": "d1", "turn": 1, "slot_id": "hotel-area", "text": "north"},
+        {"text": "3 | said so", "slot_id": "hotel-stars", "turn": 2, "dialogue_id": "d1"},
+    ])
+    assert load_predictions(path, hand_corpus()) == {
+        ("d1", 1, "hotel-area"): "north",
+        ("d1", 2, "hotel-stars"): "3",
+    }
+
+
+def _mutated(rng, rows, corpus):
+    """``rows`` with one row, at a random line, broken or moved out of
+    the corpus in one of the ways a predictions file can be."""
+    rows = [dict(row) for row in rows]
+    line = rng.randrange(len(rows))
+    row = rows[line]
+    kind = rng.choice([
+        "drop key", "add key", "retype", "empty id", "blank text", "repeat",
+        "other dialogue", "other slot", "turn outside", "not an object",
+    ])
+    if kind == "drop key":
+        del row[rng.choice(sorted(row))]
+    elif kind == "add key":
+        row[rng.choice(["score", "turns", "Text"])] = rng.choice([1, "x", None])
+    elif kind == "retype":
+        row[rng.choice(sorted(row))] = rng.choice([None, True, False, 1, 1.0, 0, "1", "", [], {}])
+    elif kind == "empty id":
+        row[rng.choice(["dialogue_id", "slot_id"])] = ""
+    elif kind == "blank text":
+        row["text"] = rng.choice(["", " ", "\t\n", "\u3000"])
+    elif kind == "repeat":
+        rows.insert(rng.randrange(line + 1, len(rows) + 1), dict(row))
+    elif kind == "other dialogue":
+        row["dialogue_id"] = rng.choice(["ghost", "GEN000", row["dialogue_id"] + " "])
+    elif kind == "other slot":
+        row["slot_id"] = rng.choice(["nope-slot", row["slot_id"].upper()])
+    elif kind == "turn outside":
+        n_turns = next(d for d in corpus.dialogues if d.dialogue_id == row["dialogue_id"]).n_turns
+        row["turn"] = rng.choice([0, -1, n_turns + 1, 10**20])
+    else:
+        rows[line] = rng.choice([[], "row", None, 7, [row]])
+    return rows
+
+
+def _outcome(build, corpus, rows):
+    try:
+        return build(corpus, rows)
+    except (FormatError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_prediction_index_matches_the_decoding_oracle(seed):
+    rng = random.Random(seed)
+    corpus = make_corpus(rng)
+    rows = make_predictions(rng, corpus)
+    assert rows
+    assert to_index(corpus, rows) == oracle_prediction_index(corpus, rows)
+    mutated = _mutated(rng, rows, corpus)
+    assert _outcome(to_index, corpus, mutated) == _outcome(
+        oracle_prediction_index, corpus, mutated
+    )
 
 
 def test_load_predictions_rejects_duplicates_naming_both_lines(tmp_path):

@@ -557,13 +557,15 @@ def test_empty_completion_raises_and_is_not_cached(server, tmp_path, api_key):
     assert server.n_requests == 2
 
 
-@pytest.mark.parametrize("blank", ["", "  \n"], ids=["empty", "whitespace"])
+@pytest.mark.parametrize(
+    "blank", [b"", b"  \n", b"\xff\xfe"], ids=["empty", "whitespace", "not_utf8"]
+)
 def test_blank_cache_entry_is_a_miss_refilled_by_the_api(server, tmp_path, api_key, blank):
     config = make_config(server, tmp_path)
     example = make_example(0)
     cache_file = tmp_path / "cache" / request_fingerprint(config, example.explanation)
     cache_file.parent.mkdir()
-    cache_file.write_text(blank, encoding="utf-8")
+    cache_file.write_bytes(blank)
     outcome = refine_batch((example,), config)
     assert outcome.failures == ()
     refined = outcome.examples[0]
