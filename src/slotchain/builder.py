@@ -125,8 +125,9 @@ def slot_prompt(
         "[Question]": build_question(slot, overrides),
         "[Choices]": _choices_block(slot, template.choices_section_marker),
     }
-    parts = [substitutions.get(part, part) for part in _PLACEHOLDER_RE.split(text)]
-    split = parts.index("[History]")
+    parts = _PLACEHOLDER_RE.split(text)
+    split = parts.index("[History]")  # the template's own, not a substituted text's
+    parts = [substitutions.get(part, part) for part in parts]
     return SlotPrompt(slot, "".join(parts[:split]), "".join(parts[split + 1:]))
 
 

@@ -39,6 +39,7 @@ from .builder import (  # noqa: F401
 )
 from .chains import step_histogram
 from .corpus import (
+    LEGACY_STYLES,
     SPLITS,
     Corpus,
     Schema,
@@ -61,7 +62,6 @@ from .io import (
 from .normalize import DEFAULT_POLICY, NormalizationPolicy
 from .refiner import RefineConfig, RefineFailure, load_refine_config, refine_batch
 
-_LEGACY_STYLES = ("woz_belief", "m2m_flat", "sgd_state")
 # Lines that refine reads, refines and writes at a time. Each distinct
 # coarse text is still refined once per run (offline, once per worker
 # process), whichever chunk it is in.
@@ -345,6 +345,14 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     if args.policy:
         policy = decode(NormalizationPolicy, read_json(args.policy, expect=dict), args.policy)
     specs = [load_bucket_spec(name) for name in args.buckets]
+    spec_by_axis: dict[str, str] = {}
+    for name, spec in zip(args.buckets, specs):
+        if spec.axis in spec_by_axis:
+            raise SlotchainError(
+                f"--buckets {spec_by_axis[spec.axis]} and {name} both bucket the axis "
+                f"{spec.axis!r}; give one spec per axis"
+            )
+        spec_by_axis[spec.axis] = name
     report = fine_grained_report(
         corpus, predictions, policy=policy, specs=specs, split=args.split
     )
@@ -400,12 +408,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--input", nargs="+", required=True, help="source dialogue file(s)")
     p.add_argument(
         "--style",
-        choices=("canonical",) + _LEGACY_STYLES,
+        choices=("canonical", *LEGACY_STYLES),
         default="canonical",
         help="input layout (default canonical)",
     )
     p.add_argument("--schema", required=True, help="schema file or bundled name")
-    p.add_argument("--split", help="split for legacy files when not inferable from the name")
+    p.add_argument(
+        "--split", choices=SPLITS, help="split for legacy files when not inferable from the name"
+    )
     p.add_argument("--exclude-domains", default="", help="comma-separated domains to drop")
 
     sub.add_parser("validate", parents=[corpus_args], help="check a corpus and print a summary")

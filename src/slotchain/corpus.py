@@ -8,6 +8,7 @@ safe to share across threads.
 
 from __future__ import annotations
 
+import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -296,46 +297,44 @@ def corpus_to_json(corpus: Corpus) -> str:
 
 
 def infer_split(path: str | Path) -> str | None:
-    stem = Path(path).stem.lower()
-    for token in ("validate", "valid", "dev", "val"):
-        if token in stem:
-            return "dev"
-    if "test" in stem:
-        return "test"
-    if "train" in stem:
-        return "train"
+    """The split a file's name gives, or None: the first of dev, test
+    and train that a whole word of the stem names. Words are split at
+    non-letters and where a lower-case letter meets an upper-case one."""
+    words = {w.lower() for w in re.split(r"[^A-Za-z]+|(?<=[a-z])(?=[A-Z])", Path(path).stem)}
+    for split, names in (("dev", {"validate", "validation", "valid", "dev", "val"}),
+                         ("test", {"test"}), ("train", {"train"})):
+        if words & names:
+            return split
     return None
 
 
 def _read_legacy(
     path: Path, style: str, schema: Schema, split: str | None
 ) -> tuple[Dialogue, ...]:
-    """The dialogues of a legacy-format file, not yet validated.
-
-    Styles:
-      woz_belief  -- wizard-of-oz belief annotations: per-turn cumulative
-                     belief lists of {"slots": [[name, value]], "act": ...}.
-      m2m_flat    -- simulated dialogues: per-turn cumulative
-                     dialogue_state lists of {"slot": ..., "value": ...}.
-      sgd_state   -- schema-guided releases: USER turns carry frames with
-                     state.slot_values (first variant wins).
-
-    The split is inferred from the filename when not given.
-    """
+    """The dialogues of a file in a legacy ``style`` of LEGACY_STYLES,
+    not yet validated. The split is inferred from the filename when not
+    given. The kept turns are numbered from 1."""
     if split is None:
         split = infer_split(path)
         if split is None:
             raise FormatError(f"{path}: cannot infer split from filename; pass one")
-    reader = {"woz_belief": _ingest_woz_belief, "m2m_flat": _ingest_m2m_flat,
-              "sgd_state": _ingest_sgd_state}.get(style)
-    if reader is None:
+    if style not in LEGACY_STYLES:
         raise FormatError(f"unknown legacy style {style!r}")
-    return reader(path, schema, split)
-
-
-def _load_json_array(path: Path) -> list[dict]:
-    """The file's top-level array; every record must be an object."""
-    return _objects(read_json(path, expect=list), f"{path}: record")
+    id_keys, turns_key, read_turns = LEGACY_STYLES[style]
+    dialogues: list[Dialogue] = []
+    for k, entry in enumerate(_objects(read_json(path, expect=list), f"{path}: record")):
+        dialogue_id = _dialogue_id(entry, id_keys, f"{path}: record {k}")
+        where = f"{path}: dialogue {dialogue_id!r}"
+        raw_turns = entry.get(turns_key)
+        if not isinstance(raw_turns, list):
+            raise FormatError(f"{where}: field {turns_key!r} missing or not an array")
+        turns = read_turns(entry, _objects(raw_turns, f"{where} turn"), schema, where)
+        dialogues.append(Dialogue(
+            dialogue_id=dialogue_id,
+            turns=tuple(TurnPair(i, *turn) for i, turn in enumerate(turns, start=1)),
+            split=split,
+        ))
+    return tuple(dialogues)
 
 
 def _objects(items: object, where: str) -> list[dict]:
@@ -419,121 +418,92 @@ def _resolve_slot_name(
     return slot_id
 
 
-def _ingest_woz_belief(path: Path, schema: Schema, split: str) -> tuple[Dialogue, ...]:
+# What a turn reader yields: (system utterance, user utterance, state)
+# for each turn it keeps.
+_Turns = Iterator[tuple[str, str, dict[str, str]]]
+
+
+def _woz_belief_turns(entry: dict, turns: list[dict], schema: Schema, where: str) -> _Turns:
+    """Wizard-of-oz belief annotations: per-turn cumulative belief lists
+    of {"slots": [[name, value]], "act": ...}."""
     name_index = _slot_name_index(schema)
-    dialogues: list[Dialogue] = []
-    for k, entry in enumerate(_load_json_array(path)):
-        dialogue_id = _dialogue_id(entry, ("dialogue_idx", "dialogue_id"), f"{path}: record {k}")
-        where = f"{path}: dialogue {dialogue_id!r}"
-        raw_turns = entry.get("dialogue")
-        if not isinstance(raw_turns, list):
-            raise FormatError(f"{where}: field 'dialogue' missing or not an array")
-        turns: list[TurnPair] = []
-        for j, raw_turn in enumerate(_objects(raw_turns, f"{where} turn")):
-            turn_where = f"{where} turn {j}"
-            state: dict[str, str] = {}
-            belief = raw_turn.get("belief_state", [])
-            for item in _objects(belief, f"{turn_where} belief_state item"):
-                if item.get("act") not in (None, "inform"):
-                    continue
-                pairs = item.get("slots", [])
-                if not isinstance(pairs, list):
-                    raise FormatError(f"{turn_where}: belief field 'slots' not an array")
-                for pair in pairs:
-                    if not isinstance(pair, list) or len(pair) != 2:
-                        raise FormatError(f"{turn_where}: malformed belief slot pair {pair!r}")
-                    raw_name, value = pair
-                    slot_id = _resolve_slot_name(name_index, raw_name, turn_where)
-                    if value not in _UNSET:
-                        state[slot_id] = _string(value, f"{turn_where} slots {raw_name!r}")
-            turns.append(
-                TurnPair(
-                    index=j + 1,
-                    system_utterance=_text(raw_turn, "system_transcript", turn_where),
-                    user_utterance=_text(raw_turn, "transcript", turn_where),
-                    gold_state=state,
-                )
-            )
-        dialogues.append(Dialogue(dialogue_id=dialogue_id, turns=tuple(turns), split=split))
-    return tuple(dialogues)
-
-
-def _ingest_m2m_flat(path: Path, schema: Schema, split: str) -> tuple[Dialogue, ...]:
-    dialogues: list[Dialogue] = []
-    for k, entry in enumerate(_load_json_array(path)):
-        dialogue_id = _dialogue_id(entry, ("id", "dialogue_id"), f"{path}: record {k}")
-        where = f"{path}: dialogue {dialogue_id!r}"
-        domain = entry.get("domain")
-        name_index = _slot_name_index(schema, domain=domain)
-        raw_turns = entry.get("turns")
-        if not isinstance(raw_turns, list):
-            raise FormatError(f"{where}: field 'turns' missing or not an array")
-        turns: list[TurnPair] = []
-        for j, raw_turn in enumerate(_objects(raw_turns, f"{where} turn")):
-            turn_where = f"{where} turn {j}"
-            state: dict[str, str] = {}
-            items = raw_turn.get("dialogue_state", [])
-            for item in _objects(items, f"{turn_where} dialogue_state item"):
-                slot_id = _resolve_slot_name(name_index, item.get("slot"), turn_where)
-                value = item.get("value")
-                if value not in _UNSET:
-                    state[slot_id] = _string(value, f"{turn_where} dialogue_state value")
-            system = _object(raw_turn.get("system_utterance"), f"{turn_where} system_utterance")
-            user = _object(raw_turn.get("user_utterance"), f"{turn_where} user_utterance")
-            turns.append(
-                TurnPair(
-                    index=j + 1,
-                    system_utterance=_text(system, "text", f"{turn_where} system_utterance"),
-                    user_utterance=_text(user, "text", f"{turn_where} user_utterance"),
-                    gold_state=state,
-                )
-            )
-        dialogues.append(Dialogue(dialogue_id=dialogue_id, turns=tuple(turns), split=split))
-    return tuple(dialogues)
-
-
-def _ingest_sgd_state(path: Path, schema: Schema, split: str) -> tuple[Dialogue, ...]:
-    dialogues: list[Dialogue] = []
-    for k, entry in enumerate(_load_json_array(path)):
-        dialogue_id = _dialogue_id(entry, ("dialogue_id",), f"{path}: record {k}")
-        where = f"{path}: dialogue {dialogue_id!r}"
-        raw_turns = entry.get("turns")
-        if not isinstance(raw_turns, list):
-            raise FormatError(f"{where}: field 'turns' missing or not an array")
-        turns: list[TurnPair] = []
-        pending_system = ""
-        for j, raw_turn in enumerate(_objects(raw_turns, f"{where} turn")):
-            turn_where = f"{where} turn {j}"
-            speaker = _text(raw_turn, "speaker", turn_where).upper()
-            utterance = _text(raw_turn, "utterance", turn_where)
-            if speaker == "SYSTEM":
-                pending_system = utterance
+    for j, raw_turn in enumerate(turns):
+        turn_where = f"{where} turn {j}"
+        state: dict[str, str] = {}
+        belief = raw_turn.get("belief_state", [])
+        for item in _objects(belief, f"{turn_where} belief_state item"):
+            if item.get("act") not in (None, "inform"):
                 continue
-            if speaker != "USER":
-                raise FormatError(f"{turn_where}: unknown speaker {speaker!r}")
-            state: dict[str, str] = {}
-            frames = _objects(raw_turn.get("frames", []), f"{turn_where} frame")
-            for k, frame in enumerate(frames):
-                frame_where = f"{turn_where} frame {k}"
-                frame_state = _object(frame.get("state"), f"{frame_where} state")
-                slot_values = _object(frame_state.get("slot_values"), f"{frame_where} slot_values")
-                for slot_id, variants in slot_values.items():
-                    if slot_id not in schema:
-                        raise FormatError(f"{turn_where}: state names unknown slot {slot_id!r}")
-                    if variants == []:  # no variant: the slot is unset
-                        continue
-                    value = variants[0] if isinstance(variants, list) else variants
-                    if value not in _UNSET:
-                        state[slot_id] = _string(value, f"{frame_where} slot_values {slot_id!r}")
-            turns.append(
-                TurnPair(
-                    index=len(turns) + 1,
-                    system_utterance=pending_system,
-                    user_utterance=utterance,
-                    gold_state=state,
-                )
-            )
-            pending_system = ""
-        dialogues.append(Dialogue(dialogue_id=dialogue_id, turns=tuple(turns), split=split))
-    return tuple(dialogues)
+            pairs = item.get("slots", [])
+            if not isinstance(pairs, list):
+                raise FormatError(f"{turn_where}: belief field 'slots' not an array")
+            for pair in pairs:
+                if not isinstance(pair, list) or len(pair) != 2:
+                    raise FormatError(f"{turn_where}: malformed belief slot pair {pair!r}")
+                raw_name, value = pair
+                slot_id = _resolve_slot_name(name_index, raw_name, turn_where)
+                if value not in _UNSET:
+                    state[slot_id] = _string(value, f"{turn_where} slots {raw_name!r}")
+        system = _text(raw_turn, "system_transcript", turn_where)
+        yield system, _text(raw_turn, "transcript", turn_where), state
 
+
+def _m2m_flat_turns(entry: dict, turns: list[dict], schema: Schema, where: str) -> _Turns:
+    """Simulated dialogues: per-turn cumulative dialogue_state lists of
+    {"slot": ..., "value": ...}, slot names in the record's domain."""
+    name_index = _slot_name_index(schema, domain=entry.get("domain"))
+    for j, raw_turn in enumerate(turns):
+        turn_where = f"{where} turn {j}"
+        state: dict[str, str] = {}
+        items = raw_turn.get("dialogue_state", [])
+        for item in _objects(items, f"{turn_where} dialogue_state item"):
+            slot_id = _resolve_slot_name(name_index, item.get("slot"), turn_where)
+            value = item.get("value")
+            if value not in _UNSET:
+                state[slot_id] = _string(value, f"{turn_where} dialogue_state value")
+        system_where, user_where = f"{turn_where} system_utterance", f"{turn_where} user_utterance"
+        system = _object(raw_turn.get("system_utterance"), system_where)
+        user = _object(raw_turn.get("user_utterance"), user_where)
+        yield _text(system, "text", system_where), _text(user, "text", user_where), state
+
+
+def _sgd_state_turns(entry: dict, turns: list[dict], schema: Schema, where: str) -> _Turns:
+    """Schema-guided releases: each USER turn, with the SYSTEM utterance
+    before it, carries frames with state.slot_values (first variant
+    wins)."""
+    pending_system = ""
+    for j, raw_turn in enumerate(turns):
+        turn_where = f"{where} turn {j}"
+        speaker = _text(raw_turn, "speaker", turn_where).upper()
+        utterance = _text(raw_turn, "utterance", turn_where)
+        if speaker == "SYSTEM":
+            pending_system = utterance
+            continue
+        if speaker != "USER":
+            raise FormatError(f"{turn_where}: unknown speaker {speaker!r}")
+        state: dict[str, str] = {}
+        frames = _objects(raw_turn.get("frames", []), f"{turn_where} frame")
+        for k, frame in enumerate(frames):
+            frame_where = f"{turn_where} frame {k}"
+            frame_state = _object(frame.get("state"), f"{frame_where} state")
+            slot_values = _object(frame_state.get("slot_values"), f"{frame_where} slot_values")
+            for slot_id, variants in slot_values.items():
+                if slot_id not in schema:
+                    raise FormatError(f"{turn_where}: state names unknown slot {slot_id!r}")
+                if variants == []:  # no variant: the slot is unset
+                    continue
+                value = variants[0] if isinstance(variants, list) else variants
+                if value not in _UNSET:
+                    state[slot_id] = _string(value, f"{frame_where} slot_values {slot_id!r}")
+        yield pending_system, utterance, state
+        pending_system = ""
+
+
+# Each legacy style: the record fields its dialogue id may be in, the
+# first present winning; the field of its turns; and its turn reader,
+# which reads a record's turn objects, naming the record ``where``.
+LEGACY_STYLES = {
+    "woz_belief": (("dialogue_idx", "dialogue_id"), "dialogue", _woz_belief_turns),
+    "m2m_flat": (("id", "dialogue_id"), "turns", _m2m_flat_turns),
+    "sgd_state": (("dialogue_id",), "turns", _sgd_state_turns),
+}

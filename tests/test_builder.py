@@ -202,6 +202,16 @@ def test_render_prompt_custom_template_repeated_domain():
     assert "ask about restaurant: What's the cuisine served?" in prompt
 
 
+def test_slot_prompt_splits_at_the_template_history():
+    # An override question that reads "[History]" is text, not the place
+    # the history goes.
+    slot = schema().slots[2]
+    template = PromptTemplate(template_text="[Domain]: [Question] Dialogue: [History]")
+    prompt = slot_prompt(slot, template, {slot.slot_id: "[History]"})
+    assert (prompt.before, prompt.after) == ("restaurant: [History] Dialogue: ", "")
+    assert render_prompt(prompt, "user: hi") == "restaurant: [History] Dialogue: user: hi"
+
+
 def test_render_histories_has_one_history_per_turn():
     histories = render_histories(dialogue())
     assert len(histories) == dialogue().n_turns

@@ -225,6 +225,18 @@ def test_ingest_writes_out_file_identical_to_stdout(capsys, tmp_path):
     assert out_path.read_text(encoding="utf-8") == corpus_to_json(fixture_corpus())
 
 
+def test_ingest_split_must_name_a_split(capsys, tmp_path):
+    empty = tmp_path / "dialogues.json"
+    empty.write_text("[]", encoding="utf-8")
+    code, out, err = run(
+        capsys, "ingest", "--input", str(empty), "--schema", SCHEMA,
+        "--style", "sgd_state", "--split", "banana",
+    )
+    assert code == 2
+    assert out == ""
+    assert "argument --split: invalid choice: 'banana'" in err
+
+
 def test_ingest_legacy_woz_belief(capsys, tmp_path):
     raw = [
         {
@@ -1103,6 +1115,16 @@ def test_eval_json_report(capsys):
     assert steps["1"]["n_turns"] == 6
     assert steps["1"]["jga"] == pytest.approx(4 / 6)
     assert steps["3+"]["jga"] is None
+
+
+def test_eval_rejects_two_bucket_specs_on_one_axis(capsys):
+    code, out, err = run(capsys, *EVAL_ARGV, "--buckets", "step", "mwz_turn", "woz_turn")
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: --buckets mwz_turn and woz_turn both bucket the axis 'turn'; "
+        "give one spec per axis\n"
+    )
 
 
 def test_eval_markdown_and_csv_formats(capsys):

@@ -333,6 +333,13 @@ def test_validate_schema_rejects_values_colliding_after_normalization():
         ("val.json", "dev"),
         ("test_dials.json", "test"),
         ("dialogues_001.json", None),
+        # whole words only, split at non-letters and lower-to-upper case
+        ("latest_train.json", "train"),
+        ("interval_train.json", "train"),
+        ("device_logs_test.json", "test"),
+        ("sgdDevSet.json", "dev"),
+        ("validation.json", "dev"),
+        ("contestants.json", None),
     ],
 )
 def test_infer_split(filename, expected):
@@ -561,9 +568,83 @@ def test_ingest_sgd_state(tmp_path):
     )
 
 
-# Legacy fields that must be strings, besides the one per style in
-# test_cli's MALFORMED_INPUTS.
-NON_STRING_LEGACY_FIELDS = {
+# Legacy faults and the whole message each gives; test_cli's
+# MALFORMED_INPUTS runs more of them through the CLI.
+LEGACY_FAULTS = {
+    "woz not an array": (
+        "woz_belief", woz_schema, {"dialogue_idx": 1, "dialogue": []},
+        "expected a JSON array",
+    ),
+    "woz turns missing": (
+        "woz_belief", woz_schema, [{"dialogue_idx": 1}],
+        "dialogue '1': field 'dialogue' missing or not an array",
+    ),
+    "woz belief item": (
+        "woz_belief", woz_schema,
+        [{"dialogue_idx": 1, "dialogue": [{"transcript": "hi", "belief_state": {}}]}],
+        "dialogue '1' turn 0 belief_state item: expected an array",
+    ),
+    "woz belief slots": (
+        "woz_belief", woz_schema,
+        [{"dialogue_idx": 1, "dialogue": [
+            {"transcript": "hi", "belief_state": [{"slots": {"area": "north"}}]}]}],
+        "dialogue '1' turn 0: belief field 'slots' not an array",
+    ),
+    "woz belief pair": (
+        "woz_belief", woz_schema,
+        [{"dialogue_idx": 1, "dialogue": [
+            {"transcript": "hi", "belief_state": [{"slots": [["area"]]}]}]}],
+        "dialogue '1' turn 0: malformed belief slot pair ['area']",
+    ),
+    "m2m turns missing": (
+        "m2m_flat", m2m_schema, [{"id": "r1", "turns": {}}],
+        "dialogue 'r1': field 'turns' missing or not an array",
+    ),
+    "m2m state item": (
+        "m2m_flat", m2m_schema,
+        [{"id": "r1", "turns": [{"user_utterance": {"text": "hi"}, "dialogue_state": {}}]}],
+        "dialogue 'r1' turn 0 dialogue_state item: expected an array",
+    ),
+    "m2m state value": (
+        "m2m_flat", m2m_schema,
+        [{"id": "r1", "domain": "restaurant", "turns": [{"user_utterance": {"text": "hi"},
+            "dialogue_state": [{"slot": "date", "value": 3}]}]}],
+        "dialogue 'r1' turn 0 dialogue_state value: expected a string",
+    ),
+    # the slot names of the record's own domain only
+    "m2m slot of another domain": (
+        "m2m_flat", m2m_schema,
+        [{"id": "r1", "domain": "movie", "turns": [{"user_utterance": {"text": "hi"},
+            "dialogue_state": [{"slot": "num_people", "value": "2"}]}]}],
+        "dialogue 'r1' turn 0: names unknown slot 'num_people'",
+    ),
+    "sgd turns missing": (
+        "sgd_state", sgd_like_schema, [{"dialogue_id": "s1"}],
+        "dialogue 's1': field 'turns' missing or not an array",
+    ),
+    "sgd unknown speaker": (
+        "sgd_state", sgd_like_schema,
+        [{"dialogue_id": "s1", "turns": [{"speaker": "bot", "utterance": "hi"}]}],
+        "dialogue 's1' turn 0: unknown speaker 'BOT'",
+    ),
+    "sgd unknown slot": (
+        "sgd_state", sgd_like_schema,
+        [{"dialogue_id": "s1", "turns": [{"speaker": "USER", "utterance": "hi",
+            "frames": [{"state": {"slot_values": {"taxi-x": ["a"]}}}]}]}],
+        "dialogue 's1' turn 0: state names unknown slot 'taxi-x'",
+    ),
+    "sgd frames": (
+        "sgd_state", sgd_like_schema,
+        [{"dialogue_id": "s1", "turns": [{"speaker": "USER", "utterance": "hi",
+            "frames": {}}]}],
+        "dialogue 's1' turn 0 frame: expected an array",
+    ),
+    "sgd slot values": (
+        "sgd_state", sgd_like_schema,
+        [{"dialogue_id": "s1", "turns": [{"speaker": "USER", "utterance": "hi",
+            "frames": [{"state": {"slot_values": ["hotel-area"]}}]}]}],
+        "dialogue 's1' turn 0 frame 0 slot_values: expected an object",
+    ),
     "woz belief value": (
         "woz_belief", woz_schema,
         [{"dialogue_idx": 1, "dialogue": [
@@ -636,9 +717,9 @@ NON_STRING_LEGACY_FIELDS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(NON_STRING_LEGACY_FIELDS))
+@pytest.mark.parametrize("case", sorted(LEGACY_FAULTS))
 def test_ingest_rejects_a_non_string_legacy_field(tmp_path, case):
-    style, schema, raw, message = NON_STRING_LEGACY_FIELDS[case]
+    style, schema, raw, message = LEGACY_FAULTS[case]
     path = tmp_path / "legacy_train.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
     with pytest.raises(FormatError) as caught:
