@@ -11,13 +11,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 # extract_chain is not called here, but bench/spans.py wraps builder.extract_chain.
 from .chains import chains_by_slot, extract_chain  # noqa: F401
 from .corpus import Dialogue, Schema, SlotSchema
 from .errors import FormatError, ValidationError
-from .io import decode, json_line, read_json, read_jsonl
+from .io import decode, json_line, parse_jsonl, read_json, read_lines
 from .normalize import NONE_VALUE, normalize_value
 
 TARGET_SEPARATOR = " | "
@@ -291,7 +291,10 @@ def examples_to_jsonl(examples: Iterable[CoTExample]) -> str:
     return "".join(map(json_line, examples))
 
 
-def read_examples(path: str | Path) -> Iterator[CoTExample]:
-    """The examples of a JSONL file, decoded one line at a time as they
-    are consumed."""
-    return (decode(CoTExample, data, where) for _, where, data in read_jsonl(path))
+def read_examples(
+    path: str | Path, lines: Iterable[tuple[int, bytes]] | None = None
+) -> tuple[CoTExample, ...]:
+    """The examples of the JSONL file ``path``, or of ``lines``, numbered
+    raw lines of it as io.read_lines gives them (one refine chunk)."""
+    rows = parse_jsonl(path, read_lines(path) if lines is None else lines)
+    return tuple(decode(CoTExample, data, where) for _, where, data in rows)

@@ -2,7 +2,7 @@
 
 One binary with subcommands: ingest, validate, stats, build, refine,
 sample, eval, report. Data goes to --out or standard output; everything
-else (progress, warnings, errors) goes to standard error. Exit codes:
+else (summaries, warnings, errors) goes to standard error. Exit codes:
 0 success, 1 data or validation error (input that is not UTF-8
 included), 2 usage error, 3 a refine run that finished with some items
 unrefined. No subcommand rewrites its input files: an --out naming one
@@ -26,10 +26,8 @@ import sys
 from typing import Iterable, Iterator
 
 from . import __version__
-# read_examples is not called here, but bench/spans.py wraps cli.read_examples.
-from .builder import (  # noqa: F401
+from .builder import (
     DEFAULT_TEMPLATE,
-    CoTExample,
     build_dataset,
     examples_to_jsonl,
     load_question_overrides,
@@ -56,9 +54,7 @@ from .evaluator import (
     read_report,
     render_report,
 )
-from .io import (
-    decode, file_or_bundled, json_text, parse_jsonl, read_json, read_lines, write_lines,
-)
+from .io import decode, file_or_bundled, json_text, read_json, read_lines, write_lines
 from .normalize import DEFAULT_POLICY, NormalizationPolicy
 from .refiner import RefineConfig, RefineFailure, load_refine_config, refine_batch
 
@@ -71,11 +67,6 @@ _INPUT_OPTIONS = (
     "corpus", "input", "examples", "predictions", "report", "schema",
     "config", "policy", "template_file", "overrides_file", "buckets",
 )
-
-
-def _note(args: argparse.Namespace, message: str) -> None:
-    if args.verbose:
-        print(message, file=sys.stderr)
 
 
 def _emit(lines: str | Iterable[str], out: str | None) -> None:
@@ -119,10 +110,9 @@ def _load_schema_arg(value: str) -> Schema:
     return load_schema(path)
 
 
-def _load_corpus_arg(args: argparse.Namespace, schema: Schema) -> Corpus:
-    corpus = load_corpus([args.corpus], schema, _parse_exclude(args.exclude_domains))
-    _note(args, f"loaded {len(corpus.dialogues)} dialogues from {args.corpus}")
-    return corpus
+def _load_corpus_arg(args: argparse.Namespace) -> Corpus:
+    """The --corpus file, read against the --schema it names."""
+    return load_corpus([args.corpus], _load_schema_arg(args.schema))
 
 
 # ---------------------------------------------------------------------------
@@ -130,6 +120,13 @@ def _load_corpus_arg(args: argparse.Namespace, schema: Schema) -> Corpus:
 
 
 def _cmd_ingest(args: argparse.Namespace) -> int:
+    if args.split and args.style == "canonical":
+        print(
+            "error: --split is for legacy files; with --style canonical each record "
+            "names its own split",
+            file=sys.stderr,
+        )
+        return 2
     schema = _load_schema_arg(args.schema)
     exclude = _parse_exclude(args.exclude_domains)
     corpus = load_corpus(args.input, schema, exclude, args.style, args.split)
@@ -144,14 +141,13 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    schema = _load_schema_arg(args.schema)
-    corpus = _load_corpus_arg(args, schema)
+    corpus = _load_corpus_arg(args)
     counts = corpus.split_counts()
     summary = {
         "dialogues": len(corpus.dialogues),
         "turns": sum(d.n_turns for d in corpus.dialogues),
         "splits": {split: counts[split] for split in sorted(counts)},
-        "slots": len(schema.slots),
+        "slots": len(corpus.schema.slots),
     }
     print("corpus is valid", file=sys.stderr)
     _emit(json_text(summary), args.out)
@@ -159,8 +155,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    schema = _load_schema_arg(args.schema)
-    corpus = _load_corpus_arg(args, schema)
+    corpus = _load_corpus_arg(args)
     histogram = step_histogram(corpus, split=args.split)
     if args.format == "json":
         payload = {
@@ -184,31 +179,20 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 
 def _cmd_build(args: argparse.Namespace) -> int:
-    schema = _load_schema_arg(args.schema)
-    corpus = _load_corpus_arg(args, schema)
+    corpus = _load_corpus_arg(args)
     template = load_template(args.template_file) if args.template_file else DEFAULT_TEMPLATE
     overrides = (
-        load_question_overrides(args.overrides_file, schema)
+        load_question_overrides(args.overrides_file, corpus.schema)
         if args.overrides_file
         else None
     )
-    prompts = slot_prompts(schema, template, overrides)
-    built = 0
-
-    def lines() -> Iterator[str]:
-        nonlocal built
-        for dialogue in sorted(corpus.dialogues_in(args.split), key=lambda d: d.dialogue_id):
-            examples = build_dataset(
-                dialogue,
-                prompts,
-                include_explanations=not args.no_explanations,
-                include_inactive=args.include_inactive,
-            )
-            built += len(examples)
-            yield examples_to_jsonl(examples)
-
-    _emit(lines(), args.out)
-    _note(args, f"built {built} examples")
+    prompts = slot_prompts(corpus.schema, template, overrides)
+    dialogues = sorted(corpus.dialogues_in(args.split), key=lambda d: d.dialogue_id)
+    options = {
+        "include_explanations": not args.no_explanations,
+        "include_inactive": args.include_inactive,
+    }
+    _emit((examples_to_jsonl(build_dataset(d, prompts, **options)) for d in dialogues), args.out)
     return 0
 
 
@@ -226,20 +210,11 @@ def _usable_cpus() -> int:
 
 def _refine_lines(
     path: str, lines: Iterable[tuple[int, bytes]], config: RefineConfig, memo: dict
-) -> tuple[str, int, int, tuple[RefineFailure, ...]]:
-    """Parse, decode and refine ``lines``, numbered raw lines of the
-    examples file ``path``: (the refined examples' JSONL, examples read,
-    examples refined, failures)."""
-    examples = tuple(
-        decode(CoTExample, data, where) for _, where, data in parse_jsonl(path, lines)
-    )
-    outcome = refine_batch(examples, config, memo)
-    refined = sum(
-        1
-        for before, after in zip(examples, outcome.examples)
-        if before.explanation_kind == "coarse" and after.explanation_kind == "refined"
-    )
-    return examples_to_jsonl(outcome.examples), len(examples), refined, outcome.failures
+) -> tuple[str, tuple[RefineFailure, ...]]:
+    """Decode and refine ``lines``, numbered raw lines of the examples
+    file ``path``: (the refined examples' JSONL, failures)."""
+    outcome = refine_batch(read_examples(path, lines), config, memo)
+    return examples_to_jsonl(outcome.examples), outcome.failures
 
 
 _WORKER_MEMO = {}  # what a worker process has refined; filled only in workers
@@ -265,6 +240,10 @@ def _refined_chunks(path: str, config: RefineConfig) -> Iterator[tuple]:
             return
         lines = itertools.chain.from_iterable(head)
     memo = {}
+    # Each chunk is drawn from ``lines`` while read_examples decodes it,
+    # not gathered first as _chunks gathers it for a worker, so a chunk's
+    # raw lines never sit beside its decoded examples: through _chunks,
+    # the peak RSS of an online refine grows by about 1 MB.
     for first in lines:
         chunk = itertools.chain((first,), itertools.islice(lines, REFINE_CHUNK - 1))
         yield _refine_lines(path, chunk, config, memo)
@@ -303,20 +282,17 @@ def _cmd_refine(args: argparse.Namespace) -> int:
     if args.cache_dir is not None:
         overrides["cache_dir"] = args.cache_dir
     config = load_refine_config(args.config, **overrides)
-    seen = refined = failed = 0
+    failed = 0
 
     def lines() -> Iterator[str]:
-        nonlocal seen, refined, failed
-        for text, n_read, n_refined, failures in _refined_chunks(args.examples, config):
+        nonlocal failed
+        for text, failures in _refined_chunks(args.examples, config):
             for failure in failures:
                 print(f"warning: {failure.example_id}: {failure.error}", file=sys.stderr)
-            seen += n_read
-            refined += n_refined
             failed += len(failures)
             yield text
 
     _emit(lines(), args.out)
-    _note(args, f"refined {refined} of {seen} examples")
     if failed:
         print(f"{failed} example(s) left unrefined", file=sys.stderr)
         return 3
@@ -324,8 +300,7 @@ def _cmd_refine(args: argparse.Namespace) -> int:
 
 
 def _cmd_sample(args: argparse.Namespace) -> int:
-    schema = _load_schema_arg(args.schema)
-    corpus = _load_corpus_arg(args, schema)
+    corpus = _load_corpus_arg(args)
     sampled = low_resource_sample(corpus, args.fraction, seed=args.seed)
     kept = sampled.split_counts().get("train", 0)
     print(
@@ -338,8 +313,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval(args: argparse.Namespace) -> int:
-    schema = _load_schema_arg(args.schema)
-    corpus = _load_corpus_arg(args, schema)
+    corpus = _load_corpus_arg(args)
     predictions = load_predictions(args.predictions, corpus)
     policy = DEFAULT_POLICY
     if args.policy:
@@ -385,12 +359,10 @@ _HANDLERS = {
 
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--verbose", action="store_true", help="chatty progress on stderr")
     common.add_argument("--out", help="write output here instead of stdout")
     corpus_args = argparse.ArgumentParser(add_help=False, parents=[common])
     corpus_args.add_argument("--corpus", required=True, help="canonical corpus file")
     corpus_args.add_argument("--schema", required=True, help="schema file or bundled name")
-    corpus_args.add_argument("--exclude-domains", default="")
 
     parser = argparse.ArgumentParser(
         prog="slotchain",

@@ -1,6 +1,7 @@
 """Command-line behaviour: exit codes, stream discipline, determinism,
 and that no subcommand rewrites its inputs."""
 
+import argparse
 import hashlib
 import json
 import multiprocessing
@@ -15,13 +16,16 @@ from pathlib import Path
 import pytest
 
 import slotchain
+import slotchain.cli as cli
 import slotchain.errors
 from slotchain.builder import build_dataset, examples_to_jsonl, read_examples
 from slotchain.chains import step_histogram
 from slotchain.cli import main
 from slotchain.errors import ValidationError
 from slotchain.refiner import refine_batch
-from slotchain.corpus import Corpus, corpus_to_json, load_corpus, load_schema
+from slotchain.corpus import (
+    Corpus, corpus_to_json, filter_excluded_domains, load_corpus, load_schema,
+)
 from slotchain.io import encode
 
 from gen import make_corpus, make_dialogue
@@ -75,11 +79,28 @@ def test_unknown_flag_is_a_usage_error(capsys):
 @pytest.mark.parametrize("argv", [
     ["ingest", "--input", DIALOGUES, "--schema", SCHEMA, "--name", "x"],
     ["validate", "--corpus", DIALOGUES, "--schema", SCHEMA, "--seed", "1"],
+    ["build", "--corpus", DIALOGUES, "--schema", SCHEMA, "--verbose"],
+    ["refine", "--examples", PREDICTIONS, "--offline", "--verbose"],
+    ["eval", "--corpus", DIALOGUES, "--schema", SCHEMA, "--predictions", PREDICTIONS,
+     "--exclude-domains", "hotel"],
 ])
 def test_removed_flags_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
     assert code == 2
     assert "unrecognized arguments" in err
+
+
+def test_every_input_option_is_an_option_dest():
+    parser = cli._build_parser()
+    (subcommands,) = (
+        action for action in parser._actions if isinstance(action, argparse._SubParsersAction)
+    )
+    dests = {
+        action.dest
+        for subparser in subcommands.choices.values()
+        for action in subparser._actions
+    }
+    assert set(cli._INPUT_OPTIONS) <= dests, set(cli._INPUT_OPTIONS) - dests
 
 
 def test_bad_max_parallel_names_the_flag(capsys):
@@ -223,6 +244,31 @@ def test_ingest_writes_out_file_identical_to_stdout(capsys, tmp_path):
     assert code == 0
     assert out == ""
     assert out_path.read_text(encoding="utf-8") == corpus_to_json(fixture_corpus())
+
+
+def test_ingest_excludes_domains(capsys):
+    code, out, err = run(
+        capsys, "ingest", "--input", DIALOGUES, "--schema", SCHEMA, "--exclude-domains", "hotel"
+    )
+    assert code == 0
+    assert "ingested dialogues: train=4 dev=0 test=1 (total 5)" in err
+    assert out == corpus_to_json(filter_excluded_domains(fixture_corpus(), {"hotel"}))
+    dialogues = {d["dialogue_id"]: d for d in json.loads(out)}
+    assert not {"fix001", "fix006", "fix008"} & dialogues.keys()
+    fix004_slots = {slot for turn in dialogues["fix004"]["turns"] for slot in turn["state"]}
+    assert fix004_slots == {"restaurant-food"}
+
+
+def test_ingest_split_with_canonical_style_is_a_usage_error(capsys, tmp_path):
+    out_path = tmp_path / "corpus.json"
+    code, out, err = run(
+        capsys, "ingest", "--input", DIALOGUES, "--schema", SCHEMA,
+        "--style", "canonical", "--split", "dev", "--out", str(out_path),
+    )
+    assert code == 2
+    assert out == ""
+    assert "--split" in err and "--style canonical" in err
+    assert not out_path.exists()
 
 
 def test_ingest_split_must_name_a_split(capsys, tmp_path):
