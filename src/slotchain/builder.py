@@ -223,10 +223,6 @@ class CoTExample:
                 "its kind is \"none\" or the target is \"none\""
             )
 
-    @property
-    def target_text(self) -> str:
-        return render_target(self.target_value, self.explanation)
-
 
 def avg_utterance_len(dialogue: Dialogue) -> float:
     """Mean whitespace-token count over all 2N utterances, the empty

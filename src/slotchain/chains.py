@@ -10,6 +10,9 @@ reasoning steps needed to justify the slot's value at turn t.
 builder, the step histogram and the step buckets scan each (dialogue,
 slot) once, through the last turn, and read every turn off that one
 chain. A raw value equal to the turn before's is not normalized again.
+Changes are found under the default normalization policy, so a step
+count is a property of the gold annotation alone: ``stats``, ``build``
+and ``eval`` agree on it whatever policy scores the predictions.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .corpus import Corpus, Dialogue
-from .normalize import DEFAULT_POLICY, NONE_VALUE, NormalizationPolicy, normalize_value
+from .normalize import NONE_VALUE, normalize_value
 
 
 @dataclass(frozen=True)
@@ -40,11 +43,7 @@ class SlotChain:
         return bisect_right(self.change_turns, turn)
 
 
-def extract_chain(
-    dialogue: Dialogue,
-    slot_id: str,
-    policy: NormalizationPolicy = DEFAULT_POLICY,
-) -> SlotChain:
+def extract_chain(dialogue: Dialogue, slot_id: str) -> SlotChain:
     """Chain for one slot over every turn of the dialogue.
 
     The chain is empty exactly when the slot never held a value. Values
@@ -59,7 +58,7 @@ def extract_chain(
         if raw == previous_raw:
             continue  # states are cumulative: most turns restate the raw value
         previous_raw = raw
-        norm = normalize_value(raw, policy) if raw is not None else NONE_VALUE
+        norm = normalize_value(raw) if raw is not None else NONE_VALUE
         if norm != previous:
             change_turns.append(turn.index)
             values.append(raw if raw is not None else NONE_VALUE)
@@ -67,20 +66,16 @@ def extract_chain(
     return SlotChain(tuple(change_turns), tuple(values))
 
 
-def chains_by_slot(
-    dialogue: Dialogue, policy: NormalizationPolicy = DEFAULT_POLICY
-) -> dict[str, SlotChain]:
+def chains_by_slot(dialogue: Dialogue) -> dict[str, SlotChain]:
     """Chain of every slot annotated in the dialogue, one scan each."""
     slot_ids = {slot_id for turn in dialogue.turns for slot_id in turn.gold_state}
-    return {s: extract_chain(dialogue, s, policy) for s in slot_ids}
+    return {s: extract_chain(dialogue, s) for s in slot_ids}
 
 
-def max_step_at_turns(
-    dialogue: Dialogue, policy: NormalizationPolicy = DEFAULT_POLICY
-) -> tuple[int, ...]:
+def max_step_at_turns(dialogue: Dialogue) -> tuple[int, ...]:
     """For each turn, the largest chain length over all slots; 0 until
     the first slot is filled. Used to bucket turns by reasoning depth."""
-    chains = chains_by_slot(dialogue, policy).values()
+    chains = chains_by_slot(dialogue).values()
     return tuple(
         max((c.steps_at(t) for c in chains), default=0)
         for t in range(1, dialogue.n_turns + 1)

@@ -17,7 +17,7 @@ from typing import Iterable, Iterator
 
 from .errors import FormatError, ValidationError
 from .io import decode, encode, json_text, read_json
-from .normalize import DEFAULT_POLICY, normalize_value
+from .normalize import normalize_value
 
 SPLITS = ("train", "dev", "test")
 
@@ -40,7 +40,34 @@ class SlotSchema:
 
 @dataclass(frozen=True)
 class Schema:
+    """The trackable slots. Each slot_id is its domain, "-" and its
+    name, and is unique; a closed value set is non-empty and holds no
+    two values equal after default normalization."""
+
     slots: tuple[SlotSchema, ...]
+
+    def __post_init__(self) -> None:
+        seen: set[str] = set()
+        for slot in self.slots:
+            if slot.slot_id != f"{slot.domain}-{slot.name}":
+                raise ValidationError(
+                    f"slot_id {slot.slot_id!r} does not equal domain + '-' + name "
+                    f"({slot.domain!r}, {slot.name!r})"
+                )
+            if slot.slot_id in seen:
+                raise ValidationError(f"duplicate slot_id {slot.slot_id!r}")
+            seen.add(slot.slot_id)
+            if slot.possible_values is not None:
+                if not slot.possible_values:
+                    raise ValidationError(
+                        f"slot {slot.slot_id!r}: possible_values present but empty"
+                    )
+                normalized = {normalize_value(v) for v in slot.possible_values}
+                if len(normalized) != len(slot.possible_values):
+                    raise ValidationError(
+                        f"slot {slot.slot_id!r}: possible_values contain duplicates "
+                        "after normalization"
+                    )
 
     @cached_property
     def by_id(self) -> dict[str, SlotSchema]:
@@ -57,7 +84,7 @@ class TurnPair:
     ``index`` is 1-based. The system utterance may be empty on the first
     turn only (dialogues opened by the user). In a canonical file the
     utterances are keyed ``system`` and ``user`` and the state
-    ``state``; a missing utterance reads as empty, which validation
+    ``state``; a missing utterance reads as empty, which ``Dialogue``
     rejects where an utterance is required.
     """
 
@@ -69,9 +96,40 @@ class TurnPair:
 
 @dataclass(frozen=True)
 class Dialogue:
+    """A non-empty id, a known split and at least one turn. Each turn's
+    index is its position, its user utterance is non-empty, its system
+    utterance is empty on the first turn only, and no state value is
+    empty. Whether the state's slots exist is the schema's to say."""
+
     dialogue_id: str
     turns: tuple[TurnPair, ...]
     split: str
+
+    def __post_init__(self) -> None:
+        if not self.dialogue_id:
+            raise ValidationError("empty dialogue_id")
+        where = f"dialogue {self.dialogue_id!r}"
+        if self.split not in SPLITS:
+            raise ValidationError(f"{where}: unknown split {self.split!r}")
+        if not self.turns:
+            raise ValidationError(f"{where}: no turns")
+        for position, turn in enumerate(self.turns, start=1):
+            if turn.index != position:
+                raise ValidationError(
+                    f"{where} turn {position}: expected index {position}, found {turn.index}"
+                )
+            if not turn.user_utterance:
+                raise ValidationError(f"{where} turn {position}: empty user utterance")
+            if not turn.system_utterance and position != 1:
+                raise ValidationError(
+                    f"{where} turn {position}: empty system utterance only permitted "
+                    "on the first turn"
+                )
+            for slot_id, value in turn.gold_state.items():
+                if not value:
+                    raise ValidationError(
+                        f"{where} turn {position}: empty value for slot {slot_id!r}"
+                    )
 
     @property
     def n_turns(self) -> int:
@@ -95,75 +153,6 @@ class Corpus:
         return tuple(d for d in self.dialogues if d.split == split)
 
 
-# ---------------------------------------------------------------------------
-# validation
-
-
-def validate_schema(schema: Schema) -> None:
-    seen: set[str] = set()
-    for slot in schema.slots:
-        if slot.slot_id != f"{slot.domain}-{slot.name}":
-            raise ValidationError(
-                f"slot_id {slot.slot_id!r} does not equal domain + '-' + name "
-                f"({slot.domain!r}, {slot.name!r})"
-            )
-        if slot.slot_id in seen:
-            raise ValidationError(f"duplicate slot_id {slot.slot_id!r}")
-        seen.add(slot.slot_id)
-        if slot.possible_values is not None:
-            if not slot.possible_values:
-                raise ValidationError(
-                    f"slot {slot.slot_id!r}: possible_values present but empty"
-                )
-            normalized = [normalize_value(v, DEFAULT_POLICY) for v in slot.possible_values]
-            if len(set(normalized)) != len(normalized):
-                raise ValidationError(
-                    f"slot {slot.slot_id!r}: possible_values contain duplicates "
-                    "after normalization"
-                )
-
-
-def validate_dialogue(dialogue: Dialogue, schema: Schema) -> None:
-    if not dialogue.dialogue_id:
-        raise ValidationError("empty dialogue_id")
-    if dialogue.split not in SPLITS:
-        raise ValidationError(
-            f"dialogue {dialogue.dialogue_id!r}: unknown split {dialogue.split!r}"
-        )
-    for position, turn in enumerate(dialogue.turns, start=1):
-        where = f"dialogue {dialogue.dialogue_id!r} turn {position}"
-        if turn.index != position:
-            raise ValidationError(
-                f"{where}: expected index {position}, found {turn.index}"
-            )
-        if not turn.user_utterance:
-            raise ValidationError(f"{where}: empty user utterance")
-        if not turn.system_utterance and position != 1:
-            raise ValidationError(
-                f"{where}: empty system utterance only permitted on the first turn"
-            )
-        for slot_id, value in turn.gold_state.items():
-            if slot_id not in schema:
-                raise ValidationError(f"{where}: unknown slot_id {slot_id!r}")
-            if not value:
-                raise ValidationError(f"{where}: empty value for slot {slot_id!r}")
-
-
-def validate_corpus(corpus: Corpus) -> None:
-    validate_schema(corpus.schema)
-    _validate_dialogues(corpus.dialogues, corpus.schema, set())
-
-
-def _validate_dialogues(dialogues: Iterable[Dialogue], schema: Schema, seen: set[str]) -> None:
-    """Validate each dialogue; ``seen`` holds the ids met so far and
-    gains these."""
-    for dialogue in dialogues:
-        if dialogue.dialogue_id in seen:
-            raise ValidationError(f"duplicate dialogue_id {dialogue.dialogue_id!r}")
-        seen.add(dialogue.dialogue_id)
-        validate_dialogue(dialogue, schema)
-
-
 @contextmanager
 def _naming(path: str | Path) -> Iterator[None]:
     """Prefix ``path`` to a ValidationError raised inside the block."""
@@ -179,15 +168,12 @@ def _naming(path: str | Path) -> Iterator[None]:
 
 
 def load_schema(path: str | Path) -> Schema:
-    schema = Schema(
-        slots=tuple(
-            decode(SlotSchema, entry, f"{path}: slot record {i}")
-            for i, entry in enumerate(read_json(path, expect=list))
-        )
+    slots = tuple(
+        decode(SlotSchema, entry, f"{path}: slot record {i}")
+        for i, entry in enumerate(read_json(path, expect=list))
     )
     with _naming(path):
-        validate_schema(schema)
-    return schema
+        return Schema(slots)
 
 
 # ---------------------------------------------------------------------------
@@ -207,24 +193,36 @@ def load_corpus(
     in a legacy ``style`` (see ``_read_legacy``, which takes ``split``).
 
     Slots of excluded domains are removed from gold states; dialogues
-    whose annotations all belong to excluded domains are dropped. A
-    fault names its file; a dialogue id repeated across files names the
-    later one.
+    whose annotations all belong to excluded domains are dropped. Each
+    dialogue keeps its own rules as it is read; then each kept one must
+    name only slots of the schema and an id no earlier one has. A fault
+    names its file; a dialogue id repeated across files names the later
+    one.
     """
-    validate_schema(schema)
+    known = schema.by_id
     dialogues: list[Dialogue] = []
     seen: set[str] = set()
     for path in dialogue_paths:
-        if style == "canonical":
-            loaded = tuple(
-                decode(Dialogue, entry, f"{path}: dialogue record {i}")
-                for i, entry in enumerate(read_json(path, expect=list))
-            )
-        else:
-            loaded = _read_legacy(Path(path), style, schema, split)
-        kept = filter_excluded_domains(Corpus(schema, loaded), exclude_domains).dialogues
         with _naming(path):
-            _validate_dialogues(kept, schema, seen)
+            if style == "canonical":
+                loaded = tuple(
+                    decode(Dialogue, entry, f"{path}: dialogue record {i}")
+                    for i, entry in enumerate(read_json(path, expect=list))
+                )
+            else:
+                loaded = _read_legacy(Path(path), style, schema, split)
+            kept = filter_excluded_domains(Corpus(schema, loaded), exclude_domains).dialogues
+            for dialogue in kept:
+                if dialogue.dialogue_id in seen:
+                    raise ValidationError(f"duplicate dialogue_id {dialogue.dialogue_id!r}")
+                seen.add(dialogue.dialogue_id)
+                for turn in dialogue.turns:
+                    for slot_id in turn.gold_state:
+                        if slot_id not in known:
+                            raise ValidationError(
+                                f"dialogue {dialogue.dialogue_id!r} turn {turn.index}: "
+                                f"unknown slot_id {slot_id!r}"
+                            )
         dialogues.extend(kept)
     return Corpus(schema=schema, dialogues=tuple(dialogues))
 
@@ -287,11 +285,6 @@ def corpus_json_lines(corpus: Corpus) -> Iterator[str]:
     yield "\n]\n" if corpus.dialogues else "[]\n"
 
 
-def corpus_to_json(corpus: Corpus) -> str:
-    """The whole text of ``corpus_json_lines``."""
-    return "".join(corpus_json_lines(corpus))
-
-
 # ---------------------------------------------------------------------------
 # legacy ingestion
 
@@ -312,8 +305,9 @@ def _read_legacy(
     path: Path, style: str, schema: Schema, split: str | None
 ) -> tuple[Dialogue, ...]:
     """The dialogues of a file in a legacy ``style`` of LEGACY_STYLES,
-    not yet validated. The split is inferred from the filename when not
-    given. The kept turns are numbered from 1."""
+    their slot ids not yet checked against the schema. The split is
+    inferred from the filename when not given. The kept turns are
+    numbered from 1."""
     if split is None:
         split = infer_split(path)
         if split is None:

@@ -231,28 +231,21 @@ def load_bucket_spec(path_or_name: str | Path) -> BucketSpec:
         raise FormatError(f"{source}: {exc}") from exc
 
 
-def _axis_value_by_turn(
-    dialogue: Dialogue, axis: str, policy: NormalizationPolicy
-) -> list[float]:
+def _axis_value_by_turn(dialogue: Dialogue, axis: str) -> list[float]:
     if axis == "step":
-        return [float(v) for v in max_step_at_turns(dialogue, policy)]
+        return [float(v) for v in max_step_at_turns(dialogue)]
     if axis == "turn":
         return [float(dialogue.n_turns)] * dialogue.n_turns
-    if axis == "len":
-        return [avg_utterance_len(dialogue)] * dialogue.n_turns
-    raise ValidationError(f"unknown axis {axis!r}")
+    return [avg_utterance_len(dialogue)] * dialogue.n_turns  # "len", BucketSpec's last axis
 
 
 def bucketize(
-    corpus: Corpus,
-    spec: BucketSpec,
-    split: str | None = None,
-    policy: NormalizationPolicy = DEFAULT_POLICY,
+    corpus: Corpus, spec: BucketSpec, split: str | None = None
 ) -> dict[tuple[str, int], Bucket]:
     """Assign every evaluated (dialogue_id, turn) to exactly one bucket."""
     assignment: dict[tuple[str, int], Bucket] = {}
     for dialogue in corpus.dialogues_in(split):
-        values = _axis_value_by_turn(dialogue, spec.axis, policy)
+        values = _axis_value_by_turn(dialogue, spec.axis)
         for turn, value in zip(dialogue.turns, values):
             assignment[(dialogue.dialogue_id, turn.index)] = spec.bucket_for(value)
     return assignment
@@ -308,7 +301,7 @@ def fine_grained_report(
     buckets: list[BucketResult] = []
     for spec in specs:
         tallies = {bucket: [0, 0] for bucket in spec.edges}  # turns, correct turns
-        for key, bucket in bucketize(corpus, spec, split, policy).items():
+        for key, bucket in bucketize(corpus, spec, split).items():
             tally = tallies[bucket]
             tally[0] += 1
             tally[1] += correctness[key]

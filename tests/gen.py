@@ -7,9 +7,12 @@ loops stay fast.
 
 from __future__ import annotations
 
+import copy
 import random
 
-from slotchain.corpus import Corpus, Dialogue, Schema, SlotSchema, TurnPair
+from slotchain.corpus import (
+    Corpus, Dialogue, Schema, SlotSchema, TurnPair, corpus_json_lines,
+)
 
 DOMAINS = ["hotel", "restaurant", "taxi", "train"]
 SLOT_NAMES = ["area", "stars", "food", "day", "time", "people"]
@@ -118,6 +121,49 @@ def make_corpus(
         for i in range(n)
     )
     return Corpus(schema=schema, dialogues=dialogues)
+
+
+def corpus_to_json(corpus: Corpus) -> str:
+    """The whole canonical dialogue-file text of ``corpus``."""
+    return "".join(corpus_json_lines(corpus))
+
+
+# What a structural mutation puts in place of a node, or adds.
+MUTANT_VALUES = (None, True, False, 0, -1, 1.5, 10**30, 2**63, "", " ", [], {})
+
+
+def mutate_json(rng: random.Random, value: object) -> object:
+    """A copy of the JSON ``value`` with one change to one of its arrays
+    or objects: a member replaced by one of MUTANT_VALUES, deleted or
+    duplicated, or one of MUTANT_VALUES added. An object's duplicate goes
+    under one of its other keys."""
+    value = copy.deepcopy(value)
+    containers, pending = [], [value]
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (dict, list)):
+            containers.append(node)
+            pending.extend(node.values() if isinstance(node, dict) else node)
+    parent = rng.choice(containers)
+    keys = list(parent) if isinstance(parent, dict) else list(range(len(parent)))
+    operation = rng.choice(("replace", "delete", "duplicate", "add")) if keys else "add"
+    mutant = copy.deepcopy(rng.choice(MUTANT_VALUES))
+    if operation == "add":
+        if isinstance(parent, dict):
+            parent["extra"] = mutant
+        else:
+            parent.insert(rng.randint(0, len(parent)), mutant)
+        return value
+    key = rng.choice(keys)
+    if operation == "replace":
+        parent[key] = mutant
+    elif operation == "delete":
+        del parent[key]
+    elif isinstance(parent, dict):
+        parent[rng.choice(keys)] = copy.deepcopy(parent[key])
+    else:
+        parent.insert(key, copy.deepcopy(parent[key]))
+    return value
 
 
 def make_predictions(

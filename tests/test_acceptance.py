@@ -31,7 +31,6 @@ from slotchain.corpus import (
     filter_excluded_domains,
     load_corpus,
     load_schema,
-    validate_corpus,
 )
 from slotchain.errors import ValidationError
 from slotchain.evaluator import (
@@ -140,7 +139,11 @@ def _m2m_split_counts(root: Path) -> dict[str, int]:
 def merge_corpora(corpora: list[Corpus]) -> Corpus:
     """Concatenate corpora read against one schema; ids must not collide."""
     merged = Corpus(corpora[0].schema, tuple(d for c in corpora for d in c.dialogues))
-    validate_corpus(merged)
+    seen: set[str] = set()
+    for dialogue in merged.dialogues:
+        if dialogue.dialogue_id in seen:
+            raise ValidationError(f"duplicate dialogue_id {dialogue.dialogue_id!r}")
+        seen.add(dialogue.dialogue_id)
     return merged
 
 

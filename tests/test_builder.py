@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from gen import make_corpus
+from gen import corpus_to_json, make_corpus
 from oracles import oracle_chain
 from test_chains import chain_at
 from slotchain.builder import (
@@ -39,7 +39,6 @@ from slotchain.corpus import (
     Schema,
     SlotSchema,
     TurnPair,
-    corpus_to_json,
     load_corpus,
     load_schema,
 )
@@ -505,7 +504,9 @@ def test_example_invariants_enforced():
 def test_example_target_text_round_trips():
     corpus = Corpus(schema=schema(), dialogues=(dialogue(),))
     for example in build_all(corpus, include_inactive=True):
-        value, explanation = parse_generation(example.target_text)
+        value, explanation = parse_generation(
+            render_target(example.target_value, example.explanation)
+        )
         assert value == example.target_value
         assert explanation == example.explanation
 

@@ -286,8 +286,6 @@ def test_step_histogram_normalizes_each_raw_value_change_once(monkeypatch):
                 previous = raw
     calls = []
     normalize = chains.normalize_value
-    monkeypatch.setattr(
-        chains, "normalize_value", lambda raw, policy: calls.append(raw) or normalize(raw, policy)
-    )
+    monkeypatch.setattr(chains, "normalize_value", lambda raw: calls.append(raw) or normalize(raw))
     assert step_histogram(corpus).total_active == 35
     assert 0 < len(calls) <= changes

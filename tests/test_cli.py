@@ -23,12 +23,10 @@ from slotchain.chains import step_histogram
 from slotchain.cli import main
 from slotchain.errors import ValidationError
 from slotchain.refiner import refine_batch
-from slotchain.corpus import (
-    Corpus, corpus_to_json, filter_excluded_domains, load_corpus, load_schema,
-)
+from slotchain.corpus import Corpus, filter_excluded_domains, load_corpus, load_schema
 from slotchain.io import encode
 
-from gen import make_corpus, make_dialogue
+from gen import corpus_to_json, make_corpus, make_dialogue, mutate_json
 from test_refiner import DEMOS, KEY_VAR, MockCompletionServer, make_example, with_explanation
 
 REPO = Path(__file__).resolve().parents[1]
@@ -593,6 +591,26 @@ MALFORMED_INPUTS = {
           "turns": [{"index": 1, "system": "", "user": "hi", "state": {}}]}],
         "empty dialogue_id",
     ),
+    "canonical no turns": (
+        ["build", "--corpus", "{file}", "--schema", SCHEMA],
+        [{"dialogue_id": "d1", "split": "train", "turns": []}],
+        "dialogue record 0: dialogue 'd1': no turns",
+    ),
+    "woz_belief no turns": (
+        ingest_argv("woz_belief", "woz20"),
+        [{"dialogue_idx": 1, "dialogue": []}],
+        "dialogue '1': no turns",
+    ),
+    "m2m_flat no turns": (
+        ingest_argv("m2m_flat", "m2m"),
+        [{"id": "sim-R-1", "turns": []}],
+        "dialogue 'sim-R-1': no turns",
+    ),
+    "sgd_state only system turns": (
+        ingest_argv("sgd_state", SCHEMA),
+        [{"dialogue_id": "x1", "turns": [{"speaker": "SYSTEM", "utterance": "hello"}]}],
+        "dialogue 'x1': no turns",
+    ),
 }
 
 
@@ -610,6 +628,33 @@ def test_malformed_input_exits_one_naming_the_spot(tmp_path, case):
     assert "Traceback" not in result.stderr
     assert result.stderr.startswith(f"error: {bad}: "), result.stderr
     assert message in result.stderr
+
+
+# The fixture corpus under one seeded structural mutation each: a command
+# either runs or exits 1 with an error line naming a file it read, and
+# leaves an existing --out file as it was.
+MUTATED_CORPUS_ARGV = {
+    "build": ["build", "--schema", SCHEMA],
+    "eval": ["eval", "--schema", SCHEMA, "--predictions", PREDICTIONS, "--buckets", "mwz_len"],
+}
+
+
+@pytest.mark.parametrize("seed", range(200))
+@pytest.mark.parametrize("command", sorted(MUTATED_CORPUS_ARGV))
+def test_a_mutated_corpus_runs_or_exits_one_naming_a_file(capsys, tmp_path, command, seed):
+    records = json.loads(Path(DIALOGUES).read_text(encoding="utf-8"))
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps(mutate_json(random.Random(seed), records)), encoding="utf-8")
+    out = tmp_path / "out"
+    out.write_text("earlier output\n", encoding="utf-8")
+    argv = [*MUTATED_CORPUS_ARGV[command], "--corpus", str(corpus), "--out", str(out)]
+    code, _, err = run(capsys, *argv)
+    assert code in (0, 1), err
+    if code == 1:
+        assert err.startswith("error: "), err
+        # eval also names the predictions when they no longer fit the corpus
+        assert str(corpus) in err or (command == "eval" and PREDICTIONS in err), err
+        assert out.read_text(encoding="utf-8") == "earlier output\n"
 
 
 # ---------------------------------------------------------------------------
@@ -1225,6 +1270,39 @@ def test_eval_policy_file_changes_matching(capsys, tmp_path):
     )
     assert code == 0
     assert json.loads(fuzzy_out)["overall_jga"] == pytest.approx(4 / 6)
+
+
+def test_steps_come_from_the_gold_annotation_whatever_the_policy(capsys, tmp_path):
+    # A change of case is no step under the default normalization. A
+    # policy that keeps case changes matching only: stats, build and the
+    # step buckets all put both turns at step 1.
+    corpus = tmp_path / "corpus.json"
+    corpus.write_text(json.dumps([{"dialogue_id": "d1", "split": "test", "turns": [
+        {"index": 1, "system": "", "user": "the Cambridge", "state": {"hotel-name": "Cambridge"}},
+        {"index": 2, "system": "sure", "user": "yes", "state": {"hotel-name": "cambridge"}},
+    ]}]), encoding="utf-8")
+    predictions = tmp_path / "predictions.jsonl"
+    predictions.write_text(
+        '{"dialogue_id": "d1", "turn": 1, "slot_id": "hotel-name", "text": "Cambridge"}\n'
+        '{"dialogue_id": "d1", "turn": 2, "slot_id": "hotel-name", "text": "cambridge"}\n',
+        encoding="utf-8",
+    )
+    policy = tmp_path / "policy.json"
+    policy.write_text('{"lowercase": false}', encoding="utf-8")
+    corpus_args = ["--corpus", str(corpus), "--schema", SCHEMA]
+
+    code, out, _ = run(capsys, "stats", *corpus_args, "--format", "json")
+    assert (code, json.loads(out)["counts"]) == (0, {"1": 2})
+    code, out, _ = run(capsys, "build", *corpus_args)
+    assert code == 0
+    assert [json.loads(line)["meta"]["step_count"] for line in out.splitlines()] == [1, 1]
+    code, out, _ = run(
+        capsys, "eval", *corpus_args, "--predictions", str(predictions),
+        "--policy", str(policy), "--buckets", "step",
+    )
+    assert code == 0
+    steps = {b["label"]: b["n_turns"] for b in json.loads(out)["buckets"]}
+    assert steps == {"0": 0, "1": 2, "2": 0, "3+": 0}
 
 
 def test_report_rerenders_saved_json(capsys, tmp_path):

@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from gen import make_corpus
+from gen import corpus_to_json, make_corpus
 from slotchain.corpus import (
     Corpus,
     Dialogue,
@@ -16,13 +16,10 @@ from slotchain.corpus import (
     SlotSchema,
     TurnPair,
     corpus_json_lines,
-    corpus_to_json,
     filter_excluded_domains,
     infer_split,
     load_corpus,
     load_schema,
-    validate_corpus,
-    validate_schema,
 )
 from slotchain.errors import FormatError, ValidationError
 from slotchain.io import encode, read_json
@@ -84,7 +81,7 @@ def test_exclusion_by_inspection():
     # never annotated: stays
     d3 = Dialogue(dialogue_id="d3", split="dev", turns=(turn(1, {}),))
     # hospital-department is not even in the schema; the domain prefix
-    # rule must drop it before validation sees it
+    # rule drops it all the same
     d4 = Dialogue(
         dialogue_id="d4",
         split="test",
@@ -93,7 +90,6 @@ def test_exclusion_by_inspection():
     corpus = Corpus(schema=schema, dialogues=(d1, d2, d3, d4))
 
     filtered = filter_excluded_domains(corpus, {"police", "hospital"})
-    validate_corpus(filtered)
 
     assert [d.dialogue_id for d in filtered.dialogues] == ["d1", "d3", "d4"]
     by_id = {d.dialogue_id: d for d in filtered.dialogues}
@@ -226,98 +222,111 @@ def test_load_corpus_repeated_id_names_the_later_file(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# validation
+# validation: Schema and Dialogue keep their own rules; load_corpus checks
+# slot ids against the schema and ids against the other dialogues
 
 
-def test_validate_rejects_unknown_slot():
-    schema = small_schema()
-    bad = Corpus(schema, (Dialogue("d1", (turn(1, {"taxi-arrival": "10:00"}),), "train"),))
-    with pytest.raises(ValidationError, match="unknown slot_id"):
-        validate_corpus(bad)
+def write_dialogues(path, *dialogues: Dialogue):
+    path.write_text(corpus_to_json(Corpus(small_schema(), dialogues)), encoding="utf-8")
+    return path
+
+
+def test_validate_rejects_unknown_slot(tmp_path):
+    path = write_dialogues(
+        tmp_path / "d.json", Dialogue("d1", (turn(1, {"taxi-arrival": "10:00"}),), "train")
+    )
+    with pytest.raises(
+        ValidationError, match=re.escape(f"{path}: dialogue 'd1' turn 1: unknown slot_id")
+    ):
+        load_corpus([path], small_schema())
+
+
+def test_unknown_slot_of_an_excluded_domain_is_dropped_first(tmp_path):
+    path = write_dialogues(
+        tmp_path / "d.json",
+        Dialogue("d1", (turn(1, {"taxi-arrival": "10:00", "hotel-area": "north"}),), "train"),
+    )
+    loaded = load_corpus([path], small_schema(), exclude_domains={"taxi"})
+    assert loaded.dialogues[0].turns[0].gold_state == {"hotel-area": "north"}
 
 
 def test_validate_rejects_empty_value():
-    schema = small_schema()
-    bad = Corpus(schema, (Dialogue("d1", (turn(1, {"hotel-area": ""}),), "train"),))
-    with pytest.raises(ValidationError, match="empty value"):
-        validate_corpus(bad)
+    with pytest.raises(ValidationError, match="dialogue 'd1' turn 1: empty value"):
+        Dialogue("d1", (turn(1, {"hotel-area": ""}),), "train")
 
 
 def test_validate_rejects_empty_user_utterance():
-    schema = small_schema()
-    bad = Corpus(
-        schema,
-        (Dialogue("d1", (TurnPair(1, "", "", {}),), "train"),),
-    )
     with pytest.raises(ValidationError, match="empty user utterance"):
-        validate_corpus(bad)
+        Dialogue("d1", (TurnPair(1, "", "", {}),), "train")
 
 
 def test_validate_rejects_empty_system_after_first_turn():
-    schema = small_schema()
-    bad = Corpus(
-        schema,
-        (
-            Dialogue(
-                "d1",
-                (turn(1, {}), TurnPair(2, "", "still there?", {})),
-                "train",
-            ),
-        ),
-    )
-    with pytest.raises(ValidationError, match="first turn"):
-        validate_corpus(bad)
+    with pytest.raises(ValidationError, match="turn 2: .*first turn"):
+        Dialogue("d1", (turn(1, {}), TurnPair(2, "", "still there?", {})), "train")
 
 
 def test_validate_allows_empty_system_on_first_turn():
-    schema = small_schema()
-    good = Corpus(schema, (Dialogue("d1", (TurnPair(1, "", "hello", {}),), "train"),))
-    validate_corpus(good)
+    Dialogue("d1", (TurnPair(1, "", "hello", {}),), "train")
 
 
 def test_validate_rejects_bad_turn_index():
-    schema = small_schema()
-    bad = Corpus(schema, (Dialogue("d1", (turn(2, {}),), "train"),))
-    with pytest.raises(ValidationError, match="expected index 1"):
-        validate_corpus(bad)
+    with pytest.raises(ValidationError, match="expected index 1, found 2"):
+        Dialogue("d1", (turn(2, {}),), "train")
 
 
-def test_validate_rejects_duplicate_dialogue_id():
-    schema = small_schema()
+def test_validate_rejects_a_dialogue_without_turns():
+    with pytest.raises(ValidationError, match="dialogue 'd1': no turns"):
+        Dialogue("d1", (), "train")
+
+
+def test_validate_rejects_empty_dialogue_id():
+    with pytest.raises(ValidationError, match="empty dialogue_id"):
+        Dialogue("", (turn(1, {}),), "train")
+
+
+def test_validate_rejects_duplicate_dialogue_id(tmp_path):
     d = Dialogue("d1", (turn(1, {}),), "train")
-    with pytest.raises(ValidationError, match="duplicate dialogue_id"):
-        validate_corpus(Corpus(schema, (d, d)))
+    path = write_dialogues(tmp_path / "d.json", d, d)
+    with pytest.raises(ValidationError, match=re.escape(f"{path}: duplicate dialogue_id 'd1'")):
+        load_corpus([path], small_schema())
 
 
 def test_validate_rejects_unknown_split():
-    schema = small_schema()
-    bad = Corpus(schema, (Dialogue("d1", (turn(1, {}),), "eval"),))
-    with pytest.raises(ValidationError, match="unknown split"):
-        validate_corpus(bad)
+    with pytest.raises(ValidationError, match="unknown split 'eval'"):
+        Dialogue("d1", (turn(1, {}),), "eval")
+
+
+def test_dialogue_rule_in_a_file_is_a_format_error_naming_the_record(tmp_path):
+    path = tmp_path / "d.json"
+    path.write_text(json.dumps([{"dialogue_id": "d1", "split": "train", "turns": []}]))
+    with pytest.raises(
+        FormatError, match=re.escape(f"{path}: dialogue record 0: dialogue 'd1': no turns")
+    ):
+        load_corpus([path], small_schema())
 
 
 def test_validate_schema_rejects_id_mismatch():
     slot = SlotSchema(slot_id="hotel-area", domain="hotel", name="stars", description="x")
     with pytest.raises(ValidationError, match="does not equal"):
-        validate_schema(Schema((slot,)))
+        Schema((slot,))
 
 
 def test_validate_schema_rejects_duplicate_ids():
     slot = SlotSchema(slot_id="hotel-area", domain="hotel", name="area", description="x")
     with pytest.raises(ValidationError, match="duplicate slot_id"):
-        validate_schema(Schema((slot, slot)))
+        Schema((slot, slot))
 
 
 def test_validate_schema_rejects_empty_value_set():
     slot = SlotSchema("hotel-area", "hotel", "area", "x", possible_values=())
     with pytest.raises(ValidationError, match="empty"):
-        validate_schema(Schema((slot,)))
+        Schema((slot,))
 
 
 def test_validate_schema_rejects_values_colliding_after_normalization():
     slot = SlotSchema("hotel-area", "hotel", "area", "x", possible_values=("North", "north"))
     with pytest.raises(ValidationError, match="duplicates"):
-        validate_schema(Schema((slot,)))
+        Schema((slot,))
 
 
 # ---------------------------------------------------------------------------
@@ -789,9 +798,7 @@ def load_sgd_schema(path) -> Schema:
                     possible_values=tuple(possible) if possible else None,
                 )
             )
-    schema = Schema(slots=tuple(slots))
-    validate_schema(schema)
-    return schema
+    return Schema(slots=tuple(slots))
 
 
 def test_load_sgd_schema(tmp_path):
