@@ -106,11 +106,11 @@ class StepHistogram:
         return {str(steps): self.counts[steps] for steps in sorted(self.counts)}
 
 
-def step_histogram(corpus: Corpus, split: str | None = None) -> StepHistogram:
-    """Histogram of chain lengths over every (dialogue, turn, slot) with
-    a non-empty chain, for one split or the whole corpus."""
+def step_histogram(corpus: Corpus) -> StepHistogram:
+    """Histogram of chain lengths over every (dialogue, turn, slot) of
+    the corpus with a non-empty chain."""
     counts: dict[int, int] = {}
-    for dialogue in corpus.dialogues_in(split):
+    for dialogue in corpus.dialogues:
         for chain in chains_by_slot(dialogue).values():
             # step i holds from change turn c_i up to the next change
             ends = chain.change_turns[1:] + (dialogue.n_turns + 1,)

@@ -156,7 +156,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     corpus = _load_corpus_arg(args)
-    histogram = step_histogram(corpus, split=args.split)
+    histogram = step_histogram(corpus.only(args.split))
     if args.format == "json":
         payload = {
             "counts": histogram.to_dict(),
@@ -187,7 +187,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         else None
     )
     prompts = slot_prompts(corpus.schema, template, overrides)
-    dialogues = sorted(corpus.dialogues_in(args.split), key=lambda d: d.dialogue_id)
+    dialogues = sorted(corpus.only(args.split).dialogues, key=lambda d: d.dialogue_id)
     options = {
         "include_explanations": not args.no_explanations,
         "include_inactive": args.include_inactive,
@@ -327,9 +327,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
                 f"{spec.axis!r}; give one spec per axis"
             )
         spec_by_axis[spec.axis] = name
-    report = fine_grained_report(
-        corpus, predictions, policy=policy, specs=specs, split=args.split
-    )
+    # Indexed against the whole corpus first, so that a row naming a
+    # dialogue of another split is still checked, though never scored.
+    report = fine_grained_report(corpus.only(args.split), predictions, policy=policy, specs=specs)
     if report.n_missing_predictions:
         print(
             f"{report.n_missing_predictions} missing predictions defaulted to none",

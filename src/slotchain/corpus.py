@@ -147,10 +147,11 @@ class Corpus:
             counts[dialogue.split] += 1
         return counts
 
-    def dialogues_in(self, split: str | None) -> tuple[Dialogue, ...]:
+    def only(self, split: str | None) -> Corpus:
+        """The dialogues of one split; the whole corpus when ``split`` is None."""
         if split is None:
-            return self.dialogues
-        return tuple(d for d in self.dialogues if d.split == split)
+            return self
+        return Corpus(self.schema, tuple(d for d in self.dialogues if d.split == split))
 
 
 @contextmanager
@@ -370,14 +371,17 @@ def _text(record: dict, key: str, where: str) -> str:
 
 def _dialogue_id(entry: dict, keys: tuple[str, ...], where: str) -> str:
     """The id of a legacy record: the first of its fields ``keys`` that
-    is present, "" when none is. It must be a string, or an integer (WOZ
-    2.0's dialogue_idx), which reads as its decimal digits; ``where``
-    names the record."""
+    is present. It must be a non-empty string, or an integer (WOZ 2.0's
+    dialogue_idx), which reads as its decimal digits; ``where`` names
+    the record."""
     for key in keys:
         if key in entry:
             value = entry[key]
-            return str(value) if type(value) is int else _string(value, f"{where} {key}")
-    return ""
+            dialogue_id = str(value) if type(value) is int else _string(value, f"{where} {key}")
+            if not dialogue_id:
+                raise FormatError(f"{where}: empty dialogue_id")
+            return dialogue_id
+    raise FormatError(f"{where}: no dialogue id field ({' or '.join(keys)})")
 
 
 def _slot_name_index(schema: Schema, domain: str | None = None) -> dict[str, str | None]:

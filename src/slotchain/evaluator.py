@@ -110,42 +110,6 @@ def index_predictions(
     return indexed
 
 
-def _turn_correctness(
-    corpus: Corpus,
-    predictions: Mapping[tuple[str, int, str], str],
-    policy: NormalizationPolicy,
-    split: str | None,
-) -> tuple[dict[tuple[str, int], bool], int]:
-    """Per evaluated turn, whether every slot matched; plus how many
-    (turn, slot) lookups fell back to the "none" default. Each distinct
-    (predicted, gold, categorical) triple is compared once: the policy
-    is fixed for the run."""
-    slots = [(slot.slot_id, slot.is_categorical) for slot in corpus.schema.slots]
-    matches: dict[tuple[str, str, bool], bool] = {}
-    correctness: dict[tuple[str, int], bool] = {}
-    missing = 0
-    for dialogue in corpus.dialogues_in(split):
-        dialogue_id = dialogue.dialogue_id
-        for turn in dialogue.turns:
-            ok = True
-            for slot_id, categorical in slots:
-                predicted = predictions.get((dialogue_id, turn.index, slot_id))
-                if predicted is None:
-                    missing += 1
-                    predicted = NONE_VALUE
-                if ok:
-                    gold = turn.gold_state.get(slot_id, NONE_VALUE)
-                    triple = (predicted, gold, categorical)
-                    match = matches.get(triple)
-                    if match is None:
-                        match = matches[triple] = values_match(
-                            predicted, gold, policy, categorical=categorical
-                        )
-                    ok = match
-            correctness[(dialogue_id, turn.index)] = ok
-    return correctness, missing
-
-
 # ---------------------------------------------------------------------------
 # buckets
 
@@ -231,24 +195,14 @@ def load_bucket_spec(path_or_name: str | Path) -> BucketSpec:
         raise FormatError(f"{source}: {exc}") from exc
 
 
-def _axis_value_by_turn(dialogue: Dialogue, axis: str) -> list[float]:
-    if axis == "step":
-        return [float(v) for v in max_step_at_turns(dialogue)]
-    if axis == "turn":
-        return [float(dialogue.n_turns)] * dialogue.n_turns
-    return [avg_utterance_len(dialogue)] * dialogue.n_turns  # "len", BucketSpec's last axis
-
-
-def bucketize(
-    corpus: Corpus, spec: BucketSpec, split: str | None = None
-) -> dict[tuple[str, int], Bucket]:
-    """Assign every evaluated (dialogue_id, turn) to exactly one bucket."""
-    assignment: dict[tuple[str, int], Bucket] = {}
-    for dialogue in corpus.dialogues_in(split):
-        values = _axis_value_by_turn(dialogue, spec.axis)
-        for turn, value in zip(dialogue.turns, values):
-            assignment[(dialogue.dialogue_id, turn.index)] = spec.bucket_for(value)
-    return assignment
+def bucketize(dialogue: Dialogue, spec: BucketSpec) -> list[Bucket]:
+    """The bucket of each of the dialogue's turns, in turn order."""
+    if spec.axis == "step":
+        return [spec.bucket_for(steps) for steps in max_step_at_turns(dialogue)]
+    if spec.axis == "turn":
+        return [spec.bucket_for(dialogue.n_turns)] * dialogue.n_turns
+    # "len", BucketSpec's last axis
+    return [spec.bucket_for(avg_utterance_len(dialogue))] * dialogue.n_turns
 
 
 # ---------------------------------------------------------------------------
@@ -290,39 +244,62 @@ def fine_grained_report(
     predictions: Mapping[tuple[str, int, str], str],
     policy: NormalizationPolicy = DEFAULT_POLICY,
     specs: Sequence[BucketSpec] = (),
-    split: str | None = None,
 ) -> EvalReport:
     """Joint goal accuracy, the fraction of turns whose full predicted
-    state matches gold, plus per-bucket accuracy for each axis spec.
-    ``predictions`` is the index load_predictions gives. Missing
-    predictions default to "none" and are tallied in the report."""
-    correctness, missing = _turn_correctness(corpus, predictions, policy, split)
-    n_turns = len(correctness)
-    buckets: list[BucketResult] = []
-    for spec in specs:
-        tallies = {bucket: [0, 0] for bucket in spec.edges}  # turns, correct turns
-        for key, bucket in bucketize(corpus, spec, split).items():
-            tally = tallies[bucket]
-            tally[0] += 1
-            tally[1] += correctness[key]
-        for bucket, (n, correct) in tallies.items():
-            buckets.append(
-                BucketResult(
-                    axis=spec.axis,
-                    label=bucket.label,
-                    lo=bucket.lo,
-                    hi=bucket.hi,
-                    n_turns=n,
-                    jga=correct / n if n else None,
-                )
-            )
+    state matches gold, plus per-bucket accuracy for each axis spec,
+    over every dialogue of ``corpus`` in one pass. ``predictions`` is the
+    index load_predictions gives. Missing predictions default to "none"
+    and are tallied in the report. A turn's slots are compared until the
+    first one that does not match; each distinct (predicted, gold,
+    categorical) triple is compared once, the policy being fixed for
+    the run."""
+    slots = [(slot.slot_id, slot.is_categorical) for slot in corpus.schema.slots]
+    matches: dict[tuple[str, str, bool], bool] = {}
+    tallies = [{bucket: [0, 0] for bucket in spec.edges} for spec in specs]  # turns, correct
+    n_turns = n_correct = missing = 0
+    for dialogue in corpus.dialogues:
+        dialogue_id = dialogue.dialogue_id
+        buckets_by_spec = [bucketize(dialogue, spec) for spec in specs]
+        for position, turn in enumerate(dialogue.turns):
+            ok = True
+            for slot_id, categorical in slots:
+                predicted = predictions.get((dialogue_id, turn.index, slot_id))
+                if predicted is None:
+                    missing += 1
+                    predicted = NONE_VALUE
+                if ok:
+                    gold = turn.gold_state.get(slot_id, NONE_VALUE)
+                    triple = (predicted, gold, categorical)
+                    match = matches.get(triple)
+                    if match is None:
+                        match = matches[triple] = values_match(
+                            predicted, gold, policy, categorical=categorical
+                        )
+                    ok = match
+            n_turns += 1
+            n_correct += ok
+            for spec_tallies, buckets in zip(tallies, buckets_by_spec):
+                tally = spec_tallies[buckets[position]]
+                tally[0] += 1
+                tally[1] += ok
     return EvalReport(
-        overall_jga=sum(correctness.values()) / n_turns if n_turns else 0.0,
-        n_dialogues=len(corpus.dialogues_in(split)),
+        overall_jga=n_correct / n_turns if n_turns else 0.0,
+        n_dialogues=len(corpus.dialogues),
         n_turns=n_turns,
         n_missing_predictions=missing,
         policy=policy,
-        buckets=tuple(buckets),
+        buckets=tuple(
+            BucketResult(
+                axis=spec.axis,
+                label=bucket.label,
+                lo=bucket.lo,
+                hi=bucket.hi,
+                n_turns=n,
+                jga=correct / n if n else None,
+            )
+            for spec, spec_tallies in zip(specs, tallies)
+            for bucket, (n, correct) in spec_tallies.items()
+        ),
     )
 
 
@@ -336,7 +313,7 @@ def low_resource_sample(corpus: Corpus, fraction: float, seed: int) -> Corpus:
     Pure function of (corpus, fraction, seed)."""
     if not 0.0 < fraction <= 1.0:
         raise ValidationError(f"fraction must be in (0, 1], got {fraction}")
-    train_ids = sorted(d.dialogue_id for d in corpus.dialogues_in("train"))
+    train_ids = sorted(d.dialogue_id for d in corpus.only("train").dialogues)
     if not train_ids:
         raise ValidationError("corpus has no train dialogues to sample")
     rng = random.Random(seed)

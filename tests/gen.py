@@ -176,7 +176,7 @@ def make_predictions(
     """Prediction rows for every (dialogue, turn, slot), some omitted,
     some correct up to normalization, the rest wrong."""
     rows = []
-    for dialogue in corpus.dialogues_in(split):
+    for dialogue in corpus.only(split).dialogues:
         for turn in dialogue.turns:
             for slot in corpus.schema.slots:
                 if rng.random() < miss_rate:

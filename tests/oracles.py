@@ -53,7 +53,9 @@ def oracle_jga(
 
     total = 0
     correct = 0
-    for dialogue in corpus.dialogues_in(split):
+    for dialogue in corpus.dialogues:
+        if split is not None and dialogue.split != split:
+            continue
         for turn in dialogue.turns:
             total += 1
             turn_ok = True
@@ -136,7 +138,9 @@ def oracle_step_histogram(
     """Step-count -> sample-count over every (dialogue, turn, slot)
     whose chain is non-empty at that turn."""
     counts: dict[int, int] = {}
-    for dialogue in corpus.dialogues_in(split):
+    for dialogue in corpus.dialogues:
+        if split is not None and dialogue.split != split:
+            continue
         for turn in dialogue.turns:
             for slot in corpus.schema.slots:
                 steps = len(oracle_chain(dialogue, slot.slot_id, turn.index, policy))

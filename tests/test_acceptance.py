@@ -180,7 +180,7 @@ def test_criterion_1_multi_step_ratio():
         )
     start = time.monotonic()
     corpus = _ingest_mwz22(root)
-    histogram = step_histogram(corpus, split="train")
+    histogram = step_histogram(corpus.only("train"))
     elapsed = time.monotonic() - start
     assert 0.35 <= histogram.multi_step_fraction <= 0.45, histogram.multi_step_fraction
     assert elapsed < 120, f"took {elapsed:.1f}s"

@@ -208,7 +208,7 @@ def test_histogram_matches_oracle():
     for seed in range(150):
         corpus = make_corpus(random.Random(20_000 + seed))
         for split in (None, "train", "dev", "test"):
-            got = step_histogram(corpus, split)
+            got = step_histogram(corpus.only(split))
             expected = oracle_step_histogram(corpus, split, DEFAULT_POLICY)
             assert dict(got.counts) == expected, (seed, split)
             assert got.multi_step_fraction == oracle_multi_step_fraction(expected)

@@ -606,6 +606,12 @@ MALFORMED_INPUTS = {
         [{"id": "sim-R-1", "turns": []}],
         "dialogue 'sim-R-1': no turns",
     ),
+    "woz_belief record without an id": (
+        ingest_argv("woz_belief", "woz20"),
+        [{"dialogue_idx": 1, "dialogue": [{"transcript": "hi"}]},
+         {"dialogue": [{"transcript": "hi"}]}],
+        "record 1: no dialogue id field (dialogue_idx or dialogue_id)",
+    ),
     "sgd_state only system turns": (
         ingest_argv("sgd_state", SCHEMA),
         [{"dialogue_id": "x1", "turns": [{"speaker": "SYSTEM", "utterance": "hello"}]}],
@@ -1272,6 +1278,39 @@ def test_eval_policy_file_changes_matching(capsys, tmp_path):
     assert json.loads(fuzzy_out)["overall_jga"] == pytest.approx(4 / 6)
 
 
+def test_eval_checks_rows_of_every_split_but_scores_only_its_own(capsys, tmp_path):
+    # The predictions are checked against the whole corpus before --split
+    # narrows it: rows for a train dialogue leave a test report as it was,
+    # and one of them with a turn out of range is still an error.
+    argv = [
+        "eval", "--corpus", DIALOGUES, "--schema", SCHEMA, "--split", "test",
+        "--buckets", "step", "mwz_turn", "mwz_len",
+    ]
+    code, expected_out, expected_err = run(capsys, *argv, "--predictions", PREDICTIONS)
+    assert code == 0
+    rows = Path(PREDICTIONS).read_text(encoding="utf-8")
+    train = [d for d in fixture_corpus().dialogues if d.split == "train"][0]
+    train_rows = [
+        {"dialogue_id": train.dialogue_id, "turn": turn.index, "slot_id": "hotel-area",
+         "text": "north"}
+        for turn in train.turns
+    ]
+    predictions = tmp_path / "predictions.jsonl"
+    predictions.write_text(rows + "".join(json.dumps(r) + "\n" for r in train_rows))
+    code, out, err = run(capsys, *argv, "--predictions", str(predictions))
+    assert (code, out, err) == (0, expected_out, expected_err)
+
+    train_rows[-1]["turn"] = train.n_turns + 1
+    predictions.write_text(rows + "".join(json.dumps(r) + "\n" for r in train_rows))
+    code, out, err = run(capsys, *argv, "--predictions", str(predictions))
+    assert (code, out) == (1, "")
+    line = rows.count("\n") + len(train_rows)
+    assert err == (
+        f"error: {predictions}: line {line}: prediction turn {train.n_turns + 1} outside "
+        f"dialogue {train.dialogue_id!r} with {train.n_turns} turns\n"
+    )
+
+
 def test_steps_come_from_the_gold_annotation_whatever_the_policy(capsys, tmp_path):
     # A change of case is no step under the default normalization. A
     # policy that keeps case changes matching only: stats, build and the
@@ -1422,6 +1461,18 @@ def test_interrupted_write_keeps_the_old_out_file(capsys, tmp_path, monkeypatch)
         main(["stats", "--corpus", DIALOGUES, "--schema", SCHEMA, "--out", str(out_path)])
     assert out_path.read_text(encoding="utf-8") == "old output\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["stats.txt"]
+
+
+def test_out_in_a_missing_directory_names_the_out_path(capsys, tmp_path):
+    out_path = tmp_path / "missing" / "summary.json"
+    code, out, err = run(
+        capsys, "validate", "--corpus", DIALOGUES, "--schema", SCHEMA, "--out", str(out_path)
+    )
+    assert (code, out) == (1, "")
+    error = err.splitlines()[-1]
+    assert error.startswith("error: ") and str(out_path) in error, err
+    assert ".tmp-" not in err
+    assert not out_path.parent.exists()
 
 
 def test_stdout_equals_out_file(capsys, tmp_path):

@@ -718,6 +718,25 @@ LEGACY_FAULTS = {
         [{"dialogue_id": True, "turns": [{"speaker": "USER", "utterance": "hi"}]}],
         "record 0 dialogue_id: expected a string",
     ),
+    # A record without an id, or with an empty one, is named by its
+    # position.
+    "woz missing dialogue id": (
+        "woz_belief", woz_schema,
+        [{"dialogue_idx": 1, "dialogue": [{"transcript": "hi"}]},
+         {"dialogue": [{"transcript": "hi"}]}],
+        "record 1: no dialogue id field (dialogue_idx or dialogue_id)",
+    ),
+    "m2m missing dialogue id": (
+        "m2m_flat", m2m_schema,
+        [{"turns": [{"user_utterance": {"text": "hi"}}]}],
+        "record 0: no dialogue id field (id or dialogue_id)",
+    ),
+    "sgd empty dialogue id": (
+        "sgd_state", sgd_like_schema,
+        [{"dialogue_id": "s1", "turns": [{"speaker": "USER", "utterance": "hi"}]},
+         {"dialogue_id": "", "turns": [{"speaker": "USER", "utterance": "hi"}]}],
+        "record 1: empty dialogue_id",
+    ),
     "sgd array dialogue id": (
         "sgd_state", sgd_like_schema,
         [{"dialogue_id": ["s1"], "turns": [{"speaker": "USER", "utterance": "hi"}]}],

@@ -100,7 +100,7 @@ def hand_corpus():
 
 def perfect_rows(corpus, split=None):
     rows = []
-    for dialogue in corpus.dialogues_in(split):
+    for dialogue in corpus.only(split).dialogues:
         for turn in dialogue.turns:
             for slot in corpus.schema.slots:
                 rows.append(
@@ -193,9 +193,10 @@ def test_fuzzy_matching_gated_by_policy_and_slot_kind():
 
 def test_split_filtering_scores_only_that_split():
     corpus = hand_corpus()
-    report = fine_grained_report(corpus, to_index(corpus, perfect_rows(corpus)), split="test")
+    predictions = to_index(corpus, perfect_rows(corpus))
+    report = fine_grained_report(corpus.only("test"), predictions)
     assert report.n_turns == 6
-    empty = fine_grained_report(corpus, to_index(corpus, perfect_rows(corpus)), split="train")
+    empty = fine_grained_report(corpus.only("train"), predictions)
     assert empty.n_turns == 0
     assert empty.n_dialogues == 0
     assert empty.overall_jga == 0.0
@@ -209,7 +210,7 @@ def test_matches_oracle_over_seeded_corpora():
         policy = FUZZY_POLICY if seed % 3 == 0 else DEFAULT_POLICY
         split = [None, "train", "dev"][seed % 3]
         expected = oracle_jga(corpus, rows, policy, split=split)
-        report = fine_grained_report(corpus, to_index(corpus, rows), policy=policy, split=split)
+        report = fine_grained_report(corpus.only(split), to_index(corpus, rows), policy=policy)
         assert report.overall_jga == pytest.approx(expected, abs=1e-12), f"seed {seed}"
 
 
@@ -283,7 +284,7 @@ def test_out_of_range_turn_rejected():
 
 def test_predictions_for_other_splits_are_ignored_not_errors():
     corpus = hand_corpus()
-    report = fine_grained_report(corpus, to_index(corpus, perfect_rows(corpus)), split="train")
+    report = fine_grained_report(corpus.only("train"), to_index(corpus, perfect_rows(corpus)))
     assert report.n_turns == 0
 
 
@@ -506,9 +507,17 @@ def test_bucket_spec_unknown_name_rejected():
 
 def test_bucket_spec_malformed_file_rejected(tmp_path):
     path = tmp_path / "spec.json"
-    path.write_text('{"axis": "len", "edges": [[0]]}', encoding="utf-8")
-    with pytest.raises(FormatError, match=r"\[lo, hi\] pair"):
-        load_bucket_spec(path)
+    for spec, message in (
+        ('{"axis": "len", "edges": [[0]]}', "each edge must be a [lo, hi] pair"),
+        ('{"axis": 1, "edges": [[0, null]]}', "expected an object with a string 'axis'"),
+        ('{"axis": "len"}', "expected an object with a string 'axis' and 'edges'"),
+        ('{"axis": "len", "edges": [[0, true]]}', "edge bounds must be integers"),
+        ('{"axis": "len", "edges": [[0, 1.5], [1.5, null]]}', "edge bounds must be integers"),
+        ('{"axis": "len", "edges": [[1, null]]}', "first range must start at 0"),
+    ):
+        path.write_text(spec, encoding="utf-8")
+        with pytest.raises(FormatError, match=re.escape(f"{path}: {message}")):
+            load_bucket_spec(path)
     path.write_text("not json", encoding="utf-8")
     with pytest.raises(FormatError, match="not valid JSON"):
         load_bucket_spec(path)
@@ -523,11 +532,9 @@ def long_dialogue(n_turns, split="test"):
 
 
 def test_bucketize_turn_axis_uses_dialogue_length():
-    corpus = Corpus(schema=hand_schema(), dialogues=(long_dialogue(21),))
-    spec = load_bucket_spec("mwz_turn")
-    assignment = bucketize(corpus, spec)
+    assignment = bucketize(long_dialogue(21), load_bucket_spec("mwz_turn"))
     assert len(assignment) == 21
-    assert {bucket.label for bucket in assignment.values()} == {"20+"}
+    assert {bucket.label for bucket in assignment} == {"20+"}
 
 
 def test_bucketize_len_axis_uses_average_utterance_tokens():
@@ -538,9 +545,8 @@ def test_bucketize_len_axis_uses_average_utterance_tokens():
         split="test",
         turns=(TurnPair(1, thirteen, fourteen, {}),),
     )
-    corpus = Corpus(schema=hand_schema(), dialogues=(dialogue,))
-    assignment = bucketize(corpus, load_bucket_spec("mwz_len"))
-    assert assignment[("d1", 1)].label == "12-14"
+    assignment = bucketize(dialogue, load_bucket_spec("mwz_len"))
+    assert assignment[0].label == "12-14"
 
 
 def test_bucketize_step_axis_uses_busiest_slot():
@@ -552,10 +558,9 @@ def test_bucketize_step_axis_uses_busiest_slot():
             TurnPair(2, "sure", "make it four stars", {"hotel-area": "north", "hotel-stars": "4"}),
         ),
     )
-    corpus = Corpus(schema=hand_schema(), dialogues=(dialogue,))
-    assignment = bucketize(corpus, load_bucket_spec("step"))
-    assert assignment[("d1", 1)].label == "1"
-    assert assignment[("d1", 2)].label == "2"
+    assignment = bucketize(dialogue, load_bucket_spec("step"))
+    assert assignment[0].label == "1"
+    assert assignment[1].label == "2"
 
 
 def test_bucketize_covers_every_evaluated_turn():
@@ -563,11 +568,11 @@ def test_bucketize_covers_every_evaluated_turn():
         rng = random.Random(30_000 + seed)
         corpus = make_corpus(rng)
         for name in ("step", "mwz_turn", "mwz_len"):
-            assignment = bucketize(corpus, load_bucket_spec(name))
-            expected_keys = {
-                (d.dialogue_id, t.index) for d in corpus.dialogues for t in d.turns
-            }
-            assert set(assignment) == expected_keys
+            spec = load_bucket_spec(name)
+            for dialogue in corpus.dialogues:
+                assignment = bucketize(dialogue, spec)
+                assert len(assignment) == dialogue.n_turns
+                assert set(assignment) <= set(spec.edges)
 
 
 # ---------------------------------------------------------------------------
@@ -692,11 +697,11 @@ def test_sample_keeps_ceil_of_fraction(n_train, fraction, expected):
 def test_sample_leaves_dev_and_test_untouched():
     corpus = tiny_corpus(30, n_dev=4, n_test=5)
     sampled = low_resource_sample(corpus, 0.1, seed=13)
-    assert [d.dialogue_id for d in sampled.dialogues_in("dev")] == [
-        d.dialogue_id for d in corpus.dialogues_in("dev")
+    assert [d.dialogue_id for d in sampled.only("dev").dialogues] == [
+        d.dialogue_id for d in corpus.only("dev").dialogues
     ]
-    assert [d.dialogue_id for d in sampled.dialogues_in("test")] == [
-        d.dialogue_id for d in corpus.dialogues_in("test")
+    assert [d.dialogue_id for d in sampled.only("test").dialogues] == [
+        d.dialogue_id for d in corpus.only("test").dialogues
     ]
 
 
