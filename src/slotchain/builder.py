@@ -58,7 +58,7 @@ def load_question_overrides(path: str | Path, schema: Schema) -> dict[str, str]:
     """JSON object slot_id -> question; every key must resolve."""
     data = read_json(path, expect=dict)
     for slot_id, question in data.items():
-        if slot_id not in schema:
+        if slot_id not in schema.by_id:
             raise ValidationError(f"{path}: override names unknown slot {slot_id!r}")
         if not isinstance(question, str) or not question:
             raise FormatError(f"{path}: override for {slot_id!r} must be a non-empty string")

@@ -132,11 +132,11 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.input, schema, exclude, args.style, args.split)
     counts = corpus.split_counts()
     summary = " ".join(f"{split}={counts.get(split, 0)}" for split in SPLITS)
+    _emit(corpus_json_lines(corpus), args.out)
     print(
         f"ingested dialogues: {summary} (total {sum(counts.values())})",
         file=sys.stderr,
     )
-    _emit(corpus_json_lines(corpus), args.out)
     return 0
 
 
@@ -149,8 +149,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         "splits": {split: counts[split] for split in sorted(counts)},
         "slots": len(corpus.schema.slots),
     }
-    print("corpus is valid", file=sys.stderr)
     _emit(json_text(summary), args.out)
+    print("corpus is valid", file=sys.stderr)
     return 0
 
 
@@ -303,12 +303,12 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     corpus = _load_corpus_arg(args)
     sampled = low_resource_sample(corpus, args.fraction, seed=args.seed)
     kept = sampled.split_counts().get("train", 0)
+    _emit(corpus_json_lines(sampled), args.out)
     print(
         f"kept {kept} of {corpus.split_counts().get('train', 0)} train dialogues "
         f"(fraction {args.fraction}, seed {args.seed})",
         file=sys.stderr,
     )
-    _emit(corpus_json_lines(sampled), args.out)
     return 0
 
 
@@ -330,12 +330,12 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     # Indexed against the whole corpus first, so that a row naming a
     # dialogue of another split is still checked, though never scored.
     report = fine_grained_report(corpus.only(args.split), predictions, policy=policy, specs=specs)
+    _emit(render_report(report, args.format), args.out)
     if report.n_missing_predictions:
         print(
             f"{report.n_missing_predictions} missing predictions defaulted to none",
             file=sys.stderr,
         )
-    _emit(render_report(report, args.format), args.out)
     return 0
 
 

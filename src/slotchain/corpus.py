@@ -73,9 +73,6 @@ class Schema:
     def by_id(self) -> dict[str, SlotSchema]:
         return {slot.slot_id: slot for slot in self.slots}
 
-    def __contains__(self, slot_id: str) -> bool:
-        return slot_id in self.by_id
-
 
 @dataclass(frozen=True)
 class TurnPair:
@@ -486,7 +483,7 @@ def _sgd_state_turns(entry: dict, turns: list[dict], schema: Schema, where: str)
             frame_state = _object(frame.get("state"), f"{frame_where} state")
             slot_values = _object(frame_state.get("slot_values"), f"{frame_where} slot_values")
             for slot_id, variants in slot_values.items():
-                if slot_id not in schema:
+                if slot_id not in schema.by_id:
                     raise FormatError(f"{turn_where}: state names unknown slot {slot_id!r}")
                 if variants == []:  # no variant: the slot is unset
                     continue

@@ -135,36 +135,39 @@ class Bucket:
 
 @dataclass(frozen=True)
 class BucketSpec:
-    """Disjoint ascending ranges covering every non-negative value."""
+    """Disjoint ascending ranges covering every non-negative value: each
+    ``[lo, hi]`` pair of ``edges`` is the Bucket [lo, hi)."""
 
     axis: str
-    edges: tuple[Bucket, ...]
+    edges: tuple[tuple[int | None, int | None], ...]
 
     def __post_init__(self) -> None:
         if self.axis not in AXES:
             raise ValidationError(f"axis must be one of {AXES}, got {self.axis!r}")
         if not self.edges:
             raise ValidationError("bucket spec needs at least one range")
-        if self.edges[0].lo != 0:
+        if self.edges[0][0] != 0:
             raise ValidationError("first range must start at 0")
-        for i, bucket in enumerate(self.edges):
-            last = i == len(self.edges) - 1
-            if last:
-                if bucket.hi is not None:
-                    raise ValidationError("final range must be open-ended (null hi)")
-            else:
-                if bucket.hi is None:
-                    raise ValidationError("only the final range may be open-ended")
-                if bucket.hi <= bucket.lo:
-                    raise ValidationError(f"empty range [{bucket.lo}, {bucket.hi})")
-                if self.edges[i + 1].lo != bucket.hi:
-                    raise ValidationError(
-                        f"ranges must be contiguous: [{bucket.lo}, {bucket.hi}) "
-                        f"then lo={self.edges[i + 1].lo}"
-                    )
+        # hi <= lo runs only on a lo that equals the integer hi before it, or is 0.
+        for (lo, hi), (next_lo, _) in zip(self.edges, self.edges[1:]):
+            if hi is None:
+                raise ValidationError("only the final range may be open-ended")
+            if hi <= lo:
+                raise ValidationError(f"empty range [{lo}, {hi})")
+            if next_lo != hi:
+                raise ValidationError(
+                    f"ranges must be contiguous: [{lo}, {hi}) "
+                    f"then lo={'null' if next_lo is None else next_lo}"
+                )
+        if self.edges[-1][1] is not None:
+            raise ValidationError("final range must be open-ended (null hi)")
+
+    @functools.cached_property
+    def buckets(self) -> tuple[Bucket, ...]:
+        return tuple(Bucket(lo, hi) for lo, hi in self.edges)
 
     def bucket_for(self, value: float) -> Bucket:
-        for bucket in self.edges:
+        for bucket in self.buckets:
             if bucket.contains(value):
                 return bucket
         raise ValidationError(f"value {value} below every range")
@@ -176,23 +179,7 @@ def load_bucket_spec(path_or_name: str | Path) -> BucketSpec:
     source = file_or_bundled(str(path_or_name), "bucket_specs")
     if source is None:
         raise FormatError(f"{path_or_name}: neither a file nor a bundled bucket spec")
-    data = read_json(source, expect=dict)
-    axis = data.get("axis")
-    if not isinstance(axis, str) or not isinstance(data.get("edges"), list):
-        raise FormatError(f"{source}: expected an object with a string 'axis' and 'edges'")
-    edges = []
-    for pair in data["edges"]:
-        if not isinstance(pair, list) or len(pair) != 2:
-            raise FormatError(f"{source}: each edge must be a [lo, hi] pair")
-        lo, hi = pair
-        # type() rather than isinstance(): JSON's true and false are not integers.
-        if type(lo) is not int or not (hi is None or type(hi) is int):
-            raise FormatError(f"{source}: edge bounds must be integers (hi may be null)")
-        edges.append(Bucket(lo=lo, hi=hi))
-    try:
-        return BucketSpec(axis=axis, edges=tuple(edges))
-    except ValidationError as exc:
-        raise FormatError(f"{source}: {exc}") from exc
+    return decode(BucketSpec, read_json(source, expect=dict), source)
 
 
 def bucketize(dialogue: Dialogue, spec: BucketSpec) -> list[Bucket]:
@@ -255,7 +242,7 @@ def fine_grained_report(
     the run."""
     slots = [(slot.slot_id, slot.is_categorical) for slot in corpus.schema.slots]
     matches: dict[tuple[str, str, bool], bool] = {}
-    tallies = [{bucket: [0, 0] for bucket in spec.edges} for spec in specs]  # turns, correct
+    tallies = [{bucket: [0, 0] for bucket in spec.buckets} for spec in specs]  # turns, correct
     n_turns = n_correct = missing = 0
     for dialogue in corpus.dialogues:
         dialogue_id = dialogue.dialogue_id

@@ -219,16 +219,16 @@ def _plan(cls: type) -> tuple[dict, list[str]]:
 
 def _form(annotation):
     """A field annotation as the codec reads it: a JSON scalar type, a
-    record class, ("null", form) for ``X | None``, (dict, value form) for
-    an object keyed by strings, or (tuple or frozenset, item form, length
-    or None) for an array."""
+    record class, ("null", form) for ``X | None``, (dict, str) for
+    ``dict[str, str]``, or (tuple or frozenset, item form, length or
+    None) for an array."""
     origin, args = typing.get_origin(annotation), typing.get_args(annotation)
     if annotation in _SCALARS or dataclasses.is_dataclass(annotation):
         return annotation
     if origin is types.UnionType and len(args) == 2 and type(None) in args:
         return "null", _form(args[1] if args[0] is type(None) else args[0])
-    if origin is dict and args[0] is str:
-        return dict, _form(args[1])
+    if annotation == dict[str, str]:
+        return dict, str
     if origin is frozenset and args == (str,) or origin is tuple and args[1:] == (Ellipsis,):
         return origin, _form(args[0]), None
     if origin is tuple and args and len(set(args)) == 1:
@@ -255,33 +255,22 @@ def _loader(form):
         return lambda value: value if type(value) in fits else _WRONG
     if not isinstance(form, tuple):
         return _decoder(form)
-    kind, item = form[0], _loader(form[1])
-    if kind == "null":
-        return lambda value: None if value is None else item(value)
-    exact = form[1] if form[1] in _SCALARS else None  # entries that fit as they are
-    if kind is dict:
-        description = _describe(form[1])
+    if form[0] is dict:
 
         def load_object(value):
             if type(value) is not dict:
                 return _WRONG
             for entry in value.values():
-                if type(entry) is not exact:
-                    break
-            else:
-                return value
-            decoded = {}
-            for key, entry in value.items():
-                try:
-                    entry = item(entry)
-                except _Fault as fault:
-                    fault.args = (f": {key}{fault.args[0]}",)
-                    raise
-                if entry is _WRONG:  # an entry is checked like a record field named by its key
-                    raise _Fault(f": field {key!r} must be {description}")
-                decoded[key] = entry
-            return decoded
+                if type(entry) is not str:
+                    # an entry is checked like a record field named by its key
+                    key = next(key for key, entry in value.items() if type(entry) is not str)
+                    raise _Fault(f": field {key!r} must be a string")
+            return value
         return load_object
+    kind, item = form[0], _loader(form[1])
+    if kind == "null":
+        return lambda value: None if value is None else item(value)
+    exact = form[1] if form[1] in _SCALARS else None  # entries that fit as they are
     length = form[2]
 
     def load_array(value):
@@ -375,9 +364,7 @@ def _dumper(form):
     if kind == "null":
         return None if item is None else lambda value: None if value is None else item(value)
     if kind is dict:
-        if item is None:
-            return lambda value: {key: value[key] for key in sorted(value)}
-        return lambda value: {key: item(value[key]) for key in sorted(value)}
+        return lambda value: {key: value[key] for key in sorted(value)}
     if kind is frozenset:
         return sorted  # the codec's frozensets hold strings
     return list if item is None else lambda value: [item(entry) for entry in value]

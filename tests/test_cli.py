@@ -18,13 +18,14 @@ import pytest
 import slotchain
 import slotchain.cli as cli
 import slotchain.errors
-from slotchain.builder import build_dataset, examples_to_jsonl, read_examples
+from slotchain.builder import build_dataset, examples_to_jsonl, read_examples, slot_prompts
 from slotchain.chains import step_histogram
 from slotchain.cli import main
 from slotchain.errors import ValidationError
 from slotchain.refiner import refine_batch
 from slotchain.corpus import Corpus, filter_excluded_domains, load_corpus, load_schema
 from slotchain.io import encode
+from slotchain.normalize import DEFAULT_POLICY
 
 from gen import corpus_to_json, make_corpus, make_dialogue, mutate_json
 from test_refiner import DEMOS, KEY_VAR, MockCompletionServer, make_example, with_explanation
@@ -511,11 +512,11 @@ MALFORMED_INPUTS = {
     ),
     "bucket spec axis not a string": (
         EVAL_ARGV + ["--buckets", "{file}"], {"axis": ["step"], "edges": [[0, None]]},
-        "expected an object with a string 'axis' and 'edges'",
+        "field 'axis' must be a string",
     ),
     "bucket spec boolean bound": (
         EVAL_ARGV + ["--buckets", "{file}"], {"axis": "step", "edges": [[False, None]]},
-        "edge bounds must be integers (hi may be null)",
+        "field 'edges' must be an array of arrays of 2 integers or null",
     ),
     "template without question": (
         ["build", "--corpus", DIALOGUES, "--schema", SCHEMA, "--template-file", "{file}"],
@@ -660,6 +661,152 @@ def test_a_mutated_corpus_runs_or_exits_one_naming_a_file(capsys, tmp_path, comm
         assert err.startswith("error: "), err
         # eval also names the predictions when they no longer fit the corpus
         assert str(corpus) in err or (command == "eval" and PREDICTIONS in err), err
+        assert out.read_text(encoding="utf-8") == "earlier output\n"
+
+
+def fixture_rows(text):
+    return [json.loads(line) for line in text.splitlines()]
+
+
+def fixture_examples():
+    corpus = fixture_corpus()
+    jsonl = examples_to_jsonl(build_dataset(corpus.dialogues[0], slot_prompts(corpus.schema)))
+    return fixture_rows(jsonl)[:4]
+
+
+FIXTURE_EXAMPLES = fixture_examples()
+
+
+# Every other file a command reads, well-formed before one seeded
+# structural mutation: (file name, argv with "{file}" for that file and
+# "{examples}" for a well-formed examples file, content, other files the
+# error may name instead). A list under a .jsonl name is written a row
+# per line. A schema that lost a slot, say, makes the corpus or the
+# overrides name the slot.
+MUTATED_FILES = {
+    "bucket spec": (
+        "spec.json", EVAL_ARGV + ["--buckets", "{file}"],
+        {"axis": "turn", "edges": [[0, 5], [5, 10], [10, None]]}, (),
+    ),
+    "schema": (
+        "schema.json",
+        ["build", "--corpus", DIALOGUES, "--schema", "{file}", "--overrides-file", OVERRIDES],
+        json.loads(Path(SCHEMA).read_text(encoding="utf-8")), (DIALOGUES, OVERRIDES),
+    ),
+    "predictions": (
+        "predictions.jsonl",
+        ["eval", "--corpus", DIALOGUES, "--schema", SCHEMA, "--predictions", "{file}"],
+        fixture_rows(Path(PREDICTIONS).read_text(encoding="utf-8"))[:6], (),
+    ),
+    "examples": ("examples.jsonl", OFFLINE_REFINE_ARGV, FIXTURE_EXAMPLES, ()),
+    "report": (
+        "report.json", ["report", "--report", "{file}"],
+        {"overall_jga": 0.5, "n_dialogues": 1, "n_turns": 2, "n_missing_predictions": 0,
+         "policy": encode(DEFAULT_POLICY),
+         "buckets": [
+             {"axis": "step", "label": "0", "lo": 0, "hi": 1, "n_turns": 1, "jga": 1.0},
+             {"axis": "step", "label": "1+", "lo": 1, "hi": None, "n_turns": 1, "jga": 0.0},
+         ]},
+        (),
+    ),
+    "refine config": (
+        "config.json", ["refine", "--examples", "{examples}", "--config", "{file}", "--offline"],
+        {"endpoint_url": "http://127.0.0.1:9/v1", "model_name": "m", "api_key_env_var": "KEY",
+         "instruction": "Rewrite.", "demonstrations": [["system: a user: b", "a then b"]],
+         "temperature": 0.5, "max_tokens": 16, "max_retries": 1, "backoff_base": 0.5,
+         "request_timeout": 2.5, "max_parallel": 2, "cache_dir": "cache", "offline": True},
+        (),
+    ),
+    "policy": (
+        "policy.json", EVAL_ARGV + ["--policy", "{file}"],
+        {"lowercase": True, "none_aliases": ["none", ""], "dontcare_aliases": ["dontcare"],
+         "fuzzy_ratio_threshold": 0.5},
+        (),
+    ),
+    "template": (
+        "template.json",
+        ["build", "--corpus", DIALOGUES, "--schema", SCHEMA, "--template-file", "{file}"],
+        {"template_text": "[Domain] [History] [Question] [Choices]",
+         "choices_section_marker": "Choices:"},
+        (),
+    ),
+    "overrides": (
+        "overrides.json",
+        ["build", "--corpus", DIALOGUES, "--schema", SCHEMA, "--overrides-file", "{file}"],
+        {"hotel-name": "Which hotel?", "hotel-area": "Where?"}, (),
+    ),
+    "woz_belief": (
+        "woz_train.json", ingest_argv("woz_belief", "woz20"),
+        [{"dialogue_idx": 0, "dialogue": [
+            {"system_transcript": "", "transcript": "korean food",
+             "belief_state": [{"slots": [["food", "korean"]], "act": "inform"},
+                              {"slots": [["slot", "address"]], "act": "request"}]},
+            {"system_transcript": "which area?", "transcript": "the north",
+             "belief_state": [{"slots": [["food", "korean"], ["area", "north"]]}]}]}],
+        (),
+    ),
+    "m2m_flat": (
+        "sim_R_train.json", ingest_argv("m2m_flat", "m2m"),
+        [{"id": "sim-R-1", "domain": "restaurant", "turns": [
+            {"user_utterance": {"text": "dinner tomorrow"},
+             "dialogue_state": [{"slot": "date", "value": "tomorrow"}]},
+            {"system_utterance": {"text": "what time?"}, "user_utterance": {"text": "7 pm"},
+             "dialogue_state": [{"slot": "date", "value": "tomorrow"},
+                                {"slot": "time", "value": "7 pm"}]}]}],
+        (),
+    ),
+    "sgd_state": (
+        "sgd_train.json", ingest_argv("sgd_state", SCHEMA),
+        [{"dialogue_id": "MUL0001.json", "turns": [
+            {"speaker": "USER", "utterance": "a hotel in the north",
+             "frames": [{"state": {"slot_values": {"hotel-area": ["north"]}}}]},
+            {"speaker": "SYSTEM", "utterance": "any stars?"},
+            {"speaker": "USER", "utterance": "four",
+             "frames": [{"state": {"slot_values": {"hotel-area": ["north"],
+                                                    "hotel-stars": ["4", "four"]}}}]}]}],
+        (),
+    ),
+}
+
+
+def run_on_file(capsys, tmp_path, argv, path, content):
+    """(exit code, stderr) of ``argv`` with ``content`` written to
+    ``path`` in place of "{file}", and output to tmp_path/out."""
+    if path.suffix == ".jsonl":
+        path.write_text("".join(json.dumps(row) + "\n" for row in content), encoding="utf-8")
+    else:
+        path.write_text(json.dumps(content), encoding="utf-8")
+    examples = tmp_path / "good_examples.jsonl"
+    examples.write_text("".join(json.dumps(row) + "\n" for row in FIXTURE_EXAMPLES))
+    fill = {"{file}": str(path), "{examples}": str(examples)}
+    argv = [fill.get(arg, arg) for arg in argv]
+    code, _, err = run(capsys, *argv, "--out", str(tmp_path / "out"))
+    return code, err
+
+
+@pytest.mark.parametrize("case", sorted(MUTATED_FILES))
+def test_each_file_to_mutate_runs_as_it_is(capsys, tmp_path, monkeypatch, case):
+    monkeypatch.chdir(tmp_path)
+    name, argv, content, _ = MUTATED_FILES[case]
+    code, err = run_on_file(capsys, tmp_path, argv, tmp_path / name, content)
+    assert code == 0, err
+
+
+@pytest.mark.parametrize("seed", range(100))
+@pytest.mark.parametrize("case", sorted(MUTATED_FILES))
+def test_a_mutated_input_file_runs_or_exits_one_naming_a_file(
+    capsys, tmp_path, monkeypatch, case, seed
+):
+    monkeypatch.chdir(tmp_path)  # a mutated cache_dir stays in here
+    name, argv, content, also_named = MUTATED_FILES[case]
+    bad = tmp_path / name
+    out = tmp_path / "out"
+    out.write_text("earlier output\n", encoding="utf-8")
+    code, err = run_on_file(capsys, tmp_path, argv, bad, mutate_json(random.Random(seed), content))
+    assert code in (0, 1), err
+    if code == 1:
+        assert err.startswith("error: "), err
+        assert any(str(path) in err for path in (bad, *also_named)), err
         assert out.read_text(encoding="utf-8") == "earlier output\n"
 
 
@@ -1464,15 +1611,21 @@ def test_interrupted_write_keeps_the_old_out_file(capsys, tmp_path, monkeypatch)
 
 
 def test_out_in_a_missing_directory_names_the_out_path(capsys, tmp_path):
-    out_path = tmp_path / "missing" / "summary.json"
-    code, out, err = run(
-        capsys, "validate", "--corpus", DIALOGUES, "--schema", SCHEMA, "--out", str(out_path)
-    )
-    assert (code, out) == (1, "")
-    error = err.splitlines()[-1]
-    assert error.startswith("error: ") and str(out_path) in error, err
-    assert ".tmp-" not in err
-    assert not out_path.parent.exists()
+    # Each of these commands has a note for stderr; none is printed before
+    # the write that fails.
+    out_path = tmp_path / "missing" / "out.json"
+    corpus_args = ["--corpus", DIALOGUES, "--schema", SCHEMA, "--out", str(out_path)]
+    for argv in (
+        ["validate", *corpus_args],
+        ["ingest", "--input", DIALOGUES, "--schema", SCHEMA, "--out", str(out_path)],
+        ["sample", "--fraction", "0.5", *corpus_args],
+        ["eval", "--predictions", PREDICTIONS, *corpus_args],
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.count("\n") == 1 and err.startswith("error: "), err
+        assert str(out_path) in err and ".tmp-" not in err, err
+        assert not out_path.parent.exists()
 
 
 def test_stdout_equals_out_file(capsys, tmp_path):

@@ -447,29 +447,27 @@ def test_bucket_labels():
 
 def test_bucket_spec_validation():
     with pytest.raises(ValidationError, match="axis"):
-        BucketSpec(axis="words", edges=(Bucket(0, None),))
+        BucketSpec(axis="words", edges=((0, None),))
     with pytest.raises(ValidationError, match="at least one"):
         BucketSpec(axis="step", edges=())
     with pytest.raises(ValidationError, match="start at 0"):
-        BucketSpec(axis="step", edges=(Bucket(1, None),))
+        BucketSpec(axis="step", edges=((1, None),))
     with pytest.raises(ValidationError, match="open-ended"):
-        BucketSpec(axis="step", edges=(Bucket(0, 5),))
+        BucketSpec(axis="step", edges=((0, 5),))
     with pytest.raises(ValidationError, match="only the final"):
-        BucketSpec(axis="step", edges=(Bucket(0, None), Bucket(5, None)))
+        BucketSpec(axis="step", edges=((0, None), (5, None)))
     with pytest.raises(ValidationError, match="contiguous"):
-        BucketSpec(axis="step", edges=(Bucket(0, 5), Bucket(6, None)))
+        BucketSpec(axis="step", edges=((0, 5), (6, None)))
     with pytest.raises(ValidationError, match="contiguous"):
-        BucketSpec(axis="step", edges=(Bucket(0, 5), Bucket(4, None)))
+        BucketSpec(axis="step", edges=((0, 5), (4, None)))
     with pytest.raises(ValidationError, match="empty range"):
-        BucketSpec(axis="step", edges=(Bucket(0, 0), Bucket(0, None)))
+        BucketSpec(axis="step", edges=((0, 0), (0, None)))
 
 
 def test_every_non_negative_value_lands_in_exactly_one_bucket():
-    spec = BucketSpec(
-        axis="turn", edges=(Bucket(0, 10), Bucket(10, 15), Bucket(15, 20), Bucket(20, None))
-    )
+    spec = BucketSpec(axis="turn", edges=((0, 10), (10, 15), (15, 20), (20, None)))
     for value in [0, 1, 9, 9.9, 10, 14.5, 15, 19, 20, 21, 250, 0.0]:
-        homes = [b for b in spec.edges if b.contains(value)]
+        homes = [b for b in spec.buckets if b.contains(value)]
         assert len(homes) == 1, value
         assert spec.bucket_for(value) == homes[0]
 
@@ -487,7 +485,7 @@ def test_every_non_negative_value_lands_in_exactly_one_bucket():
 )
 def test_bundled_specs_load(name, labels):
     spec = load_bucket_spec(name)
-    assert [b.label for b in spec.edges] == labels
+    assert [b.label for b in spec.buckets] == labels
 
 
 def test_bucket_spec_loads_from_file(tmp_path):
@@ -497,7 +495,7 @@ def test_bucket_spec_loads_from_file(tmp_path):
     )
     spec = load_bucket_spec(path)
     assert spec.axis == "len"
-    assert [b.label for b in spec.edges] == ["0-7", "8+"]
+    assert [b.label for b in spec.buckets] == ["0-7", "8+"]
 
 
 def test_bucket_spec_unknown_name_rejected():
@@ -505,19 +503,30 @@ def test_bucket_spec_unknown_name_rejected():
         load_bucket_spec("never_heard_of_it")
 
 
+EDGES_MISFIT = "field 'edges' must be an array of arrays of 2 integers or null"
+
+
 def test_bucket_spec_malformed_file_rejected(tmp_path):
     path = tmp_path / "spec.json"
     for spec, message in (
-        ('{"axis": "len", "edges": [[0]]}', "each edge must be a [lo, hi] pair"),
-        ('{"axis": 1, "edges": [[0, null]]}', "expected an object with a string 'axis'"),
-        ('{"axis": "len"}', "expected an object with a string 'axis' and 'edges'"),
-        ('{"axis": "len", "edges": [[0, true]]}', "edge bounds must be integers"),
-        ('{"axis": "len", "edges": [[0, 1.5], [1.5, null]]}', "edge bounds must be integers"),
+        ('{"axis": "len", "edges": [[0]]}', EDGES_MISFIT),
+        ('{"axis": 1, "edges": [[0, null]]}', "field 'axis' must be a string"),
+        ('{"axis": "len"}', "missing fields: ['edges']"),
+        ('{"axis": "len", "edges": [[0, true]]}', EDGES_MISFIT),
+        ('{"axis": "len", "edges": [[0, 1.5], [1.5, null]]}', EDGES_MISFIT),
+        ('{"axis": "len", "edges": {"0": null}}', EDGES_MISFIT),
         ('{"axis": "len", "edges": [[1, null]]}', "first range must start at 0"),
+        ('{"axis": "len", "edges": [[null, null]]}', "first range must start at 0"),
+        (
+            '{"axis": "len", "edges": [[0, 2], [null, null]]}',
+            "ranges must be contiguous: [0, 2) then lo=null",
+        ),
+        ('{"axis": "len", "edges": [[0, null]], "note": "x"}', "unknown fields: ['note']"),
     ):
         path.write_text(spec, encoding="utf-8")
-        with pytest.raises(FormatError, match=re.escape(f"{path}: {message}")):
+        with pytest.raises(FormatError) as caught:
             load_bucket_spec(path)
+        assert str(caught.value) == f"{path}: {message}"
     path.write_text("not json", encoding="utf-8")
     with pytest.raises(FormatError, match="not valid JSON"):
         load_bucket_spec(path)
@@ -572,7 +581,7 @@ def test_bucketize_covers_every_evaluated_turn():
             for dialogue in corpus.dialogues:
                 assignment = bucketize(dialogue, spec)
                 assert len(assignment) == dialogue.n_turns
-                assert set(assignment) <= set(spec.edges)
+                assert set(assignment) <= set(spec.buckets)
 
 
 # ---------------------------------------------------------------------------

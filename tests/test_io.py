@@ -10,7 +10,7 @@ import json
 import math
 import os
 import threading
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, make_dataclass
 from pathlib import Path
 
 import pytest
@@ -437,25 +437,24 @@ def test_json_line_writes_json_dumps_of_nullable_dict_and_escaped_key_fields():
     @dataclass(frozen=True)
     class Awkward:
         note: str | None
-        counts: dict[str, int]
+        counts: dict[str, str]
         quoted: str = field(default="", metadata={"json_key": 'say "hi" \\ {now}\u2028é'})
         meta: ExampleMeta | None = None
 
     meta = ExampleMeta("d1", 2, "hotel-area", 1, 3, 4.5)
     for record in (
         Awkward(None, {}),
-        Awkward("x", {"b": 2, "a": 1, 'é"\\': -3}, "{}", meta),
+        Awkward("x", {"b": "2", "a": "1", 'é"\\': "-3"}, "{}", meta),
     ):
         assert json_line(record) == reference_line(record)
 
 
 def test_codec_rejects_an_annotation_it_cannot_handle():
-    @dataclass(frozen=True)
-    class Odd:
-        counts: list[int]
-
-    with pytest.raises(TypeError, match="cannot handle"):
-        encode(Odd([]))
+    # Of the object forms, the codec reads dict[str, str] alone.
+    for annotation in (list[int], dict[str, int], dict[str, str | None], dict[int, str]):
+        Odd = make_dataclass("Odd", [("counts", annotation)], frozen=True)
+        with pytest.raises(TypeError, match="cannot handle"):
+            encode(Odd([]))
 
 
 def codec_turn(index, state):
