@@ -9,14 +9,14 @@ the turns where the value changed.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 # extract_chain is not called here, but bench/spans.py wraps builder.extract_chain.
 from .chains import chains_by_slot, extract_chain  # noqa: F401
 from .corpus import Dialogue, Schema, SlotSchema
-from .errors import FormatError, ValidationError
+from .errors import ValidationError
 from .io import decode, json_line, parse_jsonl, read_json, read_lines
 from .normalize import NONE_VALUE, normalize_value
 
@@ -32,10 +32,12 @@ EXPLANATION_KINDS = ("none", "coarse", "refined")
 class PromptTemplate:
     """Prompt skeleton with [History], [Domain], [Question], [Choices]
     placeholders. History and Question must appear exactly once,
-    Choices at most once; Domain may repeat."""
+    Choices at most once; Domain may repeat. ``questions`` maps a slot
+    id to the question asked for it in place of build_question's."""
 
     template_text: str = DEFAULT_TEMPLATE_TEXT
     choices_section_marker: str = "Choices"
+    questions: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         for token, lo, hi in (("[History]", 1, 1), ("[Question]", 1, 1), ("[Choices]", 0, 1)):
@@ -45,31 +47,29 @@ class PromptTemplate:
                     f"template must contain {token} "
                     f"{'exactly' if lo == hi else 'at most'} {hi} time(s), found {n}"
                 )
+        for slot_id, question in self.questions.items():
+            if not question:
+                raise ValidationError(f"empty question for slot {slot_id!r}")
 
 
 DEFAULT_TEMPLATE = PromptTemplate()
 
 
-def load_template(path: str | Path) -> PromptTemplate:
-    return decode(PromptTemplate, read_json(path, expect=dict), path)
-
-
-def load_question_overrides(path: str | Path, schema: Schema) -> dict[str, str]:
-    """JSON object slot_id -> question; every key must resolve."""
-    data = read_json(path, expect=dict)
-    for slot_id, question in data.items():
+def load_template(path: str | Path, schema: Schema) -> PromptTemplate:
+    """The template of a JSON file, its questions naming slots of ``schema``."""
+    template = decode(PromptTemplate, read_json(path, expect=dict), path)
+    for slot_id in template.questions:
         if slot_id not in schema.by_id:
-            raise ValidationError(f"{path}: override names unknown slot {slot_id!r}")
-        if not isinstance(question, str) or not question:
-            raise FormatError(f"{path}: override for {slot_id!r} must be a non-empty string")
-    return dict(data)
+            raise ValidationError(f"{path}: question names unknown slot {slot_id!r}")
+    return template
 
 
-def build_question(slot: SlotSchema, overrides: Mapping[str, str] | None = None) -> str:
-    """Override verbatim when present, else the description turned into
-    a question (one trailing period stripped to avoid "...?." endings)."""
-    if overrides and slot.slot_id in overrides:
-        return overrides[slot.slot_id]
+def build_question(slot: SlotSchema, template: PromptTemplate = DEFAULT_TEMPLATE) -> str:
+    """The template's question for the slot verbatim when it has one, else
+    the description turned into a question (one trailing period stripped
+    to avoid "...?." endings)."""
+    if slot.slot_id in template.questions:
+        return template.questions[slot.slot_id]
     description = slot.description
     if description.endswith("."):
         description = description[:-1]
@@ -104,11 +104,7 @@ class SlotPrompt:
     after: str
 
 
-def slot_prompt(
-    slot: SlotSchema,
-    template: PromptTemplate = DEFAULT_TEMPLATE,
-    overrides: Mapping[str, str] | None = None,
-) -> SlotPrompt:
+def slot_prompt(slot: SlotSchema, template: PromptTemplate = DEFAULT_TEMPLATE) -> SlotPrompt:
     """Fill the template's [Domain], [Question] and [Choices] for one slot.
 
     Placeholders are substituted in a single pass over the template, and
@@ -122,7 +118,7 @@ def slot_prompt(
         text = text.replace(" [Choices]", "").replace("[Choices]", "")
     substitutions = {
         "[Domain]": slot.domain,
-        "[Question]": build_question(slot, overrides),
+        "[Question]": build_question(slot, template),
         "[Choices]": _choices_block(slot, template.choices_section_marker),
     }
     parts = _PLACEHOLDER_RE.split(text)
@@ -132,13 +128,11 @@ def slot_prompt(
 
 
 def slot_prompts(
-    schema: Schema,
-    template: PromptTemplate = DEFAULT_TEMPLATE,
-    overrides: Mapping[str, str] | None = None,
+    schema: Schema, template: PromptTemplate = DEFAULT_TEMPLATE
 ) -> tuple[SlotPrompt, ...]:
     """``slot_prompt`` of every schema slot, sorted by slot id."""
     slots = sorted(schema.slots, key=lambda s: s.slot_id)
-    return tuple(slot_prompt(slot, template, overrides) for slot in slots)
+    return tuple(slot_prompt(slot, template) for slot in slots)
 
 
 def render_prompt(prompt: SlotPrompt, history: str) -> str:

@@ -30,7 +30,6 @@ from .builder import (
     DEFAULT_TEMPLATE,
     build_dataset,
     examples_to_jsonl,
-    load_question_overrides,
     load_template,
     read_examples,
     slot_prompts,
@@ -65,7 +64,7 @@ REFINE_CHUNK = 1000
 # Options that name files a subcommand reads; --out must name none of them.
 _INPUT_OPTIONS = (
     "corpus", "input", "examples", "predictions", "report", "schema",
-    "config", "policy", "template_file", "overrides_file", "buckets",
+    "config", "policy", "template_file", "buckets",
 )
 
 
@@ -180,13 +179,10 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_build(args: argparse.Namespace) -> int:
     corpus = _load_corpus_arg(args)
-    template = load_template(args.template_file) if args.template_file else DEFAULT_TEMPLATE
-    overrides = (
-        load_question_overrides(args.overrides_file, corpus.schema)
-        if args.overrides_file
-        else None
-    )
-    prompts = slot_prompts(corpus.schema, template, overrides)
+    template = DEFAULT_TEMPLATE
+    if args.template_file:
+        template = load_template(args.template_file, corpus.schema)
+    prompts = slot_prompts(corpus.schema, template)
     dialogues = sorted(corpus.only(args.split).dialogues, key=lambda d: d.dialogue_id)
     options = {
         "include_explanations": not args.no_explanations,
@@ -398,7 +394,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", parents=[corpus_args], help="render prompt/target examples")
     p.add_argument("--template-file", help="prompt template JSON")
-    p.add_argument("--overrides-file", help="slot question overrides JSON")
     p.add_argument("--no-explanations", action="store_true", help="emit bare values")
     p.add_argument(
         "--include-inactive", action="store_true", help="keep slots with no value yet"

@@ -205,6 +205,23 @@ class BucketResult:
     n_turns: int
     jga: float | None  # None marks an empty bucket, not zero accuracy
 
+    def __post_init__(self) -> None:
+        label = Bucket(self.lo, self.hi).label
+        if self.label != label:
+            hi = "null" if self.hi is None else self.hi
+            raise ValidationError(
+                f"label {self.label!r} must be {label!r} for lo={self.lo}, hi={hi}"
+            )
+        if self.n_turns < 0:
+            raise ValidationError(f"n_turns must be >= 0, got {self.n_turns}")
+        if (self.jga is None) != (self.n_turns == 0):
+            raise ValidationError(
+                f"jga must be null exactly when n_turns is 0, got "
+                f"{'null' if self.jga is None else self.jga} for {self.n_turns} turns"
+            )
+        if self.jga is not None and not 0.0 <= self.jga <= 1.0:
+            raise ValidationError(f"jga {self.jga} outside [0, 1]")
+
 
 @dataclass(frozen=True)
 class EvalReport:
@@ -218,8 +235,16 @@ class EvalReport:
     def __post_init__(self) -> None:
         if not 0.0 <= self.overall_jga <= 1.0:
             raise ValidationError(f"overall_jga {self.overall_jga} outside [0, 1]")
+        for name in ("n_dialogues", "n_turns", "n_missing_predictions"):
+            if getattr(self, name) < 0:
+                raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
         for axis in dict.fromkeys(b.axis for b in self.buckets):  # first-seen order
-            axis_total = sum(b.n_turns for b in self.buckets if b.axis == axis)
+            rows = [b for b in self.buckets if b.axis == axis]
+            try:  # the ranges of an axis follow a bucket spec's rules
+                BucketSpec(axis, tuple((b.lo, b.hi) for b in rows))
+            except ValidationError as exc:
+                raise ValidationError(f"buckets of axis {axis!r}: {exc}") from exc
+            axis_total = sum(b.n_turns for b in rows)
             if axis_total != self.n_turns:
                 raise ValidationError(
                     f"axis {axis!r} buckets cover {axis_total} turns of {self.n_turns}"

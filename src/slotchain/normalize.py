@@ -53,6 +53,9 @@ class NormalizationPolicy:
         for alias in self.none_aliases | self.dontcare_aliases:
             if _base_normalize(alias, self) != alias:
                 raise ValidationError(f"alias {alias!r} is not a normalization fixed point")
+        both = (self.none_aliases | {NONE_VALUE}) & (self.dontcare_aliases | {DONTCARE_VALUE})
+        if both:
+            raise ValidationError(f"alias {min(both)!r} would mean both none and dontcare")
 
 
 DEFAULT_POLICY = NormalizationPolicy()

@@ -465,10 +465,10 @@ def test_criterion_9_end_to_end_golden(tmp_path):
         ("stats", "--corpus", out["corpus.json"], "--schema", schema,
          "--format", "json", "--out", out["stats.json"]),
         ("build", "--corpus", out["corpus.json"], "--schema", schema,
-         "--overrides-file", str(FIXTURES / "question_overrides.json"),
+         "--template-file", str(FIXTURES / "prompt_template.json"),
          "--out", out["examples_coarse.jsonl"]),
         ("build", "--corpus", out["corpus.json"], "--schema", schema,
-         "--overrides-file", str(FIXTURES / "question_overrides.json"),
+         "--template-file", str(FIXTURES / "prompt_template.json"),
          "--no-explanations", "--out", out["examples_bare.jsonl"]),
         ("refine", "--examples", out["examples_coarse.jsonl"], "--offline",
          "--out", out["examples_refined.jsonl"]),

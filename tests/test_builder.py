@@ -21,7 +21,6 @@ from slotchain.builder import (
     build_dataset,
     build_question,
     examples_to_jsonl,
-    load_question_overrides,
     load_template,
     parse_generation,
     read_examples,
@@ -100,8 +99,8 @@ def test_build_question_plain_description():
 
 def test_build_question_override_verbatim():
     slot = schema().slots[0]
-    overrides = {"hotel-stars": "How many stars should the hotel have?"}
-    assert build_question(slot, overrides) == "How many stars should the hotel have?"
+    template = PromptTemplate(questions={"hotel-stars": "How many stars should the hotel have?"})
+    assert build_question(slot, template) == "How many stars should the hotel have?"
 
 
 def test_build_question_rule_on_hand_listed_descriptions():
@@ -202,11 +201,14 @@ def test_render_prompt_custom_template_repeated_domain():
 
 
 def test_slot_prompt_splits_at_the_template_history():
-    # An override question that reads "[History]" is text, not the place
+    # A template question that reads "[History]" is text, not the place
     # the history goes.
     slot = schema().slots[2]
-    template = PromptTemplate(template_text="[Domain]: [Question] Dialogue: [History]")
-    prompt = slot_prompt(slot, template, {slot.slot_id: "[History]"})
+    template = PromptTemplate(
+        template_text="[Domain]: [Question] Dialogue: [History]",
+        questions={slot.slot_id: "[History]"},
+    )
+    prompt = slot_prompt(slot, template)
     assert (prompt.before, prompt.after) == ("restaurant: [History] Dialogue: ", "")
     assert render_prompt(prompt, "user: hi") == "restaurant: [History] Dialogue: user: hi"
 
@@ -224,23 +226,28 @@ def test_template_placeholder_counts_enforced():
         PromptTemplate(template_text="[History] [Question] [Question]")
     with pytest.raises(ValidationError):
         PromptTemplate(template_text="[History] [Question] [Choices] [Choices]")
+    with pytest.raises(ValidationError, match="^empty question for slot 'hotel-stars'$"):
+        PromptTemplate(questions={"hotel-stars": ""})
 
 
 def test_load_template_and_overrides(tmp_path):
     tpath = tmp_path / "template.json"
     tpath.write_text(json.dumps({"template_text": "[History] [Question] [Choices]"}))
-    template = load_template(tpath)
+    template = load_template(tpath, schema())
     assert template.choices_section_marker == "Choices"
+    assert template.questions == {}
 
     opath = tmp_path / "overrides.json"
-    opath.write_text(json.dumps({"hotel-stars": "How many stars?"}))
-    overrides = load_question_overrides(opath, schema())
-    assert overrides == {"hotel-stars": "How many stars?"}
+    opath.write_text(json.dumps({"questions": {"hotel-stars": "How many stars?"}}))
+    template = load_template(opath, schema())
+    assert template.questions == {"hotel-stars": "How many stars?"}
+    assert template.template_text == DEFAULT_TEMPLATE.template_text
 
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"hotel-rooms": "How many rooms?"}))
-    with pytest.raises(ValidationError, match="unknown slot"):
-        load_question_overrides(bad, schema())
+    bad.write_text(json.dumps({"questions": {"hotel-rooms": "How many rooms?"}}))
+    with pytest.raises(ValidationError) as caught:
+        load_template(bad, schema())
+    assert str(caught.value) == f"{bad}: question names unknown slot 'hotel-rooms'"
 
 
 # ---------------------------------------------------------------------------

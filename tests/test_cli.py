@@ -36,7 +36,7 @@ SCHEMA = str(FIXTURES / "fixture_schema.json")
 DIALOGUES = str(FIXTURES / "fixture_dialogues.json")
 PREDICTIONS = str(FIXTURES / "predictions.jsonl")
 CORRUPT_PREDICTIONS = str(FIXTURES / "predictions_corrupt_line7.jsonl")
-OVERRIDES = str(FIXTURES / "question_overrides.json")
+TEMPLATE = str(FIXTURES / "prompt_template.json")
 
 
 def fixture_corpus():
@@ -79,6 +79,7 @@ def test_unknown_flag_is_a_usage_error(capsys):
     ["ingest", "--input", DIALOGUES, "--schema", SCHEMA, "--name", "x"],
     ["validate", "--corpus", DIALOGUES, "--schema", SCHEMA, "--seed", "1"],
     ["build", "--corpus", DIALOGUES, "--schema", SCHEMA, "--verbose"],
+    ["build", "--corpus", DIALOGUES, "--schema", SCHEMA, "--overrides-file", "x"],
     ["refine", "--examples", PREDICTIONS, "--offline", "--verbose"],
     ["eval", "--corpus", DIALOGUES, "--schema", SCHEMA, "--predictions", PREDICTIONS,
      "--exclude-domains", "hotel"],
@@ -364,7 +365,26 @@ def ingest_argv(style, schema):
 
 
 EVAL_ARGV = ["eval", "--corpus", DIALOGUES, "--schema", SCHEMA, "--predictions", PREDICTIONS]
+BUILD_ARGV = ["build", "--corpus", DIALOGUES, "--schema", SCHEMA]
 OFFLINE_REFINE_ARGV = ["refine", "--examples", "{file}", "--offline"]
+
+
+def report_with(buckets=None, **fields):
+    """A report of 6 turns on the step axis in buckets [0, 2), [2, 3) and
+    [3, null), with ``fields`` set in its second bucket when a bucket has
+    the key (n_turns included), else in the report; or with ``buckets``
+    as given."""
+    report = {"overall_jga": 0.5, "n_dialogues": 2, "n_turns": 6, "n_missing_predictions": 0,
+              "policy": {}}
+    if buckets is None:
+        buckets = [
+            {"axis": "step", "label": "0-1", "lo": 0, "hi": 2, "n_turns": 3, "jga": 0.5},
+            {"axis": "step", "label": "2", "lo": 2, "hi": 3, "n_turns": 2, "jga": 0.5},
+            {"axis": "step", "label": "3+", "lo": 3, "hi": None, "n_turns": 1, "jga": 0.5},
+        ]
+        for key in fields.keys() & buckets[1].keys():
+            buckets[1][key] = fields.pop(key)
+    return {**report, **fields, "buckets": buckets}
 
 
 # (argv with "{file}" for the malformed file, file content as JSON or as
@@ -498,6 +518,19 @@ MALFORMED_INPUTS = {
     "policy boolean": (
         EVAL_ARGV + ["--policy", "{file}"], {"lowercase": "yes"}, "'lowercase' must be a boolean",
     ),
+    "policy alias in both sets": (
+        EVAL_ARGV + ["--policy", "{file}"],
+        {"none_aliases": ["none", "x"], "dontcare_aliases": ["x"]},
+        "alias 'x' would mean both none and dontcare",
+    ),
+    "policy dontcare alias none": (
+        EVAL_ARGV + ["--policy", "{file}"], {"dontcare_aliases": ["none"]},
+        "alias 'none' would mean both none and dontcare",
+    ),
+    "policy none alias dontcare": (
+        EVAL_ARGV + ["--policy", "{file}"], {"none_aliases": ["dontcare"]},
+        "alias 'dontcare' would mean both none and dontcare",
+    ),
     "refine config temperature": (
         ["refine", "--examples", PREDICTIONS, "--config", "{file}"],
         {"offline": True, "temperature": "hot"}, "'temperature' must be a number",
@@ -519,9 +552,24 @@ MALFORMED_INPUTS = {
         "field 'edges' must be an array of arrays of 2 integers or null",
     ),
     "template without question": (
-        ["build", "--corpus", DIALOGUES, "--schema", SCHEMA, "--template-file", "{file}"],
+        BUILD_ARGV + ["--template-file", "{file}"],
         {"template_text": "[History] [Choices]"},
         "template must contain [Question] exactly 1 time(s), found 0",
+    ),
+    "template question unknown slot": (
+        BUILD_ARGV + ["--template-file", "{file}"],
+        {"questions": {"hotel-nam": "Which hotel?"}},
+        "question names unknown slot 'hotel-nam'",
+    ),
+    "template question not a string": (
+        BUILD_ARGV + ["--template-file", "{file}"],
+        {"questions": {"hotel-name": 5}},
+        "questions: field 'hotel-name' must be a string",
+    ),
+    "template empty question": (
+        BUILD_ARGV + ["--template-file", "{file}"],
+        {"questions": {"hotel-name": ""}},
+        "empty question for slot 'hotel-name'",
     ),
     "refine config max_parallel bound": (
         ["refine", "--examples", PREDICTIONS, "--config", "{file}"],
@@ -538,6 +586,56 @@ MALFORMED_INPUTS = {
          "policy": {}, "buckets": [{"axis": "step", "label": "0+", "lo": 0, "hi": None,
                                     "n_turns": 2, "jga": "x"}]},
         "buckets[0]: field 'jga' must be a number or null",
+    ),
+    "report negative n_dialogues": (
+        ["report", "--report", "{file}"], report_with(n_dialogues=-1, n_missing_predictions=-5),
+        "n_dialogues must be >= 0, got -1",
+    ),
+    "report negative n_missing_predictions": (
+        ["report", "--report", "{file}"], report_with(n_missing_predictions=-5),
+        "n_missing_predictions must be >= 0, got -5",
+    ),
+    "report bucket jga above 1": (
+        ["report", "--report", "{file}"], report_with(jga=7.5),
+        "buckets[1]: jga 7.5 outside [0, 1]",
+    ),
+    "report bucket jga without turns": (
+        ["report", "--report", "{file}"], report_with(n_turns=0),
+        "buckets[1]: jga must be null exactly when n_turns is 0, got 0.5 for 0 turns",
+    ),
+    "report bucket label": (
+        ["report", "--report", "{file}"], report_with(label="banana"),
+        "buckets[1]: label 'banana' must be '2' for lo=2, hi=3",
+    ),
+    "report bucket negative n_turns": (
+        ["report", "--report", "{file}"],
+        report_with(buckets=[
+            {"axis": "step", "label": "0", "lo": 0, "hi": 1, "n_turns": -2, "jga": 0.5},
+            {"axis": "step", "label": "1+", "lo": 1, "hi": None, "n_turns": 8, "jga": 0.5},
+        ]),
+        "buckets[0]: n_turns must be >= 0, got -2",
+    ),
+    "report unknown axis": (
+        ["report", "--report", "{file}"],
+        report_with(buckets=[
+            {"axis": "foo", "label": "0+", "lo": 0, "hi": None, "n_turns": 6, "jga": 0.5},
+        ]),
+        "buckets of axis 'foo': axis must be one of ('step', 'turn', 'len'), got 'foo'",
+    ),
+    "report ranges not contiguous": (
+        ["report", "--report", "{file}"],
+        report_with(buckets=[
+            {"axis": "step", "label": "0-1", "lo": 0, "hi": 2, "n_turns": 3, "jga": 0.5},
+            {"axis": "step", "label": "3+", "lo": 3, "hi": None, "n_turns": 3, "jga": 0.5},
+        ]),
+        "buckets of axis 'step': ranges must be contiguous: [0, 2) then lo=3",
+    ),
+    "report last range closed": (
+        ["report", "--report", "{file}"],
+        report_with(buckets=[
+            {"axis": "turn", "label": "0-9", "lo": 0, "hi": 10, "n_turns": 6, "jga": 0.5},
+        ]),
+        "buckets of axis 'turn': final range must be open-ended (null hi)",
     ),
     "examples input_text": (
         OFFLINE_REFINE_ARGV,
@@ -682,7 +780,8 @@ FIXTURE_EXAMPLES = fixture_examples()
 # "{examples}" for a well-formed examples file, content, other files the
 # error may name instead). A list under a .jsonl name is written a row
 # per line. A schema that lost a slot, say, makes the corpus or the
-# overrides name the slot.
+# template's questions name the slot. "overrides" is a template that holds
+# questions alone, so that its mutations all fall on them.
 MUTATED_FILES = {
     "bucket spec": (
         "spec.json", EVAL_ARGV + ["--buckets", "{file}"],
@@ -690,8 +789,8 @@ MUTATED_FILES = {
     ),
     "schema": (
         "schema.json",
-        ["build", "--corpus", DIALOGUES, "--schema", "{file}", "--overrides-file", OVERRIDES],
-        json.loads(Path(SCHEMA).read_text(encoding="utf-8")), (DIALOGUES, OVERRIDES),
+        ["build", "--corpus", DIALOGUES, "--schema", "{file}", "--template-file", TEMPLATE],
+        json.loads(Path(SCHEMA).read_text(encoding="utf-8")), (DIALOGUES, TEMPLATE),
     ),
     "predictions": (
         "predictions.jsonl",
@@ -727,13 +826,12 @@ MUTATED_FILES = {
         "template.json",
         ["build", "--corpus", DIALOGUES, "--schema", SCHEMA, "--template-file", "{file}"],
         {"template_text": "[Domain] [History] [Question] [Choices]",
-         "choices_section_marker": "Choices:"},
+         "choices_section_marker": "Choices:", "questions": {"hotel-area": "Where?"}},
         (),
     ),
     "overrides": (
-        "overrides.json",
-        ["build", "--corpus", DIALOGUES, "--schema", SCHEMA, "--overrides-file", "{file}"],
-        {"hotel-name": "Which hotel?", "hotel-area": "Where?"}, (),
+        "overrides.json", BUILD_ARGV + ["--template-file", "{file}"],
+        {"questions": {"hotel-name": "Which hotel?", "hotel-area": "Where?"}}, (),
     ),
     "woz_belief": (
         "woz_train.json", ingest_argv("woz_belief", "woz20"),
@@ -861,7 +959,7 @@ def test_build_emits_one_example_per_active_triple(capsys, tmp_path):
     out_path = tmp_path / "examples.jsonl"
     code, out, err = run(
         capsys, "build", "--corpus", DIALOGUES, "--schema", SCHEMA,
-        "--overrides-file", OVERRIDES, "--out", str(out_path),
+        "--template-file", TEMPLATE, "--out", str(out_path),
     )
     assert code == 0
     examples = tuple(read_examples(out_path))
@@ -1531,7 +1629,7 @@ def file_digests(paths):
 
 
 def test_pipeline_never_mutates_inputs(capsys, tmp_path):
-    inputs = [SCHEMA, DIALOGUES, PREDICTIONS, OVERRIDES]
+    inputs = [SCHEMA, DIALOGUES, PREDICTIONS, TEMPLATE]
     before = file_digests(inputs)
     corpus_path = tmp_path / "corpus.json"
     examples_path = tmp_path / "examples.jsonl"
@@ -1544,7 +1642,7 @@ def test_pipeline_never_mutates_inputs(capsys, tmp_path):
         ("stats", "--corpus", str(corpus_path), "--schema", SCHEMA, "--out", str(tmp_path / "s.txt")),
         (
             "build", "--corpus", str(corpus_path), "--schema", SCHEMA,
-            "--overrides-file", OVERRIDES, "--out", str(examples_path),
+            "--template-file", TEMPLATE, "--out", str(examples_path),
         ),
         ("refine", "--examples", str(examples_path), "--offline", "--out", str(refined_path)),
         (

@@ -636,7 +636,7 @@ def test_eval_report_validation():
         EvalReport(
             overall_jga=1.0, n_dialogues=1, n_turns=2,
             n_missing_predictions=0, policy=DEFAULT_POLICY,
-            buckets=(BucketResult("step", "0", 0, None, 1, 1.0),),
+            buckets=(BucketResult("step", "0+", 0, None, 1, 1.0),),
         )
 
 

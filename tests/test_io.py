@@ -22,7 +22,6 @@ from slotchain.builder import (
     CoTExample,
     ExampleMeta,
     PromptTemplate,
-    load_question_overrides,
     load_template,
     read_examples,
 )
@@ -30,6 +29,7 @@ from slotchain.corpus import Corpus, Dialogue, SlotSchema, TurnPair, load_corpus
 from slotchain.errors import FormatError, SlotchainError
 from slotchain.evaluator import (
     AXES,
+    Bucket,
     BucketResult,
     EvalReport,
     PredictionRecord,
@@ -68,8 +68,7 @@ LOADERS = {
     "predictions": lambda path: load_predictions(path, CORPUS),
     "report": read_report,
     "bucket spec": lambda path: load_bucket_spec(str(path)),
-    "template": load_template,
-    "overrides": lambda path: load_question_overrides(path, SCHEMA),
+    "template": lambda path: load_template(path, SCHEMA),
     "refine config": load_refine_config,
     "policy": lambda path: decode(NormalizationPolicy, read_json(path, expect=dict), path),
 }
@@ -102,8 +101,8 @@ KEYS = {
         "buckets", "axis", "label", "lo", "hi", "jga",
     ] + POLICY_FIELDS,
     "bucket spec": ["axis", "edges"],
-    "template": ["template_text", "choices_section_marker"],
-    "overrides": [slot.slot_id for slot in SCHEMA.slots],
+    "template": ["template_text", "choices_section_marker", "questions"]
+    + [slot.slot_id for slot in SCHEMA.slots],
     "refine config": [f.name for f in fields(RefineConfig)],
     "policy": POLICY_FIELDS,
 }
@@ -210,7 +209,7 @@ VALID_RECORDS = {
         "policy": VALID_POLICY,
         "buckets": [
             {"axis": "step", "label": "0", "lo": 0, "hi": 1, "n_turns": 1, "jga": 1.0},
-            {"axis": "step", "label": "1-4", "lo": 1, "hi": 5, "n_turns": 1, "jga": 0.25},
+            {"axis": "step", "label": "1+", "lo": 1, "hi": None, "n_turns": 1, "jga": 0.25},
         ],
     },
     "policy": VALID_POLICY,
@@ -220,7 +219,8 @@ VALID_RECORDS = {
         "temperature": 0.5, "max_tokens": 16, "max_retries": 1, "backoff_base": 0.5,
         "request_timeout": 2.5, "max_parallel": 2, "cache_dir": "cache", "offline": True,
     },
-    "template": {"template_text": "[History] [Question] [Choices]", "choices_section_marker": "C"},
+    "template": {"template_text": "[History] [Question] [Choices]", "choices_section_marker": "C",
+                 "questions": {"hotel-area": "Where?"}},
 }
 NULLABLE = {"hi", "jga", "fuzzy_ratio_threshold"}
 # JSON has no NaN or Infinity, so a record that holds one is not valid JSON.
@@ -275,7 +275,9 @@ def replaced(value, path, new):
 @given(data=st.data())
 def test_codec_loader_names_a_mistyped_field(tmp_path, name, data):
     record = VALID_RECORDS[name]
-    path = data.draw(st.sampled_from(list(leaves(record))))
+    # A null leaf (the open last hi) has no type of its own to swap away from.
+    typed = [path for path in leaves(record) if value_at(record, path) is not None]
+    path = data.draw(st.sampled_from(typed))
     field_at = max(i for i, key in enumerate(path) if isinstance(key, str))
     field = path[field_at]
     old = json_type(value_at(record, path))
@@ -298,15 +300,16 @@ def test_codec_loader_names_a_mistyped_field(tmp_path, name, data):
 texts = st.text(max_size=8)
 words = st.text(alphabet="abcdefghij", min_size=1, max_size=6)  # fixed points of any policy
 fractions = st.floats(0.0, 1.0)
-policies = st.builds(
+# A string may not be both a none and a dontcare alias, so the sets are drawn disjoint.
+policies = st.frozensets(words, max_size=3).flatmap(lambda none_aliases: st.builds(
     NormalizationPolicy,
     lowercase=st.booleans(),
     collapse_whitespace=st.booleans(),
     strip_punctuation_edges=st.booleans(),
-    none_aliases=st.frozensets(words, max_size=3),
-    dontcare_aliases=st.frozensets(words, max_size=3),
+    none_aliases=st.just(none_aliases),
+    dontcare_aliases=st.frozensets(words.filter(lambda w: w not in none_aliases), max_size=3),
     fuzzy_ratio_threshold=st.none() | st.floats(0.0, 1.0, exclude_min=True),
-)
+))
 
 
 @st.composite
@@ -323,13 +326,16 @@ def examples(draw, text=texts, mean=st.floats(0.0, 50.0)):
 
 @st.composite
 def reports(draw):
+    # Each axis splits the turns between [0, edge) and [edge, null), as a
+    # report's buckets must; an empty bucket's jga is null.
     n_turns = draw(st.integers(0, 30))
     buckets = []
     for axis in draw(st.lists(st.sampled_from(AXES), unique=True)):
         first = draw(st.integers(0, n_turns))
-        for lo, n in enumerate((first, n_turns - first)):
-            hi = draw(st.none() | st.integers(lo + 1, 40))
-            buckets.append(BucketResult(axis, draw(texts), lo, hi, n, draw(st.none() | fractions)))
+        edge = draw(st.integers(1, 40))
+        for (lo, hi), n in zip(((0, edge), (edge, None)), (first, n_turns - first)):
+            jga = draw(fractions) if n else None
+            buckets.append(BucketResult(axis, Bucket(lo, hi).label, lo, hi, n, jga))
     return EvalReport(
         draw(fractions), draw(st.integers(0, 9)), n_turns, draw(st.integers(0, 99)),
         draw(policies), tuple(buckets),
@@ -365,9 +371,11 @@ RECORDS = {
     TurnPair: st.builds(TurnPair, st.integers(1, 30), texts, texts, st.dictionaries(texts, texts)),
     PredictionRecord: st.builds(PredictionRecord, words, st.integers(1, 30), words, words),
     PromptTemplate: st.builds(
-        lambda a, b, choices, marker: PromptTemplate(f"{a}[History]{b}[Question]{choices}", marker),
+        lambda a, b, choices, marker, questions: PromptTemplate(
+            f"{a}[History]{b}[Question]{choices}", marker, questions
+        ),
         no_placeholders, no_placeholders, st.sampled_from(["", " [Choices]", "[Domain][Choices]"]),
-        texts,
+        texts, st.dictionaries(texts, texts.filter(bool), max_size=3),
     ),
 }
 
