@@ -33,7 +33,8 @@ class PromptTemplate:
     """Prompt skeleton with [History], [Domain], [Question], [Choices]
     placeholders. History and Question must appear exactly once,
     Choices at most once; Domain may repeat. ``questions`` maps a slot
-    id to the question asked for it in place of build_question's."""
+    id to the question, not blank, asked for it in place of
+    build_question's."""
 
     template_text: str = DEFAULT_TEMPLATE_TEXT
     choices_section_marker: str = "Choices"
@@ -48,7 +49,7 @@ class PromptTemplate:
                     f"{'exactly' if lo == hi else 'at most'} {hi} time(s), found {n}"
                 )
         for slot_id, question in self.questions.items():
-            if not question:
+            if not question.strip():
                 raise ValidationError(f"empty question for slot {slot_id!r}")
 
 

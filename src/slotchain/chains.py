@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Mapping
 
 from .corpus import Corpus, Dialogue
 from .normalize import NONE_VALUE, normalize_value
@@ -82,33 +81,10 @@ def max_step_at_turns(dialogue: Dialogue) -> tuple[int, ...]:
     )
 
 
-@dataclass(frozen=True)
-class StepHistogram:
-    """Sample counts keyed by step count. A sample is a (dialogue, turn,
-    slot) triple whose chain at that turn is non-empty."""
-
-    counts: Mapping[int, int]
-
-    @property
-    def total_active(self) -> int:
-        return sum(self.counts.values())
-
-    @property
-    def multi_step_fraction(self) -> float:
-        """Share of samples needing two or more steps."""
-        total = self.total_active
-        if total == 0:
-            return 0.0
-        multi = sum(n for steps, n in self.counts.items() if steps >= 2)
-        return multi / total
-
-    def to_dict(self) -> dict[str, int]:
-        return {str(steps): self.counts[steps] for steps in sorted(self.counts)}
-
-
-def step_histogram(corpus: Corpus) -> StepHistogram:
-    """Histogram of chain lengths over every (dialogue, turn, slot) of
-    the corpus with a non-empty chain."""
+def step_histogram(corpus: Corpus) -> dict[int, int]:
+    """Sample counts keyed by step count, in ascending order of step
+    count. A sample is a (dialogue, turn, slot) triple of the corpus whose
+    chain at that turn is non-empty."""
     counts: dict[int, int] = {}
     for dialogue in corpus.dialogues:
         for chain in chains_by_slot(dialogue).values():
@@ -116,4 +92,4 @@ def step_histogram(corpus: Corpus) -> StepHistogram:
             ends = chain.change_turns[1:] + (dialogue.n_turns + 1,)
             for steps, (start, end) in enumerate(zip(chain.change_turns, ends), start=1):
                 counts[steps] = counts.get(steps, 0) + end - start
-    return StepHistogram(counts=counts)
+    return dict(sorted(counts.items()))

@@ -55,7 +55,7 @@ from .evaluator import (
 )
 from .io import decode, file_or_bundled, json_text, read_json, read_lines, write_lines
 from .normalize import DEFAULT_POLICY, NormalizationPolicy
-from .refiner import RefineConfig, RefineFailure, load_refine_config, refine_batch
+from .refiner import RefineConfig, load_refine_config, refine_batch
 
 # Lines that refine reads, refines and writes at a time. Each distinct
 # coarse text is still refined once per run (offline, once per worker
@@ -155,24 +155,24 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     corpus = _load_corpus_arg(args)
-    histogram = step_histogram(corpus.only(args.split))
+    counts = step_histogram(corpus.only(args.split))
+    total = sum(counts.values())
+    multi = sum(n for steps, n in counts.items() if steps >= 2)
+    multi_step_fraction = multi / total if total else 0.0
     if args.format == "json":
         payload = {
-            "counts": histogram.to_dict(),
-            "total_active": histogram.total_active,
-            "multi_step_fraction": histogram.multi_step_fraction,
+            "counts": {str(steps): n for steps, n in counts.items()},
+            "total_active": total,
+            "multi_step_fraction": multi_step_fraction,
         }
         _emit(json_text(payload), args.out)
         return 0
     lines = [f"{'step':<6}{'samples':>9}{'share':>9}"]
-    total = histogram.total_active
-    for steps in sorted(histogram.counts):
-        count = histogram.counts[steps]
-        share = count / total if total else 0.0
-        lines.append(f"{steps:<6d}{count:>9d}{share:>9.2%}")
+    for steps, count in counts.items():  # a count is there only when total > 0
+        lines.append(f"{steps:<6d}{count:>9d}{count / total:>9.2%}")
     lines.append("")
     lines.append(f"total active samples: {total}")
-    lines.append(f"multi-step share (step >= 2): {histogram.multi_step_fraction:.2%}")
+    lines.append(f"multi-step share (step >= 2): {multi_step_fraction:.2%}")
     _emit("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -206,11 +206,11 @@ def _usable_cpus() -> int:
 
 def _refine_lines(
     path: str, lines: Iterable[tuple[int, bytes]], config: RefineConfig, memo: dict
-) -> tuple[str, tuple[RefineFailure, ...]]:
+) -> tuple[str, tuple[tuple[str, str], ...]]:
     """Decode and refine ``lines``, numbered raw lines of the examples
     file ``path``: (the refined examples' JSONL, failures)."""
-    outcome = refine_batch(read_examples(path, lines), config, memo)
-    return examples_to_jsonl(outcome.examples), outcome.failures
+    examples, failures = refine_batch(read_examples(path, lines), config, memo)
+    return examples_to_jsonl(examples), failures
 
 
 _WORKER_MEMO = {}  # what a worker process has refined; filled only in workers
@@ -283,8 +283,8 @@ def _cmd_refine(args: argparse.Namespace) -> int:
     def lines() -> Iterator[str]:
         nonlocal failed
         for text, failures in _refined_chunks(args.examples, config):
-            for failure in failures:
-                print(f"warning: {failure.example_id}: {failure.error}", file=sys.stderr)
+            for example_id, error in failures:
+                print(f"warning: {example_id}: {error}", file=sys.stderr)
             failed += len(failures)
             yield text
 

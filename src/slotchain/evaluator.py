@@ -114,29 +114,19 @@ def index_predictions(
 # buckets
 
 
-@dataclass(frozen=True)
-class Bucket:
-    """Half-open range [lo, hi); hi None means open-ended."""
-
-    lo: int
-    hi: int | None
-
-    @property
-    def label(self) -> str:
-        if self.hi is None:
-            return f"{self.lo}+"
-        if self.hi == self.lo + 1:
-            return str(self.lo)
-        return f"{self.lo}-{self.hi - 1}"
-
-    def contains(self, value: float) -> bool:
-        return value >= self.lo and (self.hi is None or value < self.hi)
+def bucket_label(lo: int, hi: int | None) -> str:
+    """Label of the half-open range [lo, hi); hi None means open-ended."""
+    if hi is None:
+        return f"{lo}+"
+    if hi == lo + 1:
+        return str(lo)
+    return f"{lo}-{hi - 1}"
 
 
 @dataclass(frozen=True)
 class BucketSpec:
     """Disjoint ascending ranges covering every non-negative value: each
-    ``[lo, hi]`` pair of ``edges`` is the Bucket [lo, hi)."""
+    ``[lo, hi]`` pair of ``edges`` is the half-open range [lo, hi)."""
 
     axis: str
     edges: tuple[tuple[int | None, int | None], ...]
@@ -162,15 +152,11 @@ class BucketSpec:
         if self.edges[-1][1] is not None:
             raise ValidationError("final range must be open-ended (null hi)")
 
-    @functools.cached_property
-    def buckets(self) -> tuple[Bucket, ...]:
-        return tuple(Bucket(lo, hi) for lo, hi in self.edges)
-
-    def bucket_for(self, value: float) -> Bucket:
-        for bucket in self.buckets:
-            if bucket.contains(value):
-                return bucket
-        raise ValidationError(f"value {value} below every range")
+    def position(self, value: float) -> int:
+        """Index in ``edges`` of the range that holds ``value`` >= 0."""
+        for index, (_, hi) in enumerate(self.edges):
+            if hi is None or value < hi:
+                return index
 
 
 def load_bucket_spec(path_or_name: str | Path) -> BucketSpec:
@@ -182,14 +168,14 @@ def load_bucket_spec(path_or_name: str | Path) -> BucketSpec:
     return decode(BucketSpec, read_json(source, expect=dict), source)
 
 
-def bucketize(dialogue: Dialogue, spec: BucketSpec) -> list[Bucket]:
-    """The bucket of each of the dialogue's turns, in turn order."""
+def bucketize(dialogue: Dialogue, spec: BucketSpec) -> list[int]:
+    """Each turn's position in ``spec.edges``, in turn order."""
     if spec.axis == "step":
-        return [spec.bucket_for(steps) for steps in max_step_at_turns(dialogue)]
+        return [spec.position(steps) for steps in max_step_at_turns(dialogue)]
     if spec.axis == "turn":
-        return [spec.bucket_for(dialogue.n_turns)] * dialogue.n_turns
+        return [spec.position(dialogue.n_turns)] * dialogue.n_turns
     # "len", BucketSpec's last axis
-    return [spec.bucket_for(avg_utterance_len(dialogue))] * dialogue.n_turns
+    return [spec.position(avg_utterance_len(dialogue))] * dialogue.n_turns
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +192,7 @@ class BucketResult:
     jga: float | None  # None marks an empty bucket, not zero accuracy
 
     def __post_init__(self) -> None:
-        label = Bucket(self.lo, self.hi).label
+        label = bucket_label(self.lo, self.hi)
         if self.label != label:
             hi = "null" if self.hi is None else self.hi
             raise ValidationError(
@@ -238,17 +224,45 @@ class EvalReport:
         for name in ("n_dialogues", "n_turns", "n_missing_predictions"):
             if getattr(self, name) < 0:
                 raise ValidationError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if self.n_dialogues > self.n_turns:  # a dialogue has at least one turn
+            raise ValidationError(
+                f"n_dialogues {self.n_dialogues} exceeds n_turns {self.n_turns}"
+            )
+        if self.n_turns == 0 and self.overall_jga != 0.0:
+            raise ValidationError(f"overall_jga must be 0 without turns, got {self.overall_jga}")
+        n_correct = _correct_turns(self.overall_jga, self.n_turns, "overall_jga")
         for axis in dict.fromkeys(b.axis for b in self.buckets):  # first-seen order
-            rows = [b for b in self.buckets if b.axis == axis]
+            rows = [(i, b) for i, b in enumerate(self.buckets) if b.axis == axis]
             try:  # the ranges of an axis follow a bucket spec's rules
-                BucketSpec(axis, tuple((b.lo, b.hi) for b in rows))
+                BucketSpec(axis, tuple((b.lo, b.hi) for _, b in rows))
             except ValidationError as exc:
                 raise ValidationError(f"buckets of axis {axis!r}: {exc}") from exc
-            axis_total = sum(b.n_turns for b in rows)
+            axis_total = sum(b.n_turns for _, b in rows)
             if axis_total != self.n_turns:
                 raise ValidationError(
                     f"axis {axis!r} buckets cover {axis_total} turns of {self.n_turns}"
                 )
+            axis_correct = sum(
+                _correct_turns(b.jga, b.n_turns, f"buckets[{i}]: jga")
+                for i, b in rows
+                if b.n_turns
+            )
+            if axis_correct != n_correct:
+                raise ValidationError(
+                    f"axis {axis!r} buckets hold {axis_correct} correct turns, but "
+                    f"overall_jga {self.overall_jga} of {self.n_turns} turns holds {n_correct}"
+                )
+
+
+def _correct_turns(jga: float, n_turns: int, name: str) -> int:
+    """The whole number of correct turns that ``jga`` of ``n_turns``
+    stands for, within 1e-6; ``name`` is the field the error names."""
+    correct = round(jga * n_turns)
+    if abs(jga * n_turns - correct) > 1e-6:
+        raise ValidationError(
+            f"{name} {jga} of {n_turns} turns is not a whole number of correct turns"
+        )
+    return correct
 
 
 def fine_grained_report(
@@ -267,12 +281,12 @@ def fine_grained_report(
     the run."""
     slots = [(slot.slot_id, slot.is_categorical) for slot in corpus.schema.slots]
     matches: dict[tuple[str, str, bool], bool] = {}
-    tallies = [{bucket: [0, 0] for bucket in spec.buckets} for spec in specs]  # turns, correct
+    tallies = [[[0, 0] for _ in spec.edges] for spec in specs]  # turns, correct
     n_turns = n_correct = missing = 0
     for dialogue in corpus.dialogues:
         dialogue_id = dialogue.dialogue_id
-        buckets_by_spec = [bucketize(dialogue, spec) for spec in specs]
-        for position, turn in enumerate(dialogue.turns):
+        positions_by_spec = [bucketize(dialogue, spec) for spec in specs]
+        for i, turn in enumerate(dialogue.turns):
             ok = True
             for slot_id, categorical in slots:
                 predicted = predictions.get((dialogue_id, turn.index, slot_id))
@@ -290,8 +304,8 @@ def fine_grained_report(
                     ok = match
             n_turns += 1
             n_correct += ok
-            for spec_tallies, buckets in zip(tallies, buckets_by_spec):
-                tally = spec_tallies[buckets[position]]
+            for spec_tallies, positions in zip(tallies, positions_by_spec):
+                tally = spec_tallies[positions[i]]
                 tally[0] += 1
                 tally[1] += ok
     return EvalReport(
@@ -303,14 +317,14 @@ def fine_grained_report(
         buckets=tuple(
             BucketResult(
                 axis=spec.axis,
-                label=bucket.label,
-                lo=bucket.lo,
-                hi=bucket.hi,
+                label=bucket_label(lo, hi),
+                lo=lo,
+                hi=hi,
                 n_turns=n,
                 jga=correct / n if n else None,
             )
             for spec, spec_tallies in zip(specs, tallies)
-            for bucket, (n, correct) in spec_tallies.items()
+            for (lo, hi), (n, correct) in zip(spec.edges, spec_tallies)
         ),
     )
 

@@ -89,18 +89,6 @@ class RefineResult:
     source: str  # "api" | "cache" | "offline_passthrough"
 
 
-@dataclass(frozen=True)
-class RefineFailure:
-    example_id: str
-    error: str
-
-
-@dataclass(frozen=True)
-class RefineBatchOutcome:
-    examples: tuple[CoTExample, ...]
-    failures: tuple[RefineFailure, ...]
-
-
 def load_refine_config(path: str | Path | None = None, **overrides) -> RefineConfig:
     """Config from a JSON file (the bundled default when path is None),
     with keyword overrides taking precedence; both are type-checked."""
@@ -275,11 +263,12 @@ def refine_batch(
     examples: Iterable[CoTExample],
     config: RefineConfig,
     memo: dict[str, RefineResult | str] | None = None,
-) -> RefineBatchOutcome:
+) -> tuple[tuple[CoTExample, ...], tuple[tuple[str, str], ...]]:
     """Refine every coarse-explanation example, each distinct text once
-    (see the module docstring). Order and multiset of examples are
-    preserved; an example whose text fails is emitted unchanged and
-    reported as a failure of its own. A rejected or missing key aborts
+    (see the module docstring): (the examples, the failures). Order and
+    multiset of examples are preserved; an example whose text fails is
+    emitted unchanged and reported as a failure of its own, an
+    (example_id, error message) pair. A rejected or missing key aborts
     the whole batch.
 
     ``memo`` maps each text already refined to its result, or to the
@@ -324,7 +313,7 @@ def refine_batch(
         results[coarse] = result if isinstance(result, RefineResult) else str(result)
 
     out = list(examples)
-    failures: list[RefineFailure] = []
+    failures: list[tuple[str, str]] = []
     for index, example in enumerate(examples):
         result = results.get(example.explanation) if example.explanation_kind == "coarse" else None
         if isinstance(result, RefineResult):
@@ -337,5 +326,5 @@ def refine_batch(
                 meta=example.meta,
             )
         elif result is not None:
-            failures.append(RefineFailure(example_id=example.example_id, error=result))
-    return RefineBatchOutcome(examples=tuple(out), failures=tuple(failures))
+            failures.append((example.example_id, result))
+    return tuple(out), tuple(failures)

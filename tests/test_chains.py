@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
+import json
 import random
 from pathlib import Path
 
-from gen import make_corpus
+from gen import corpus_to_json, make_corpus
 from oracles import (
     oracle_chain,
     oracle_multi_step_fraction,
     oracle_step_histogram,
 )
-from slotchain import chains
+from slotchain import chains, cli
 from slotchain.chains import (
     SlotChain,
     chains_by_slot,
@@ -28,6 +29,7 @@ from slotchain.corpus import (
     load_corpus,
     load_schema,
 )
+from slotchain.io import encode
 from slotchain.normalize import DEFAULT_POLICY
 
 
@@ -204,14 +206,44 @@ def test_chains_by_slot_match_oracle_at_every_turn():
                     assert got == expected, (seed, dialogue.dialogue_id, slot_id, query_turn)
 
 
-def test_histogram_matches_oracle():
+def write_corpus(tmp_path: Path, corpus: Corpus) -> list[str]:
+    """Writes ``corpus`` and its schema under ``tmp_path``; returns the
+    --corpus and --schema options that name them."""
+    corpus_path, schema_path = tmp_path / "corpus.json", tmp_path / "schema.json"
+    corpus_path.write_text(corpus_to_json(corpus), encoding="utf-8")
+    schema_path.write_text(
+        json.dumps([encode(slot) for slot in corpus.schema.slots]), encoding="utf-8"
+    )
+    return ["--corpus", str(corpus_path), "--schema", str(schema_path)]
+
+
+def stats_output(tmp_path: Path, corpus_options: list[str], *options: str) -> str:
+    """What ``stats`` writes for the corpus that ``corpus_options`` name."""
+    out = tmp_path / "stats.out"
+    assert cli.main(["stats", *corpus_options, *options, "--out", str(out)]) == 0
+    return out.read_text(encoding="utf-8")
+
+
+def stats_json(tmp_path: Path, corpus_options: list[str], *options: str) -> dict:
+    return json.loads(stats_output(tmp_path, corpus_options, "--format", "json", *options))
+
+
+def test_histogram_matches_oracle(tmp_path):
     for seed in range(150):
         corpus = make_corpus(random.Random(20_000 + seed))
+        corpus_options = write_corpus(tmp_path, corpus)
         for split in (None, "train", "dev", "test"):
             got = step_histogram(corpus.only(split))
             expected = oracle_step_histogram(corpus, split, DEFAULT_POLICY)
-            assert dict(got.counts) == expected, (seed, split)
-            assert got.multi_step_fraction == oracle_multi_step_fraction(expected)
+            assert got == expected, (seed, split)
+            assert list(got) == sorted(expected), (seed, split)
+            payload = stats_json(tmp_path, corpus_options, *(["--split", split] if split else []))
+            assert payload == {
+                "counts": {str(steps): expected[steps] for steps in sorted(expected)},
+                "total_active": sum(expected.values()),
+                "multi_step_fraction": oracle_multi_step_fraction(expected),
+            }, (seed, split)
+            assert list(payload["counts"]) == [str(steps) for steps in sorted(expected)]
 
 
 def test_max_step_at_turns_matches_oracle():
@@ -230,15 +262,17 @@ def test_max_step_at_turns_matches_oracle():
             assert got == expected, (seed, dialogue.dialogue_id)
 
 
-def test_histogram_total_and_fraction_consistency():
+def test_histogram_total_and_fraction_consistency(tmp_path):
     corpus = make_corpus(random.Random(99))
     hist = step_histogram(corpus)
-    assert hist.total_active == sum(hist.counts.values())
-    assert 0.0 <= hist.multi_step_fraction <= 1.0
-    assert all(steps >= 1 for steps in hist.counts)
+    payload = stats_json(tmp_path, write_corpus(tmp_path, corpus))
+    assert payload["total_active"] == sum(hist.values())
+    assert payload["multi_step_fraction"] == oracle_multi_step_fraction(hist)
+    assert 0.0 <= payload["multi_step_fraction"] <= 1.0
+    assert all(steps >= 1 for steps in hist)
 
 
-def test_histogram_single_change_corpus():
+def test_histogram_single_change_corpus(tmp_path):
     # every slot set once and never changed: all samples are 1-step
     schema = stars_schema()
     dialogue = Dialogue(
@@ -251,23 +285,33 @@ def test_histogram_single_change_corpus():
         ),
         "train",
     )
-    hist = step_histogram(Corpus(schema=schema, dialogues=(dialogue,)))
-    assert dict(hist.counts) == {1: 4}
-    assert hist.multi_step_fraction == 0.0
+    corpus = Corpus(schema=schema, dialogues=(dialogue,))
+    assert step_histogram(corpus) == {1: 4}
+    payload = stats_json(tmp_path, write_corpus(tmp_path, corpus))
+    assert payload == {"counts": {"1": 4}, "total_active": 4, "multi_step_fraction": 0.0}
 
 
-def test_histogram_empty_corpus():
+def test_histogram_empty_corpus(tmp_path):
     schema = stars_schema()
-    hist = step_histogram(Corpus(schema=schema, dialogues=()))
-    assert hist.total_active == 0
-    assert hist.multi_step_fraction == 0.0
+    assert step_histogram(Corpus(schema=schema, dialogues=())) == {}
+    # a corpus whose slots are never filled has no active sample either
+    unfilled = Corpus(schema=schema, dialogues=(
+        Dialogue("d", (TurnPair(1, "", "hello", {}), TurnPair(2, "hi", "bye", {})), "train"),
+    ))
+    assert step_histogram(unfilled) == {}
+    corpus_options = write_corpus(tmp_path, unfilled)
+    payload = stats_json(tmp_path, corpus_options)
+    assert payload == {"counts": {}, "total_active": 0, "multi_step_fraction": 0.0}
+    assert stats_output(tmp_path, corpus_options).splitlines()[-2:] == [
+        "total active samples: 0",
+        "multi-step share (step >= 2): 0.00%",
+    ]
 
 
 def test_histogram_to_dict_sorted():
     corpus = make_corpus(random.Random(5))
     hist = step_histogram(corpus)
-    keys = list(hist.to_dict().keys())
-    assert keys == sorted(keys, key=int)
+    assert list(hist) == sorted(hist)
 
 
 def test_step_histogram_normalizes_each_raw_value_change_once(monkeypatch):
@@ -287,5 +331,5 @@ def test_step_histogram_normalizes_each_raw_value_change_once(monkeypatch):
     calls = []
     normalize = chains.normalize_value
     monkeypatch.setattr(chains, "normalize_value", lambda raw: calls.append(raw) or normalize(raw))
-    assert step_histogram(corpus).total_active == 35
+    assert sum(step_histogram(corpus).values()) == 35
     assert 0 < len(calls) <= changes

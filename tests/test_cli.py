@@ -378,9 +378,9 @@ def report_with(buckets=None, **fields):
               "policy": {}}
     if buckets is None:
         buckets = [
-            {"axis": "step", "label": "0-1", "lo": 0, "hi": 2, "n_turns": 3, "jga": 0.5},
+            {"axis": "step", "label": "0-1", "lo": 0, "hi": 2, "n_turns": 2, "jga": 0.5},
             {"axis": "step", "label": "2", "lo": 2, "hi": 3, "n_turns": 2, "jga": 0.5},
-            {"axis": "step", "label": "3+", "lo": 3, "hi": None, "n_turns": 1, "jga": 0.5},
+            {"axis": "step", "label": "3+", "lo": 3, "hi": None, "n_turns": 2, "jga": 0.5},
         ]
         for key in fields.keys() & buckets[1].keys():
             buckets[1][key] = fields.pop(key)
@@ -571,6 +571,11 @@ MALFORMED_INPUTS = {
         {"questions": {"hotel-name": ""}},
         "empty question for slot 'hotel-name'",
     ),
+    "template blank question": (
+        BUILD_ARGV + ["--template-file", "{file}"],
+        {"questions": {"hotel-name": "   "}},
+        "empty question for slot 'hotel-name'",
+    ),
     "refine config max_parallel bound": (
         ["refine", "--examples", PREDICTIONS, "--config", "{file}"],
         {"offline": True, "max_parallel": 0}, "max_parallel must be >= 1, got 0",
@@ -629,6 +634,26 @@ MALFORMED_INPUTS = {
             {"axis": "step", "label": "3+", "lo": 3, "hi": None, "n_turns": 3, "jga": 0.5},
         ]),
         "buckets of axis 'step': ranges must be contiguous: [0, 2) then lo=3",
+    ),
+    "report overall_jga contradicts buckets": (
+        ["report", "--report", "{file}"], report_with(overall_jga=0.0),
+        "axis 'step' buckets hold 3 correct turns, but overall_jga 0.0 of 6 turns holds 0",
+    ),
+    "report bucket jga not a whole count": (
+        ["report", "--report", "{file}"], report_with(jga=0.55),
+        "buckets[1]: jga 0.55 of 2 turns is not a whole number of correct turns",
+    ),
+    "report overall_jga not a whole count": (
+        ["report", "--report", "{file}"], report_with(buckets=[], overall_jga=0.55),
+        "overall_jga 0.55 of 6 turns is not a whole number of correct turns",
+    ),
+    "report more dialogues than turns": (
+        ["report", "--report", "{file}"], report_with(buckets=[], n_turns=0, n_dialogues=3),
+        "n_dialogues 3 exceeds n_turns 0",
+    ),
+    "report overall_jga without turns": (
+        ["report", "--report", "{file}"], report_with(buckets=[], n_turns=0, n_dialogues=0),
+        "overall_jga must be 0 without turns, got 0.5",
     ),
     "report last range closed": (
         ["report", "--report", "{file}"],
@@ -931,7 +956,7 @@ def test_stats_json_matches_library(capsys):
     assert code == 0
     payload = json.loads(out)
     histogram = step_histogram(fixture_corpus())
-    assert payload["counts"] == histogram.to_dict()
+    assert payload["counts"] == {str(steps): n for steps, n in histogram.items()}
     assert payload["total_active"] == 35
     assert payload["multi_step_fraction"] == pytest.approx(0.2)
 

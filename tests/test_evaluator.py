@@ -16,10 +16,10 @@ from slotchain import cli, evaluator
 from slotchain.corpus import Corpus, Dialogue, Schema, SlotSchema, TurnPair
 from slotchain.errors import FormatError, ValidationError
 from slotchain.evaluator import (
-    Bucket,
     BucketResult,
     BucketSpec,
     EvalReport,
+    bucket_label,
     bucketize,
     fine_grained_report,
     index_predictions,
@@ -439,10 +439,15 @@ def test_load_predictions_rejects_duplicates_naming_both_lines(tmp_path):
 
 
 def test_bucket_labels():
-    assert Bucket(20, None).label == "20+"
-    assert Bucket(1, 2).label == "1"
-    assert Bucket(10, 15).label == "10-14"
-    assert Bucket(0, 12).label == "0-11"
+    assert bucket_label(20, None) == "20+"
+    assert bucket_label(1, 2) == "1"
+    assert bucket_label(10, 15) == "10-14"
+    assert bucket_label(0, 12) == "0-11"
+
+
+def labels(spec, positions):
+    """The label of the range at each of ``positions`` in ``spec.edges``."""
+    return [bucket_label(*spec.edges[position]) for position in positions]
 
 
 def test_bucket_spec_validation():
@@ -467,9 +472,11 @@ def test_bucket_spec_validation():
 def test_every_non_negative_value_lands_in_exactly_one_bucket():
     spec = BucketSpec(axis="turn", edges=((0, 10), (10, 15), (15, 20), (20, None)))
     for value in [0, 1, 9, 9.9, 10, 14.5, 15, 19, 20, 21, 250, 0.0]:
-        homes = [b for b in spec.buckets if b.contains(value)]
-        assert len(homes) == 1, value
-        assert spec.bucket_for(value) == homes[0]
+        homes = [
+            position for position, (lo, hi) in enumerate(spec.edges)
+            if lo <= value and (hi is None or value < hi)
+        ]
+        assert homes == [spec.position(value)], value
 
 
 @pytest.mark.parametrize(
@@ -485,7 +492,7 @@ def test_every_non_negative_value_lands_in_exactly_one_bucket():
 )
 def test_bundled_specs_load(name, labels):
     spec = load_bucket_spec(name)
-    assert [b.label for b in spec.buckets] == labels
+    assert [bucket_label(lo, hi) for lo, hi in spec.edges] == labels
 
 
 def test_bucket_spec_loads_from_file(tmp_path):
@@ -495,7 +502,7 @@ def test_bucket_spec_loads_from_file(tmp_path):
     )
     spec = load_bucket_spec(path)
     assert spec.axis == "len"
-    assert [b.label for b in spec.buckets] == ["0-7", "8+"]
+    assert [bucket_label(lo, hi) for lo, hi in spec.edges] == ["0-7", "8+"]
 
 
 def test_bucket_spec_unknown_name_rejected():
@@ -541,9 +548,10 @@ def long_dialogue(n_turns, split="test"):
 
 
 def test_bucketize_turn_axis_uses_dialogue_length():
-    assignment = bucketize(long_dialogue(21), load_bucket_spec("mwz_turn"))
-    assert len(assignment) == 21
-    assert {bucket.label for bucket in assignment} == {"20+"}
+    spec = load_bucket_spec("mwz_turn")
+    assignment = bucketize(long_dialogue(21), spec)
+    assert assignment == [3] * 21
+    assert set(labels(spec, assignment)) == {"20+"}
 
 
 def test_bucketize_len_axis_uses_average_utterance_tokens():
@@ -554,8 +562,10 @@ def test_bucketize_len_axis_uses_average_utterance_tokens():
         split="test",
         turns=(TurnPair(1, thirteen, fourteen, {}),),
     )
-    assignment = bucketize(dialogue, load_bucket_spec("mwz_len"))
-    assert assignment[0].label == "12-14"
+    spec = load_bucket_spec("mwz_len")
+    assignment = bucketize(dialogue, spec)
+    assert assignment == [1]
+    assert labels(spec, assignment) == ["12-14"]
 
 
 def test_bucketize_step_axis_uses_busiest_slot():
@@ -567,9 +577,10 @@ def test_bucketize_step_axis_uses_busiest_slot():
             TurnPair(2, "sure", "make it four stars", {"hotel-area": "north", "hotel-stars": "4"}),
         ),
     )
-    assignment = bucketize(dialogue, load_bucket_spec("step"))
-    assert assignment[0].label == "1"
-    assert assignment[1].label == "2"
+    spec = load_bucket_spec("step")
+    assignment = bucketize(dialogue, spec)
+    assert assignment == [1, 2]
+    assert labels(spec, assignment) == ["1", "2"]
 
 
 def test_bucketize_covers_every_evaluated_turn():
@@ -581,7 +592,7 @@ def test_bucketize_covers_every_evaluated_turn():
             for dialogue in corpus.dialogues:
                 assignment = bucketize(dialogue, spec)
                 assert len(assignment) == dialogue.n_turns
-                assert set(assignment) <= set(spec.buckets)
+                assert set(assignment) <= set(range(len(spec.edges)))
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +649,25 @@ def test_eval_report_validation():
             n_missing_predictions=0, policy=DEFAULT_POLICY,
             buckets=(BucketResult("step", "0+", 0, None, 1, 1.0),),
         )
+
+
+def test_eval_report_counts_correct_turns_within_1e_6():
+    # The messages of each report rule are pinned by the CLI's
+    # MALFORMED_INPUTS; here, how close to a whole count a jga must come.
+    def report(overall_jga, n_turns, *buckets):
+        rows = tuple(
+            BucketResult("step", label, lo, hi, n, jga)
+            for label, lo, hi, (n, jga) in zip(("0", "1+"), (0, 1), (1, None), buckets)
+        )
+        return EvalReport(overall_jga, 1, n_turns, 0, DEFAULT_POLICY, rows)
+
+    report(1 / 3, 6, (3, 2 / 3), (3, 0.0))  # 2/3 of 3 turns is 2 up to rounding
+    report(0.5, 2, (1, 1.0 - 1e-7), (1, 0.0))
+    with pytest.raises(ValidationError) as caught:
+        report(0.5, 2, (1, 1.0 - 1e-5), (1, 0.0))
+    assert str(caught.value) == (
+        "buckets[0]: jga 0.99999 of 1 turns is not a whole number of correct turns"
+    )
 
 
 SHORT_AXES = """

@@ -29,10 +29,10 @@ from slotchain.corpus import Corpus, Dialogue, SlotSchema, TurnPair, load_corpus
 from slotchain.errors import FormatError, SlotchainError
 from slotchain.evaluator import (
     AXES,
-    Bucket,
     BucketResult,
     EvalReport,
     PredictionRecord,
+    bucket_label,
     load_bucket_spec,
     load_predictions,
     read_report,
@@ -209,7 +209,7 @@ VALID_RECORDS = {
         "policy": VALID_POLICY,
         "buckets": [
             {"axis": "step", "label": "0", "lo": 0, "hi": 1, "n_turns": 1, "jga": 1.0},
-            {"axis": "step", "label": "1+", "lo": 1, "hi": None, "n_turns": 1, "jga": 0.25},
+            {"axis": "step", "label": "1+", "lo": 1, "hi": None, "n_turns": 1, "jga": 0.0},
         ],
     },
     "policy": VALID_POLICY,
@@ -299,7 +299,6 @@ def test_codec_loader_names_a_mistyped_field(tmp_path, name, data):
 
 texts = st.text(max_size=8)
 words = st.text(alphabet="abcdefghij", min_size=1, max_size=6)  # fixed points of any policy
-fractions = st.floats(0.0, 1.0)
 # A string may not be both a none and a dontcare alias, so the sets are drawn disjoint.
 policies = st.frozensets(words, max_size=3).flatmap(lambda none_aliases: st.builds(
     NormalizationPolicy,
@@ -327,18 +326,26 @@ def examples(draw, text=texts, mean=st.floats(0.0, 50.0)):
 @st.composite
 def reports(draw):
     # Each axis splits the turns between [0, edge) and [edge, null), as a
-    # report's buckets must; an empty bucket's jga is null.
+    # report's buckets must, and splits the drawn count of correct turns
+    # between them; each jga is a count of correct turns over the turns,
+    # and an empty bucket's jga is null. A dialogue has at least one turn.
     n_turns = draw(st.integers(0, 30))
+    n_correct = draw(st.integers(0, n_turns))
     buckets = []
     for axis in draw(st.lists(st.sampled_from(AXES), unique=True)):
         first = draw(st.integers(0, n_turns))
+        second = n_turns - first
+        first_correct = draw(st.integers(max(0, n_correct - second), min(first, n_correct)))
         edge = draw(st.integers(1, 40))
-        for (lo, hi), n in zip(((0, edge), (edge, None)), (first, n_turns - first)):
-            jga = draw(fractions) if n else None
-            buckets.append(BucketResult(axis, Bucket(lo, hi).label, lo, hi, n, jga))
+        for (lo, hi), n, correct in zip(
+            ((0, edge), (edge, None)), (first, second),
+            (first_correct, n_correct - first_correct),
+        ):
+            jga = correct / n if n else None
+            buckets.append(BucketResult(axis, bucket_label(lo, hi), lo, hi, n, jga))
     return EvalReport(
-        draw(fractions), draw(st.integers(0, 9)), n_turns, draw(st.integers(0, 99)),
-        draw(policies), tuple(buckets),
+        n_correct / n_turns if n_turns else 0.0, draw(st.integers(0, min(9, n_turns))), n_turns,
+        draw(st.integers(0, 99)), draw(policies), tuple(buckets),
     )
 
 

@@ -566,9 +566,9 @@ def test_blank_cache_entry_is_a_miss_refilled_by_the_api(server, tmp_path, api_k
     cache_file = tmp_path / "cache" / request_fingerprint(config, example.explanation)
     cache_file.parent.mkdir()
     cache_file.write_bytes(blank)
-    outcome = refine_batch((example,), config)
-    assert outcome.failures == ()
-    refined = outcome.examples[0]
+    out, failures = refine_batch((example,), config)
+    assert failures == ()
+    refined = out[0]
     assert refined.explanation_kind == "refined"
     assert refined.explanation == f"narrated({example.explanation})"
     assert server.n_requests == 1
@@ -622,14 +622,14 @@ def test_batch_refines_only_coarse_items_and_keeps_order(server, tmp_path, api_k
         make_example(4, kind="coarse"),
     )
     config = make_config(server, tmp_path, max_parallel=1)
-    outcome = refine_batch(examples, config)
-    assert outcome.failures == ()
-    assert [e.example_id for e in outcome.examples] == [e.example_id for e in examples]
-    assert outcome.examples[1] == examples[1]
-    assert outcome.examples[2] == examples[2]
-    assert outcome.examples[3] == examples[3]
+    out, failures = refine_batch(examples, config)
+    assert failures == ()
+    assert [e.example_id for e in out] == [e.example_id for e in examples]
+    assert out[1] == examples[1]
+    assert out[2] == examples[2]
+    assert out[3] == examples[3]
     for i in (0, 4):
-        refined = outcome.examples[i]
+        refined = out[i]
         assert refined.explanation_kind == "refined"
         assert refined.explanation == f"narrated({examples[i].explanation})"
         assert refined.target_value == examples[i].target_value
@@ -641,8 +641,8 @@ def test_batch_respects_parallel_ceiling(server, tmp_path, api_key):
     server.delay = 0.08
     examples = tuple(make_example(i) for i in range(8))
     config = make_config(server, tmp_path, max_parallel=3, cache_dir="")
-    outcome = refine_batch(examples, config)
-    assert outcome.failures == ()
+    out, failures = refine_batch(examples, config)
+    assert failures == ()
     assert server.n_requests == 8
     assert 2 <= server.peak_in_flight <= 3
 
@@ -651,13 +651,13 @@ def test_batch_emits_failed_items_unchanged_with_failure_records(server, tmp_pat
     server.script.append((500, {"error": "boom"}))
     examples = tuple(make_example(i) for i in range(3))
     config = make_config(server, tmp_path, max_parallel=1, max_retries=0)
-    outcome = refine_batch(examples, config)
-    assert len(outcome.failures) == 1
-    assert outcome.failures[0].example_id == examples[0].example_id
-    assert "500" in outcome.failures[0].error
-    assert outcome.examples[0] == examples[0]
-    assert outcome.examples[1].explanation_kind == "refined"
-    assert outcome.examples[2].explanation_kind == "refined"
+    out, failures = refine_batch(examples, config)
+    [(example_id, error)] = failures
+    assert example_id == examples[0].example_id
+    assert "500" in error
+    assert out[0] == examples[0]
+    assert out[1].explanation_kind == "refined"
+    assert out[2].explanation_kind == "refined"
 
 
 def test_batch_aborts_on_auth_error(server, tmp_path, api_key):
@@ -672,9 +672,9 @@ def test_batch_aborts_on_auth_error(server, tmp_path, api_key):
 def test_batch_with_nothing_to_do_never_touches_network(server, tmp_path):
     examples = (make_example(0, kind="none"), make_example(1, kind="refined"))
     config = make_config(server, tmp_path)
-    outcome = refine_batch(examples, config)
-    assert outcome.examples == examples
-    assert outcome.failures == ()
+    out, failures = refine_batch(examples, config)
+    assert out == examples
+    assert failures == ()
     assert server.n_requests == 0
 
 
@@ -682,9 +682,9 @@ def test_batch_duplicate_coarse_texts_share_one_api_call(server, tmp_path, api_k
     example = make_example(0)
     twin = with_explanation(make_example(1), example.explanation)
     config = make_config(server, tmp_path, max_parallel=1)
-    outcome = refine_batch((example, twin), config)
+    out, failures = refine_batch((example, twin), config)
     assert server.n_requests == 1
-    assert outcome.examples[0].explanation == outcome.examples[1].explanation
+    assert out[0].explanation == out[1].explanation
 
 
 def test_batch_requests_each_distinct_text_once_in_parallel(server, tmp_path, api_key):
@@ -692,10 +692,10 @@ def test_batch_requests_each_distinct_text_once_in_parallel(server, tmp_path, ap
     texts = [make_example(i).explanation for i in range(3)]
     examples = tuple(with_explanation(make_example(i), texts[i % 3]) for i in range(9))
     config = make_config(server, tmp_path, max_parallel=2, cache_dir="")
-    outcome = refine_batch(examples, config)
-    assert outcome.failures == ()
+    out, failures = refine_batch(examples, config)
+    assert failures == ()
     assert server.n_requests == 3
-    for before, after in zip(examples, outcome.examples):
+    for before, after in zip(examples, out):
         assert after.explanation_kind == "refined"
         assert after.explanation == f"narrated({before.explanation})"
 
@@ -707,15 +707,15 @@ def test_batch_dedup_holds_under_thread_switching(server, tmp_path, api_key):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        outcome = refine_batch(examples, config)
+        out, failures = refine_batch(examples, config)
     finally:
         sys.setswitchinterval(interval)
-    assert outcome.failures == ()
+    assert failures == ()
     assert server.n_requests == 12
     assert sorted(body["prompt"] for body in server.requests) == sorted(
         build_refine_prompt(config, text) for text in texts
     )
-    for before, after in zip(examples, outcome.examples):
+    for before, after in zip(examples, out):
         assert after.explanation == f"narrated({before.explanation})"
 
 
@@ -730,14 +730,14 @@ def test_batch_failed_shared_text_fails_every_carrier(server, tmp_path, api_key)
         with_explanation(make_example(4), shared),
     )
     config = make_config(server, tmp_path, max_parallel=1, max_retries=0)
-    outcome = refine_batch(examples, config)
-    assert [f.example_id for f in outcome.failures] == [
+    out, failures = refine_batch(examples, config)
+    assert [example_id for example_id, _ in failures] == [
         examples[i].example_id for i in (0, 2, 4)
     ]
-    assert all("500" in f.error for f in outcome.failures)
+    assert all("500" in error for _, error in failures)
     for i in (0, 2, 3, 4):
-        assert outcome.examples[i] == examples[i]
-    assert outcome.examples[1].explanation_kind == "refined"
+        assert out[i] == examples[i]
+    assert out[1].explanation_kind == "refined"
     assert server.n_requests == 2
 
 
@@ -751,10 +751,10 @@ def test_batch_offline_refines_each_distinct_text_once(monkeypatch):
     monkeypatch.setattr("slotchain.refiner.refine_one", counting)
     texts = [make_example(i).explanation for i in range(3)]
     examples = tuple(with_explanation(make_example(i), texts[i % 3]) for i in range(7))
-    outcome = refine_batch(examples, RefineConfig(offline=True, max_parallel=4))
+    out, failures = refine_batch(examples, RefineConfig(offline=True, max_parallel=4))
     assert calls == texts
-    assert outcome.failures == ()
-    assert [e.explanation for e in outcome.examples] == [
+    assert failures == ()
+    assert [e.explanation for e in out] == [
         strip_speaker_tags(e.explanation) for e in examples
     ]
 
@@ -762,9 +762,9 @@ def test_batch_offline_refines_each_distinct_text_once(monkeypatch):
 def test_batch_offline_end_to_end(tmp_path):
     examples = tuple(make_example(i) for i in range(4))
     config = RefineConfig(offline=True, max_parallel=2)
-    outcome = refine_batch(examples, config)
-    assert outcome.failures == ()
-    for before, after in zip(examples, outcome.examples):
+    out, failures = refine_batch(examples, config)
+    assert failures == ()
+    for before, after in zip(examples, out):
         assert after.explanation_kind == "refined"
         assert after.explanation == strip_speaker_tags(before.explanation)
 
@@ -804,7 +804,7 @@ def test_refine_requests_a_text_shared_by_the_first_and_last_chunk_once(
     assert sorted(body["prompt"] for body in server.requests) == sorted(
         build_refine_prompt(make_config(server, tmp_path), text) for text in texts
     )
-    expected = refine_batch(examples, make_config(server, tmp_path, cache_dir="")).examples
+    expected, _ = refine_batch(examples, make_config(server, tmp_path, cache_dir=""))
     assert out_path.read_text(encoding="utf-8") == examples_to_jsonl(expected)
 
 
