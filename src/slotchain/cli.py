@@ -278,6 +278,9 @@ def _cmd_refine(args: argparse.Namespace) -> int:
     if args.cache_dir is not None:
         overrides["cache_dir"] = args.cache_dir
     config = load_refine_config(args.config, **overrides)
+    if config.cache_dir and not config.offline:
+        # Before any request: a directory that cannot be made would throw every answer away.
+        os.makedirs(config.cache_dir, exist_ok=True)
     failed = 0
 
     def lines() -> Iterator[str]:

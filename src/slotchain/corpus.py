@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -243,10 +243,8 @@ def filter_excluded_domains(corpus: Corpus, exclude_domains: set[str]) -> Corpus
         if annotated and annotated <= exclude_domains:
             continue
         new_turns = tuple(
-            TurnPair(
-                index=turn.index,
-                system_utterance=turn.system_utterance,
-                user_utterance=turn.user_utterance,
+            replace(
+                turn,
                 gold_state={
                     s: v
                     for s, v in turn.gold_state.items()
@@ -255,9 +253,7 @@ def filter_excluded_domains(corpus: Corpus, exclude_domains: set[str]) -> Corpus
             )
             for turn in dialogue.turns
         )
-        kept.append(
-            Dialogue(dialogue_id=dialogue.dialogue_id, turns=new_turns, split=dialogue.split)
-        )
+        kept.append(replace(dialogue, turns=new_turns))
     return Corpus(schema=corpus.schema, dialogues=tuple(kept))
 
 
@@ -483,8 +479,6 @@ def _sgd_state_turns(entry: dict, turns: list[dict], schema: Schema, where: str)
             frame_state = _object(frame.get("state"), f"{frame_where} state")
             slot_values = _object(frame_state.get("slot_values"), f"{frame_where} slot_values")
             for slot_id, variants in slot_values.items():
-                if slot_id not in schema.by_id:
-                    raise FormatError(f"{turn_where}: state names unknown slot {slot_id!r}")
                 if variants == []:  # no variant: the slot is unset
                     continue
                 value = variants[0] if isinstance(variants, list) else variants

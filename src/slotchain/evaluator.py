@@ -86,9 +86,7 @@ def index_predictions(
             and type(slot_id) is str and slot_id
             and type(text) is str and text and not text.isspace()
         ):
-            record = decode(PredictionRecord, data, where)
-            dialogue_id, turn, slot_id = record.dialogue_id, record.query_turn, record.slot_id
-            text = record.generated_text
+            decode(PredictionRecord, data, where)  # raises: words the row's fault
         key = (dialogue_id, turn, slot_id)
         turns = n_turns.get(dialogue_id)
         if turns is None:
@@ -230,6 +228,10 @@ class EvalReport:
             )
         if self.n_turns == 0 and self.overall_jga != 0.0:
             raise ValidationError(f"overall_jga must be 0 without turns, got {self.overall_jga}")
+        if self.n_turns == 0 and self.n_missing_predictions:
+            raise ValidationError(
+                f"n_missing_predictions must be 0 without turns, got {self.n_missing_predictions}"
+            )
         n_correct = _correct_turns(self.overall_jga, self.n_turns, "overall_jga")
         for axis in dict.fromkeys(b.axis for b in self.buckets):  # first-seen order
             rows = [(i, b) for i, b in enumerate(self.buckets) if b.axis == axis]

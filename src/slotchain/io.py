@@ -260,27 +260,20 @@ def _loader(form):
         def load_object(value):
             if type(value) is not dict:
                 return _WRONG
-            for entry in value.values():
+            for key, entry in value.items():
                 if type(entry) is not str:
                     # an entry is checked like a record field named by its key
-                    key = next(key for key, entry in value.items() if type(entry) is not str)
                     raise _Fault(f": field {key!r} must be a string")
             return value
         return load_object
     kind, item = form[0], _loader(form[1])
     if kind == "null":
         return lambda value: None if value is None else item(value)
-    exact = form[1] if form[1] in _SCALARS else None  # entries that fit as they are
     length = form[2]
 
     def load_array(value):
         if type(value) is not list or length is not None and len(value) != length:
             return _WRONG
-        for entry in value:
-            if type(entry) is not exact:
-                break
-        else:
-            return kind(value)
         decoded, misfit = [], False
         for entry in value:
             try:

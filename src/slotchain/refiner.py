@@ -74,6 +74,8 @@ class RefineConfig:
             raise ValidationError(f"backoff_base must be >= 0, got {self.backoff_base}")
         if not self.request_timeout > 0:
             raise ValidationError(f"request_timeout must be > 0, got {self.request_timeout}")
+        if "\0" in self.cache_dir:  # no path holds one
+            raise ValidationError(f"cache_dir must not hold a NUL, got {self.cache_dir!r}")
         if not self.offline:
             if not self.demonstrations:
                 raise ValidationError("demonstrations must be non-empty unless offline")
@@ -96,21 +98,20 @@ def load_refine_config(path: str | Path | None = None, **overrides) -> RefineCon
     return decode(RefineConfig, {**read_json(source, expect=dict), **overrides}, source)
 
 
+def request_body(config: RefineConfig, coarse: str) -> bytes:
+    """The JSON body of the completion request for ``coarse``."""
+    return json.dumps({
+        "model": config.model_name,
+        "prompt": build_refine_prompt(config, coarse),
+        "temperature": config.temperature,
+        "max_tokens": config.max_tokens,
+    }).encode("utf-8")
+
+
 def request_fingerprint(config: RefineConfig, coarse: str) -> str:
-    """Content hash of everything that determines the completion:
-    instruction, demonstrations, model name, and the coarse text."""
-    payload = json.dumps(
-        {
-            "instruction": config.instruction,
-            "demonstrations": [list(pair) for pair in config.demonstrations],
-            "model_name": config.model_name,
-            "coarse": coarse,
-        },
-        sort_keys=True,
-        ensure_ascii=False,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    """Content hash of the request body: of everything that determines
+    the completion, and of nothing that only says where or how to send it."""
+    return hashlib.sha256(request_body(config, coarse)).hexdigest()
 
 
 def build_refine_prompt(config: RefineConfig, coarse: str) -> str:
@@ -177,12 +178,7 @@ def _retry_after_s(status: int, headers) -> float:
 
 
 def _request_completion(config: RefineConfig, coarse: str, api_key: str) -> str:
-    body = json.dumps({
-        "model": config.model_name,
-        "prompt": build_refine_prompt(config, coarse),
-        "temperature": config.temperature,
-        "max_tokens": config.max_tokens,
-    }).encode("utf-8")
+    body = request_body(config, coarse)
     headers = {
         "Authorization": f"Bearer {api_key}",
         "Content-Type": "application/json",
@@ -296,19 +292,17 @@ def refine_batch(
             return exc
 
     if config.offline:
-        settled = [(coarse, work(coarse)) for coarse in distinct]
+        outcomes = list(map(work, distinct))
     else:
         # Here, not at the top: only an online batch needs a thread pool.
-        from concurrent.futures import ThreadPoolExecutor, as_completed
+        from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=config.max_parallel) as pool:
-            futures = {pool.submit(work, coarse): coarse for coarse in distinct}
-            for future in as_completed(futures):
-                if isinstance(future.result(), AuthError):
-                    pool.shutdown(cancel_futures=True)
-                    raise future.result()
-        settled = [(coarse, future.result()) for future, coarse in futures.items()]
-    for coarse, result in settled:
+            outcomes = list(pool.map(work, distinct))
+    for result in outcomes:
+        if isinstance(result, AuthError):
+            raise result
+    for coarse, result in zip(distinct, outcomes):
         # An error is kept as its message: its traceback would keep this batch alive.
         results[coarse] = result if isinstance(result, RefineResult) else str(result)
 

@@ -309,6 +309,36 @@ def test_ingest_legacy_woz_belief(capsys, tmp_path):
     assert parsed[0]["turns"][0]["state"] == {"restaurant-pricerange": "cheap"}
 
 
+def test_ingest_sgd_state_excludes_a_domain_the_schema_lacks(capsys, tmp_path):
+    def user_turn(utterance, slot_values):
+        return {"speaker": "USER", "utterance": utterance,
+                "frames": [{"state": {"slot_values": slot_values}}]}
+
+    raw = [
+        {"dialogue_id": "d1", "turns": [
+            user_turn("a hotel in the north", {"hotel-area": ["north"]}),
+            {"speaker": "SYSTEM", "utterance": "anything else?"},
+            user_turn("a hospital too", {"hotel-area": ["north"],
+                                         "hospital-department": ["cardiology"]})]},
+        {"dialogue_id": "d2", "turns": [
+            user_turn("the hospital", {"hospital-department": ["cardiology"]})]},
+    ]
+    source = tmp_path / "sgd_train.json"
+    source.write_text(json.dumps(raw), encoding="utf-8")
+    argv = ["ingest", "--input", str(source), "--schema", SCHEMA, "--style", "sgd_state"]
+    code, out, err = run(capsys, *argv, "--exclude-domains", "hospital")
+    assert code == 0, err
+    assert "train=1 dev=0 test=0" in err
+    [dialogue] = json.loads(out)
+    assert dialogue["dialogue_id"] == "d1"
+    assert [turn["state"] for turn in dialogue["turns"]] == [{"hotel-area": "north"}] * 2
+
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: {source}: dialogue 'd1' turn 2: unknown slot_id 'hospital-department'\n"
+
+
 def test_ingest_names_the_later_file_of_a_repeated_dialogue_id(tmp_path):
     raw = json.dumps([{"dialogue_idx": 1, "dialogue": [{"transcript": "hi"}]}])
     first, second = tmp_path / "a_train.json", tmp_path / "b_train.json"
@@ -654,6 +684,13 @@ MALFORMED_INPUTS = {
     "report overall_jga without turns": (
         ["report", "--report", "{file}"], report_with(buckets=[], n_turns=0, n_dialogues=0),
         "overall_jga must be 0 without turns, got 0.5",
+    ),
+    # a missing prediction is a (turn, slot) without a row
+    "report missing predictions without turns": (
+        ["report", "--report", "{file}"],
+        report_with(buckets=[], n_turns=0, n_dialogues=0, overall_jga=0.0,
+                    n_missing_predictions=20),
+        "n_missing_predictions must be 0 without turns, got 20",
     ),
     "report last range closed": (
         ["report", "--report", "{file}"],

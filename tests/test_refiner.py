@@ -591,8 +591,10 @@ def test_fingerprint_is_stable_and_input_sensitive(server, tmp_path):
         request_fingerprint(
             RefineConfig(**{**config.__dict__, "demonstrations": DEMOS + DEMOS}), COARSE
         ),
+        request_fingerprint(RefineConfig(**{**config.__dict__, "temperature": 0.9}), COARSE),
+        request_fingerprint(RefineConfig(**{**config.__dict__, "max_tokens": 16}), COARSE),
     ]
-    assert len({base, *variants}) == 5
+    assert len({base, *variants}) == 7
 
 
 def test_fingerprint_ignores_transport_settings(server, tmp_path):
@@ -773,10 +775,11 @@ def test_batch_offline_end_to_end(tmp_path):
 # the refine command, chunk by chunk
 
 
-def run_refine(server, tmp_path, examples, **settings):
+def run_refine(server, tmp_path, examples, *options, **settings):
     """``slotchain refine`` over ``examples`` against the mock server,
-    with no cache, one request at a time and no retry; returns the exit
-    code and the --out path."""
+    with no cache, one request at a time and no retry, unless
+    ``settings`` or the command-line ``options`` say otherwise; returns
+    the exit code and the --out path."""
     examples_path = tmp_path / "examples.jsonl"
     examples_path.write_text(examples_to_jsonl(examples), encoding="utf-8")
     config = dict(
@@ -789,7 +792,7 @@ def run_refine(server, tmp_path, examples, **settings):
     config_path.write_text(json.dumps(config), encoding="utf-8")
     out_path = tmp_path / "refined.jsonl"
     code = main(["refine", "--examples", str(examples_path), "--config", str(config_path),
-                 "--out", str(out_path)])
+                 "--out", str(out_path), *options])
     return code, out_path
 
 
@@ -844,6 +847,46 @@ def test_refine_warnings_keep_example_order_across_chunks(
     assert [row["explanation_kind"] for row in written] == [
         "coarse", "refined", "coarse", "coarse", "refined"
     ]
+
+
+def test_refine_cache_dir_option_overrides_the_config_and_serves_a_rerun(
+    server, tmp_path, api_key
+):
+    texts = [make_example(i).explanation for i in range(3)]
+    examples = tuple(with_explanation(make_example(i), texts[i % 3]) for i in range(5))
+    cache = tmp_path / "option_cache"
+    options = ("--cache-dir", str(cache))
+    code, out_path = run_refine(
+        server, tmp_path, examples, *options, cache_dir=str(tmp_path / "config_cache")
+    )
+    assert code == 0
+    assert server.n_requests == 3
+    config = load_refine_config(tmp_path / "config.json")
+    assert sorted(p.name for p in cache.iterdir()) == sorted(
+        request_fingerprint(config, text) for text in texts
+    )
+    assert not (tmp_path / "config_cache").exists()
+    first = out_path.read_bytes()
+    code, out_path = run_refine(
+        server, tmp_path, examples, *options, cache_dir=str(tmp_path / "config_cache")
+    )
+    assert code == 0
+    assert server.n_requests == 3
+    assert out_path.read_bytes() == first
+
+
+def test_refine_with_a_cache_dir_that_cannot_be_made_sends_nothing(
+    server, tmp_path, api_key, capsys
+):
+    cache = tmp_path / "cache"
+    cache.write_bytes(b"a regular file\n")
+    examples = tuple(make_example(i) for i in range(3))
+    code, out_path = run_refine(server, tmp_path, examples, cache_dir=str(cache))
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error: ") and "File exists" in err and str(cache) in err, err
+    assert server.n_requests == 0
+    assert not out_path.exists()
 
 
 def test_refine_warns_on_an_endpoint_without_a_scheme(server, tmp_path, api_key, capsys):
@@ -918,6 +961,8 @@ def test_config_validation_bounds():
         RefineConfig(offline=True, backoff_base=-1.0)
     with pytest.raises(ValidationError, match="request_timeout must be > 0, got 0"):
         RefineConfig(offline=True, request_timeout=0)
+    with pytest.raises(ValidationError, match=r"^cache_dir must not hold a NUL, got 'a\\x00b'$"):
+        RefineConfig(offline=True, cache_dir="a\0b")
 
 
 def test_online_config_requires_endpoint_model_and_demos():
