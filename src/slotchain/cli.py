@@ -58,8 +58,8 @@ from .normalize import DEFAULT_POLICY, NormalizationPolicy
 from .refiner import RefineConfig, load_refine_config, refine_batch
 
 # Lines that refine reads, refines and writes at a time. Each distinct
-# coarse text is still refined once per run (offline, once per worker
-# process), whichever chunk it is in.
+# coarse text is still refined once per run, whichever chunk it is in,
+# except in worker processes: there, once per chunk it is in.
 REFINE_CHUNK = 1000
 # Options that name files a subcommand reads; --out must name none of them.
 _INPUT_OPTIONS = (
@@ -192,10 +192,13 @@ def _cmd_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _chunks(items: Iterable, size: int) -> Iterator[tuple]:
-    iterator = iter(items)
-    while chunk := tuple(itertools.islice(iterator, size)):
-        yield chunk
+def _chunks(lines: Iterator[tuple[int, bytes]]) -> Iterator[Iterator[tuple[int, bytes]]]:
+    """``lines`` in chunks of REFINE_CHUNK, each drawn from ``lines`` only
+    as it is consumed (consume it before drawing the next): a chunk's raw
+    lines never sit beside its decoded examples, which would add about
+    1 MB to an online refine's peak RSS."""
+    for first in lines:
+        yield itertools.chain((first,), itertools.islice(lines, REFINE_CHUNK - 1))
 
 
 def _usable_cpus() -> int:
@@ -205,7 +208,7 @@ def _usable_cpus() -> int:
 
 
 def _refine_lines(
-    path: str, lines: Iterable[tuple[int, bytes]], config: RefineConfig, memo: dict
+    path: str, lines: Iterable[tuple[int, bytes]], config: RefineConfig, memo: dict | None = None
 ) -> tuple[str, tuple[tuple[str, str], ...]]:
     """Decode and refine ``lines``, numbered raw lines of the examples
     file ``path``: (the refined examples' JSONL, failures)."""
@@ -213,43 +216,30 @@ def _refine_lines(
     return examples_to_jsonl(examples), failures
 
 
-_WORKER_MEMO = {}  # what a worker process has refined; filled only in workers
-
-
-def _refine_lines_in_worker(path: str, lines: tuple, config: RefineConfig) -> tuple:
-    return _refine_lines(path, lines, config, _WORKER_MEMO)
-
-
 def _refined_chunks(path: str, config: RefineConfig) -> Iterator[tuple]:
     """_refine_lines of each chunk of REFINE_CHUNK lines of ``path``, in
     order. Offline, when there are two chunks or more and two usable CPUs
-    or more, the chunks are refined in worker processes, each with a memo
-    of its own; otherwise they are refined here as they are read, sharing
-    one memo, so each distinct text is refined once."""
-    lines = read_lines(path)
+    or more, the chunks are refined in worker processes, each chunk with
+    a memo of its own; otherwise they are refined here as they are read,
+    sharing one memo, so each distinct text is refined once."""
+    chunks = _chunks(read_lines(path))
     workers = min(config.max_parallel, _usable_cpus()) if config.offline else 1
     if workers >= 2:
-        chunks = _chunks(lines, REFINE_CHUNK)
-        head = tuple(itertools.islice(chunks, 2))
+        head = [tuple(chunk) for chunk in itertools.islice(chunks, 2)]
+        chunks = itertools.chain(head, chunks)
         if len(head) == 2:
-            yield from _refined_in_pool(path, config, workers, itertools.chain(head, chunks))
+            yield from _refined_in_pool(path, config, workers, chunks)
             return
-        lines = itertools.chain.from_iterable(head)
     memo = {}
-    # Each chunk is drawn from ``lines`` while read_examples decodes it,
-    # not gathered first as _chunks gathers it for a worker, so a chunk's
-    # raw lines never sit beside its decoded examples: through _chunks,
-    # the peak RSS of an online refine grows by about 1 MB.
-    for first in lines:
-        chunk = itertools.chain((first,), itertools.islice(lines, REFINE_CHUNK - 1))
+    for chunk in chunks:
         yield _refine_lines(path, chunk, config, memo)
 
 
 def _refined_in_pool(
-    path: str, config: RefineConfig, workers: int, chunks: Iterable[tuple]
+    path: str, config: RefineConfig, workers: int, chunks: Iterable[Iterable]
 ) -> Iterator[tuple]:
-    """_refine_lines of each of ``chunks`` in a pool of ``workers``
-    processes, at most two chunks per worker in flight, in order."""
+    """_refine_lines of each of ``chunks``, gathered at submit, in a pool
+    of ``workers`` processes, at most two chunks per worker in flight, in order."""
     # Here, not at the top: only an offline run of several chunks needs a pool.
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
@@ -260,7 +250,7 @@ def _refined_in_pool(
         for lines in chunks:
             if len(pending) == 2 * workers:
                 yield pending.popleft().result()
-            pending.append(pool.submit(_refine_lines_in_worker, path, lines, config))
+            pending.append(pool.submit(_refine_lines, path, tuple(lines), config))
         while pending:
             yield pending.popleft().result()
     except BrokenProcessPool as exc:

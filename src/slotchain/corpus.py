@@ -309,6 +309,7 @@ def _read_legacy(
     if style not in LEGACY_STYLES:
         raise FormatError(f"unknown legacy style {style!r}")
     id_keys, turns_key, read_turns = LEGACY_STYLES[style]
+    names = _slot_name_index(schema)
     dialogues: list[Dialogue] = []
     for k, entry in enumerate(_objects(read_json(path, expect=list), f"{path}: record")):
         dialogue_id = _dialogue_id(entry, id_keys, f"{path}: record {k}")
@@ -316,7 +317,7 @@ def _read_legacy(
         raw_turns = entry.get(turns_key)
         if not isinstance(raw_turns, list):
             raise FormatError(f"{where}: field {turns_key!r} missing or not an array")
-        turns = read_turns(entry, _objects(raw_turns, f"{where} turn"), schema, where)
+        turns = read_turns(entry, _objects(raw_turns, f"{where} turn"), names, where)
         dialogues.append(Dialogue(
             dialogue_id=dialogue_id,
             turns=tuple(TurnPair(i, *turn) for i, turn in enumerate(turns, start=1)),
@@ -377,36 +378,41 @@ def _dialogue_id(entry: dict, keys: tuple[str, ...], where: str) -> str:
     raise FormatError(f"{where}: no dialogue id field ({' or '.join(keys)})")
 
 
-def _slot_name_index(schema: Schema, domain: str | None = None) -> dict[str, str | None]:
-    """Map bare slot names (space/underscore tolerant) to slot ids.
+def _name_key(name: str) -> str:
+    """What a slot name is matched by: lower case, without spaces or
+    underscores, so "price range", "Price_Range" and "pricerange" meet."""
+    return name.lower().replace(" ", "").replace("_", "")
 
-    A name claimed by two slots maps to None so lookups can reject it as
-    ambiguous instead of silently picking one.
-    """
-    index: dict[str, str | None] = {}
+
+# Slot ids by (domain, name key) and by (None, name key), the key of a
+# name being its _name_key.
+_Names = dict[tuple[str | None, str], str | None]
+
+
+def _slot_name_index(schema: Schema) -> _Names:
+    """The _Names of ``schema``, built once per file. A key that two
+    slots share maps to None, so that a lookup rejects it as ambiguous
+    instead of silently picking one."""
+    index: _Names = {}
     for slot in schema.slots:
-        if domain is not None and slot.domain != domain:
-            continue
-        for key in {slot.name, slot.name.replace("_", " "), slot.name.replace(" ", "_"),
-                    slot.name.replace(" ", "")}:
-            key = key.lower()
-            if key in index and index[key] != slot.slot_id:
-                index[key] = None
-            else:
-                index[key] = slot.slot_id
+        for domain in (slot.domain, None):
+            key = (domain, _name_key(slot.name))
+            index[key] = None if key in index else slot.slot_id
     return index
 
 
-def _resolve_slot_name(
-    index: dict[str, str | None], raw_name: object, where: str
-) -> str:
-    key = str(raw_name).lower()
-    if key not in index:
-        raise FormatError(f"{where}: names unknown slot {raw_name!r}")
-    slot_id = index[key]
-    if slot_id is None:
-        raise FormatError(f"{where}: slot name {raw_name!r} is ambiguous in this schema")
-    return slot_id
+def _resolve_slot_name(names: _Names, raw_name: object, domain: str | None, where: str) -> str:
+    """The slot id that ``raw_name`` names in ``domain`` (None: in any
+    domain). A name the schema lacks is kept as ``<domain>-<name>``, or
+    as given when there is no domain, for load_corpus to reject unless
+    its domain is excluded."""
+    name = _string(raw_name, f"{where} slot name")
+    key = (domain, _name_key(name))
+    if key not in names:
+        return f"{domain}-{name}" if domain else name
+    if names[key] is None:
+        raise FormatError(f"{where}: slot name {name!r} is ambiguous in this schema")
+    return names[key]
 
 
 # What a turn reader yields: (system utterance, user utterance, state)
@@ -414,10 +420,9 @@ def _resolve_slot_name(
 _Turns = Iterator[tuple[str, str, dict[str, str]]]
 
 
-def _woz_belief_turns(entry: dict, turns: list[dict], schema: Schema, where: str) -> _Turns:
+def _woz_belief_turns(entry: dict, turns: list[dict], names: _Names, where: str) -> _Turns:
     """Wizard-of-oz belief annotations: per-turn cumulative belief lists
     of {"slots": [[name, value]], "act": ...}."""
-    name_index = _slot_name_index(schema)
     for j, raw_turn in enumerate(turns):
         turn_where = f"{where} turn {j}"
         state: dict[str, str] = {}
@@ -432,23 +437,23 @@ def _woz_belief_turns(entry: dict, turns: list[dict], schema: Schema, where: str
                 if not isinstance(pair, list) or len(pair) != 2:
                     raise FormatError(f"{turn_where}: malformed belief slot pair {pair!r}")
                 raw_name, value = pair
-                slot_id = _resolve_slot_name(name_index, raw_name, turn_where)
+                slot_id = _resolve_slot_name(names, raw_name, None, turn_where)
                 if value not in _UNSET:
                     state[slot_id] = _string(value, f"{turn_where} slots {raw_name!r}")
         system = _text(raw_turn, "system_transcript", turn_where)
         yield system, _text(raw_turn, "transcript", turn_where), state
 
 
-def _m2m_flat_turns(entry: dict, turns: list[dict], schema: Schema, where: str) -> _Turns:
+def _m2m_flat_turns(entry: dict, turns: list[dict], names: _Names, where: str) -> _Turns:
     """Simulated dialogues: per-turn cumulative dialogue_state lists of
     {"slot": ..., "value": ...}, slot names in the record's domain."""
-    name_index = _slot_name_index(schema, domain=entry.get("domain"))
+    domain = _text(entry, "domain", where) or None  # none: names of any domain
     for j, raw_turn in enumerate(turns):
         turn_where = f"{where} turn {j}"
         state: dict[str, str] = {}
         items = raw_turn.get("dialogue_state", [])
         for item in _objects(items, f"{turn_where} dialogue_state item"):
-            slot_id = _resolve_slot_name(name_index, item.get("slot"), turn_where)
+            slot_id = _resolve_slot_name(names, item.get("slot"), domain, turn_where)
             value = item.get("value")
             if value not in _UNSET:
                 state[slot_id] = _string(value, f"{turn_where} dialogue_state value")
@@ -458,7 +463,7 @@ def _m2m_flat_turns(entry: dict, turns: list[dict], schema: Schema, where: str) 
         yield _text(system, "text", system_where), _text(user, "text", user_where), state
 
 
-def _sgd_state_turns(entry: dict, turns: list[dict], schema: Schema, where: str) -> _Turns:
+def _sgd_state_turns(entry: dict, turns: list[dict], names: _Names, where: str) -> _Turns:
     """Schema-guided releases: each USER turn, with the SYSTEM utterance
     before it, carries frames with state.slot_values (first variant
     wins)."""
@@ -490,7 +495,8 @@ def _sgd_state_turns(entry: dict, turns: list[dict], schema: Schema, where: str)
 
 # Each legacy style: the record fields its dialogue id may be in, the
 # first present winning; the field of its turns; and its turn reader,
-# which reads a record's turn objects, naming the record ``where``.
+# which reads a record's turn objects against the schema's _Names,
+# naming the record ``where``.
 LEGACY_STYLES = {
     "woz_belief": (("dialogue_idx", "dialogue_id"), "dialogue", _woz_belief_turns),
     "m2m_flat": (("id", "dialogue_id"), "turns", _m2m_flat_turns),

@@ -309,6 +309,46 @@ def test_ingest_legacy_woz_belief(capsys, tmp_path):
     assert parsed[0]["turns"][0]["state"] == {"restaurant-pricerange": "cheap"}
 
 
+def test_ingest_woz_belief_matches_a_spaced_slot_name(capsys, tmp_path):
+    # WOZ 2.0's ontology spells woz20's restaurant-pricerange "price range".
+    raw = [{"dialogue_idx": 1, "dialogue": [{"transcript": "cheap please", "system_transcript": "",
+            "belief_state": [{"act": "inform", "slots": [["price range", "cheap"]]}]}]}]
+    source = tmp_path / "woz_train_en.json"
+    source.write_text(json.dumps(raw), encoding="utf-8")
+    code, out, err = run(
+        capsys, "ingest", "--input", str(source), "--schema", "woz20", "--style", "woz_belief"
+    )
+    assert (code, err) == (0, "ingested dialogues: train=1 dev=0 test=0 (total 1)\n")
+    assert json.loads(out)[0]["turns"][0]["state"] == {"restaurant-pricerange": "cheap"}
+
+
+def test_ingest_m2m_flat_excludes_a_domain_the_schema_lacks(capsys, tmp_path):
+    schema_path = tmp_path / "restaurant.json"
+    schema_path.write_text(json.dumps([
+        {"slot_id": "restaurant-num_people", "domain": "restaurant", "name": "num_people",
+         "description": "party size"},
+    ]), encoding="utf-8")
+
+    def record(dialogue_id, domain):
+        return {"id": dialogue_id, "domain": domain, "turns": [
+            {"user_utterance": {"text": "for two"},
+             "dialogue_state": [{"slot": "num_people", "value": "2"}]}]}
+
+    source = tmp_path / "sim_train.json"
+    source.write_text(json.dumps([record("r1", "restaurant"), record("m1", "movie")]),
+                      encoding="utf-8")
+    argv = ["ingest", "--input", str(source), "--schema", str(schema_path), "--style", "m2m_flat"]
+    code, out, err = run(capsys, *argv, "--exclude-domains", "movie")
+    assert (code, err) == (0, "ingested dialogues: train=1 dev=0 test=0 (total 1)\n")
+    [dialogue] = json.loads(out)
+    assert dialogue["dialogue_id"] == "r1"
+    assert dialogue["turns"][0]["state"] == {"restaurant-num_people": "2"}
+
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {source}: dialogue 'm1' turn 1: unknown slot_id 'movie-num_people'\n"
+
+
 def test_ingest_sgd_state_excludes_a_domain_the_schema_lacks(capsys, tmp_path):
     def user_turn(utterance, slot_values):
         return {"speaker": "USER", "utterance": utterance,
@@ -1365,6 +1405,20 @@ def test_refine_pool_warns_in_example_order(capsys, tmp_path, pools):
         assert err.endswith("4 example(s) left unrefined\n")
     assert pools == [2]
     assert outputs[2].read_bytes() == outputs[1].read_bytes()
+
+
+@pytest.mark.parametrize("n_lines, expected", [(2, []), (3, [2])])
+def test_refine_offline_of_one_chunk_starts_no_pool(
+    capsys, tmp_path, monkeypatch, pools, n_lines, expected
+):
+    examples_path = tmp_path / "examples.jsonl"
+    examples_path.write_text(examples_to_jsonl([make_example(i) for i in range(n_lines)]),
+                             encoding="utf-8")
+    inline = recording(monkeypatch, "refine_batch", refine_batch)
+    code, _, err = refine_offline(capsys, examples_path, tmp_path / "refined.jsonl", 2)
+    assert (code, err) == (0, "")
+    assert pools == expected
+    assert [len(chunk) for chunk in inline] == ([] if expected else [2])
 
 
 @pytest.mark.skipif(

@@ -432,8 +432,30 @@ def test_ingest_woz_unknown_slot_name(tmp_path):
     ]
     path = tmp_path / "woz_train_en.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
-    with pytest.raises(FormatError, match="unknown slot"):
+    # The reader keeps a name the schema lacks; load_corpus rejects it.
+    with pytest.raises(ValidationError) as caught:
         load_corpus([path], woz_schema(), style="woz_belief")
+    assert str(caught.value) == f"{path}: dialogue '3' turn 1: unknown slot_id 'parking'"
+
+
+@pytest.mark.parametrize("style", ["woz_belief", "m2m_flat"])
+def test_ingest_slot_names_match_without_case_spaces_or_underscores(tmp_path, style):
+    spellings = ["price range", "Price_Range", "PRICERANGE"]
+    if style == "woz_belief":
+        raw = [{"dialogue_idx": k, "dialogue": [{"transcript": "cheap please",
+                "belief_state": [{"act": "inform", "slots": [[name, "cheap"]]}]}]}
+               for k, name in enumerate(spellings)]
+    else:
+        raw = [{"id": str(k), "domain": "restaurant", "turns": [
+                {"user_utterance": {"text": "cheap please"},
+                 "dialogue_state": [{"slot": name, "value": "cheap"}]}]}
+               for k, name in enumerate(spellings)]
+    path = tmp_path / "legacy_train.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    corpus = load_corpus([path], woz_schema(), style=style)
+    assert [d.turns[0].gold_state for d in corpus.dialogues] == [
+        {"restaurant-pricerange": "cheap"}
+    ] * len(spellings)
 
 
 def m2m_schema() -> Schema:
@@ -621,12 +643,30 @@ LEGACY_FAULTS = {
             "dialogue_state": [{"slot": "date", "value": 3}]}]}],
         "dialogue 'r1' turn 0 dialogue_state value: expected a string",
     ),
-    # the slot names of the record's own domain only
+    # the slot names of the record's own domain only; another name is
+    # kept in the record's domain, for load_corpus to reject
     "m2m slot of another domain": (
         "m2m_flat", m2m_schema,
         [{"id": "r1", "domain": "movie", "turns": [{"user_utterance": {"text": "hi"},
             "dialogue_state": [{"slot": "num_people", "value": "2"}]}]}],
-        "dialogue 'r1' turn 0: names unknown slot 'num_people'",
+        "dialogue 'r1' turn 1: unknown slot_id 'movie-num_people'",
+    ),
+    "m2m slot name": (
+        "m2m_flat", m2m_schema,
+        [{"id": "r1", "domain": "movie", "turns": [{"user_utterance": {"text": "hi"},
+            "dialogue_state": [{"value": "2"}]}]}],
+        "dialogue 'r1' turn 0 slot name: expected a string",
+    ),
+    "m2m domain": (
+        "m2m_flat", m2m_schema,
+        [{"id": "r1", "domain": ["movie"], "turns": []}],
+        "dialogue 'r1' domain: expected a string",
+    ),
+    "woz slot name": (
+        "woz_belief", woz_schema,
+        [{"dialogue_idx": 1, "dialogue": [
+            {"transcript": "hi", "belief_state": [{"slots": [[3, "north"]]}]}]}],
+        "dialogue '1' turn 0 slot name: expected a string",
     ),
     "sgd turns missing": (
         "sgd_state", sgd_like_schema, [{"dialogue_id": "s1"}],
@@ -748,7 +788,7 @@ LEGACY_FAULTS = {
 
 # A slot id the schema lacks is found by load_corpus, after exclusion,
 # as in canonical input, not by the legacy reader.
-LOAD_CORPUS_FAULTS = {"sgd unknown slot"}
+LOAD_CORPUS_FAULTS = {"sgd unknown slot", "m2m slot of another domain"}
 
 
 @pytest.mark.parametrize("case", sorted(LEGACY_FAULTS))
