@@ -156,20 +156,6 @@ def build_coarse_explanation(dialogue: Dialogue, change_turns: Sequence[int]) ->
     return " ".join(pairs)
 
 
-def render_target(value: str, explanation: str = "") -> str:
-    """Value alone, or value + " | " + explanation. Parsing splits at
-    the first separator, so the value itself must not contain one."""
-    if not value:
-        raise ValidationError("target value must be non-empty (use the \"none\" sentinel)")
-    if TARGET_SEPARATOR in value:
-        raise ValidationError(
-            f"target value {value!r} contains the separator {TARGET_SEPARATOR!r}"
-        )
-    if not explanation:
-        return value
-    return f"{value}{TARGET_SEPARATOR}{explanation}"
-
-
 def parse_generation(text: str) -> tuple[str, str]:
     """(value, explanation) from a model generation. No separator means
     a value-only generation; everything after the first separator is the

@@ -319,7 +319,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     # Indexed against the whole corpus first, so that a row naming a
     # dialogue of another split is still checked, though never scored.
     report = fine_grained_report(corpus.only(args.split), predictions, policy=policy, specs=specs)
-    _emit(render_report(report, args.format), args.out)
+    _emit(render_report(report, "json"), args.out)
     if report.n_missing_predictions:
         print(
             f"{report.n_missing_predictions} missing predictions defaulted to none",
@@ -417,7 +417,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=[],
         help="bucket spec files or bundled names (step, mwz_turn, ...)",
     )
-    p.add_argument("--format", choices=("json", "markdown", "csv"), default="json")
     p.add_argument("--split", choices=SPLITS)
 
     p = sub.add_parser("report", parents=[common], help="re-render a saved JSON report")

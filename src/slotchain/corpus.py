@@ -285,13 +285,16 @@ def corpus_json_lines(corpus: Corpus) -> Iterator[str]:
 
 def infer_split(path: str | Path) -> str | None:
     """The split a file's name gives, or None: the first of dev, test
-    and train that a whole word of the stem names. Words are split at
+    and train that a whole word of the stem names, or else the whole name
+    of its directory (MultiWOZ 2.2's ``train/``). Words are split at
     non-letters and where a lower-case letter meets an upper-case one."""
-    words = {w.lower() for w in re.split(r"[^A-Za-z]+|(?<=[a-z])(?=[A-Z])", Path(path).stem)}
-    for split, names in (("dev", {"validate", "validation", "valid", "dev", "val"}),
-                         ("test", {"test"}), ("train", {"train"})):
-        if words & names:
-            return split
+    path = Path(path)
+    words = {w.lower() for w in re.split(r"[^A-Za-z]+|(?<=[a-z])(?=[A-Z])", path.stem)}
+    for given in (words, {path.parent.name.lower()}):
+        for split, names in (("dev", {"validate", "validation", "valid", "dev", "val"}),
+                             ("test", {"test"}), ("train", {"train"})):
+            if given & names:
+                return split
     return None
 
 

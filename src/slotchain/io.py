@@ -96,11 +96,6 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, str, object]]:
     return parse_jsonl(path, read_lines(path))
 
 
-def write_text(path: str | Path, text: str) -> None:
-    """Write ``text`` as UTF-8 through ``write_lines``."""
-    write_lines(path, (text,))
-
-
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     """Write each string of ``lines`` as UTF-8, in order, as it comes, so
     that readers see the old file or the whole new one, never a part: a

@@ -71,11 +71,6 @@ def normalize_value(raw: str, policy: NormalizationPolicy = DEFAULT_POLICY) -> s
     return s
 
 
-def similarity_ratio(a: str, b: str) -> float:
-    """Edit similarity in [0, 1] between two already-normalized values."""
-    return SequenceMatcher(None, a, b).ratio()
-
-
 def values_match(
     predicted: str,
     gold: str,
@@ -96,4 +91,4 @@ def values_match(
         return False
     if p in (NONE_VALUE, DONTCARE_VALUE) or g in (NONE_VALUE, DONTCARE_VALUE):
         return False
-    return similarity_ratio(p, g) >= policy.fuzzy_ratio_threshold
+    return SequenceMatcher(None, p, g).ratio() >= policy.fuzzy_ratio_threshold

@@ -23,7 +23,6 @@ import hashlib
 import json
 import os
 import random
-import re
 import threading
 import time
 from dataclasses import dataclass
@@ -33,7 +32,7 @@ from typing import Iterable
 from . import __version__
 from .builder import CoTExample
 from .errors import AuthError, NetworkError, ValidationError
-from .io import bundled, decode, http_post, read_json, write_text
+from .io import bundled, decode, http_post, read_json, write_lines
 
 DEFAULT_API_KEY_ENV_VAR = "COTE_API_KEY"
 DEFAULT_INSTRUCTION = (
@@ -44,7 +43,6 @@ DEFAULT_INSTRUCTION = (
 _RETRYABLE_STATUSES = {408, 429, 500, 502, 503, 504}
 # Draws each retry's backoff (full jitter); tests replace it to fix the draws.
 _JITTER = random.Random()
-_TAG_RE = re.compile(r"(?:system|user):\s*")
 
 
 @dataclass(frozen=True)
@@ -123,9 +121,9 @@ def build_refine_prompt(config: RefineConfig, coarse: str) -> str:
 
 
 def strip_speaker_tags(coarse: str) -> str:
-    """Deterministic offline stand-in for the remote paraphrase: delete
-    the "system:" / "user:" tags and tidy the whitespace."""
-    return " ".join(_TAG_RE.sub("", coarse).split())
+    """Deterministic offline stand-in for the remote paraphrase: the words
+    of the text that are not the tag "system:" or "user:", single-spaced."""
+    return " ".join(word for word in coarse.split() if word not in ("system:", "user:"))
 
 
 def _cache_path(config: RefineConfig, fingerprint: str) -> Path | None:
@@ -153,7 +151,7 @@ def _cache_write(config: RefineConfig, fingerprint: str, refined: str) -> None:
     if path is None:
         return
     path.parent.mkdir(parents=True, exist_ok=True)
-    write_text(path, refined)
+    write_lines(path, (refined,))
 
 
 def _extract_completion_text(data: object) -> str | None:

@@ -7,7 +7,9 @@ and obvious.
 
 from __future__ import annotations
 
-from slotchain.builder import parse_generation
+from difflib import SequenceMatcher
+
+from slotchain.builder import TARGET_SEPARATOR, parse_generation
 from slotchain.corpus import Corpus, Dialogue
 from slotchain.errors import ValidationError
 from slotchain.evaluator import PredictionRecord
@@ -17,10 +19,24 @@ from slotchain.normalize import (
     NONE_VALUE,
     NormalizationPolicy,
     normalize_value,
-    similarity_ratio,
 )
 
 _SENTINELS = {NONE_VALUE, DONTCARE_VALUE}
+
+
+def render_target(value: str, explanation: str = "") -> str:
+    """The target text that parse_generation reads back as (value,
+    explanation): the value alone, or value + " | " + explanation.
+    Parsing splits at the first separator, so the value must not hold one."""
+    if not value:
+        raise ValidationError("target value must be non-empty (use the \"none\" sentinel)")
+    if TARGET_SEPARATOR in value:
+        raise ValidationError(
+            f"target value {value!r} contains the separator {TARGET_SEPARATOR!r}"
+        )
+    if not explanation:
+        return value
+    return f"{value}{TARGET_SEPARATOR}{explanation}"
 
 
 def _matches(predicted: str, gold: str, policy: NormalizationPolicy, categorical: bool) -> bool:
@@ -34,7 +50,7 @@ def _matches(predicted: str, gold: str, policy: NormalizationPolicy, categorical
         and p not in _SENTINELS
         and g not in _SENTINELS
     ):
-        return similarity_ratio(p, g) >= policy.fuzzy_ratio_threshold
+        return SequenceMatcher(None, p, g).ratio() >= policy.fuzzy_ratio_threshold
     return False
 
 

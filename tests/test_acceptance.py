@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from slotchain.builder import parse_generation, render_target
+from slotchain.builder import parse_generation
 from slotchain.chains import step_histogram
 from slotchain.corpus import (
     SPLITS,
@@ -28,7 +28,6 @@ from slotchain.corpus import (
     Dialogue,
     Schema,
     TurnPair,
-    filter_excluded_domains,
     load_corpus,
     load_schema,
 )
@@ -48,6 +47,7 @@ from oracles import (
     oracle_jga,
     oracle_multi_step_fraction,
     oracle_step_histogram,
+    render_target,
 )
 from test_chains import chain_at
 from test_corpus import load_sgd_schema
@@ -141,31 +141,12 @@ def _m2m_split_counts(root: Path) -> dict[str, int]:
     return counts
 
 
-def merge_corpora(corpora: list[Corpus]) -> Corpus:
-    """Concatenate corpora read against one schema; ids must not collide."""
-    merged = Corpus(corpora[0].schema, tuple(d for c in corpora for d in c.dialogues))
-    seen: set[str] = set()
-    for dialogue in merged.dialogues:
-        if dialogue.dialogue_id in seen:
-            raise ValidationError(f"duplicate dialogue_id {dialogue.dialogue_id!r}")
-        seen.add(dialogue.dialogue_id)
-    return merged
-
-
 def _ingest_mwz22(root: Path):
-    """MultiWOZ 2.2 in SGD layout; each split directory is read with its
-    split, then the three corpora are merged."""
+    """MultiWOZ 2.2 in SGD layout, one directory per split, each file
+    taking its split from its directory."""
+    paths = [path for split in SPLITS for path in sorted((root / split).glob("dialogues_*.json"))]
     schema = load_sgd_schema(root / "schema.json")
-    parts = [
-        load_corpus(
-            sorted((root / split).glob("dialogues_*.json")),
-            schema,
-            style="sgd_state",
-            split=split,
-        )
-        for split in SPLITS
-    ]
-    return filter_excluded_domains(merge_corpora(parts), {"police", "hospital"})
+    return load_corpus(paths, schema, {"police", "hospital"}, style="sgd_state")
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from gen import corpus_to_json, make_corpus
-from oracles import oracle_chain
+from oracles import oracle_chain, render_target
 from test_chains import chain_at
 from slotchain.builder import (
     CoTExample,
@@ -26,7 +26,6 @@ from slotchain.builder import (
     read_examples,
     render_histories,
     render_prompt,
-    render_target,
     slot_prompt,
     slot_prompts,
 )

@@ -83,6 +83,9 @@ def test_unknown_flag_is_a_usage_error(capsys):
     ["refine", "--examples", PREDICTIONS, "--offline", "--verbose"],
     ["eval", "--corpus", DIALOGUES, "--schema", SCHEMA, "--predictions", PREDICTIONS,
      "--exclude-domains", "hotel"],
+    # eval writes the JSON report; report alone renders it as a table
+    ["eval", "--corpus", DIALOGUES, "--schema", SCHEMA, "--predictions", PREDICTIONS,
+     "--format", "markdown"],
 ])
 def test_removed_flags_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -377,6 +380,28 @@ def test_ingest_sgd_state_excludes_a_domain_the_schema_lacks(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err == f"error: {source}: dialogue 'd1' turn 2: unknown slot_id 'hospital-department'\n"
+
+
+def test_ingest_takes_the_split_from_multiwoz22_split_directories(capsys, tmp_path):
+    # MultiWOZ 2.2 names every file dialogues_NNN.json, in train/, dev/ and
+    # test/: one ingest reads them all, each with its directory's split.
+    inputs = []
+    for split in ("train", "dev"):
+        (tmp_path / "mwz" / split).mkdir(parents=True)
+        source = tmp_path / "mwz" / split / "dialogues_001.json"
+        source.write_text(json.dumps([{"dialogue_id": f"{split}-1", "turns": [
+            {"speaker": "USER", "utterance": "in the north",
+             "frames": [{"state": {"slot_values": {"hotel-area": ["north"]}}}]},
+        ]}]), encoding="utf-8")
+        inputs.append(str(source))
+    code, out, err = run(
+        capsys, "ingest", "--style", "sgd_state", "--schema", SCHEMA, "--input", *inputs
+    )
+    assert code == 0, err
+    assert "train=1 dev=1 test=0" in err
+    assert {d["dialogue_id"]: d["split"] for d in json.loads(out)} == {
+        "train-1": "train", "dev-1": "dev",
+    }
 
 
 def test_ingest_names_the_later_file_of_a_repeated_dialogue_id(tmp_path):
@@ -1334,6 +1359,16 @@ def test_refine_malformed_last_line_keeps_the_old_out_file(capsys, tmp_path, mon
     assert sorted(p.name for p in tmp_path.iterdir()) == ["examples.jsonl", "refined.jsonl"]
 
 
+def test_refine_offline_drops_only_whole_tag_words(capsys, tmp_path):
+    examples_path = tmp_path / "examples.jsonl"
+    coarse = "system: is the ecosystem: fine? user: log in as user:admin"
+    examples_path.write_text(examples_to_jsonl((with_explanation(make_example(0), coarse),)),
+                             encoding="utf-8")
+    code, out, err = run(capsys, "refine", "--examples", str(examples_path), "--offline")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["explanation"] == "is the ecosystem: fine? log in as user:admin"
+
+
 # ---------------------------------------------------------------------------
 # offline refine across worker processes
 
@@ -1469,6 +1504,52 @@ def test_refine_workers_are_capped_at_usable_cpus(
     assert len(inline) == (0 if expected else 18)
 
 
+# A child Python that refines in chunks of 2 lines, with two usable CPUs,
+# under the start method argv[1], and prints the max_workers of each
+# process pool that refine starts: argv[2:] is refine's argv.
+POOL_UNDER_START_METHOD = """\
+import concurrent.futures, multiprocessing, os, sys
+import slotchain.cli as cli
+
+multiprocessing.set_start_method(sys.argv[1])
+cli.REFINE_CHUNK = 2
+os.sched_getaffinity = lambda pid: {0, 1}
+sizes = []
+
+class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+    def __init__(self, max_workers=None, **options):
+        sizes.append(max_workers)
+        super().__init__(max_workers, **options)
+
+concurrent.futures.ProcessPoolExecutor = RecordingPool
+code = cli.main(sys.argv[2:])
+print(sizes)
+sys.exit(code)
+"""
+
+
+@pytest.mark.parametrize("method", ["spawn", "forkserver"])
+def test_refine_pool_under_start_method_writes_the_bytes_of_one_worker(tmp_path, method):
+    # The other pool tests fork; macOS spawns, and Python 3.14 on Linux
+    # uses forkserver. A worker there imports slotchain afresh.
+    if method not in multiprocessing.get_all_start_methods():
+        pytest.skip(f"no {method} start method on this platform")
+    examples_path = tmp_path / "examples.jsonl"
+    examples_path.write_text("".join(json.dumps(row) + "\n" for row in FIXTURE_EXAMPLES),
+                             encoding="utf-8")
+    outputs = {}
+    for workers, pools in ((2, [2]), (1, [])):
+        outputs[workers] = tmp_path / f"refined{workers}.jsonl"
+        result = subprocess.run(
+            [sys.executable, "-c", POOL_UNDER_START_METHOD, method, "refine", "--examples",
+             str(examples_path), "--offline", "--max-parallel", str(workers),
+             "--out", str(outputs[workers])],
+            capture_output=True, text=True, check=False,
+        )
+        assert (result.returncode, result.stderr, result.stdout) == (0, "", f"{pools}\n")
+    assert outputs[2].read_bytes() == outputs[1].read_bytes()
+
+
 def test_refine_offline_child_process_pool_matches_one_worker(capsys, tmp_path):
     # The benchmark's path: the CLI as its own process, nothing monkeypatched,
     # on a file of more than one REFINE_CHUNK.
@@ -1585,20 +1666,20 @@ def test_eval_rejects_two_bucket_specs_on_one_axis(capsys):
     )
 
 
-def test_eval_markdown_and_csv_formats(capsys):
-    code, markdown, _ = run(
+def test_eval_markdown_and_csv_formats(capsys, tmp_path):
+    # eval writes the JSON report; report renders it as a table.
+    report_path = tmp_path / "report.json"
+    code, _, _ = run(
         capsys, "eval", "--corpus", DIALOGUES, "--schema", SCHEMA,
         "--predictions", PREDICTIONS, "--split", "test",
-        "--buckets", "step", "--format", "markdown",
+        "--buckets", "step", "--out", str(report_path),
     )
+    assert code == 0
+    code, markdown, _ = run(capsys, "report", "--report", str(report_path), "--format", "markdown")
     assert code == 0
     assert "overall JGA: 0.6667" in markdown
     assert "| 1 | 6 | 0.6667 |" in markdown
-    code, csv_text, _ = run(
-        capsys, "eval", "--corpus", DIALOGUES, "--schema", SCHEMA,
-        "--predictions", PREDICTIONS, "--split", "test",
-        "--buckets", "step", "--format", "csv",
-    )
+    code, csv_text, _ = run(capsys, "report", "--report", str(report_path), "--format", "csv")
     assert code == 0
     lines = csv_text.strip().splitlines()
     assert lines[0] == "axis,bucket,n_turns,jga"
@@ -1703,27 +1784,6 @@ def test_steps_come_from_the_gold_annotation_whatever_the_policy(capsys, tmp_pat
     assert code == 0
     steps = {b["label"]: b["n_turns"] for b in json.loads(out)["buckets"]}
     assert steps == {"0": 0, "1": 2, "2": 0, "3+": 0}
-
-
-def test_report_rerenders_saved_json(capsys, tmp_path):
-    report_path = tmp_path / "report.json"
-    code, _, _ = run(
-        capsys, "eval", "--corpus", DIALOGUES, "--schema", SCHEMA,
-        "--predictions", PREDICTIONS, "--split", "test",
-        "--buckets", "step", "--out", str(report_path),
-    )
-    assert code == 0
-    code, markdown_direct, _ = run(
-        capsys, "eval", "--corpus", DIALOGUES, "--schema", SCHEMA,
-        "--predictions", PREDICTIONS, "--split", "test",
-        "--buckets", "step", "--format", "markdown",
-    )
-    assert code == 0
-    code, markdown_rerendered, _ = run(
-        capsys, "report", "--report", str(report_path), "--format", "markdown"
-    )
-    assert code == 0
-    assert markdown_rerendered == markdown_direct
 
 
 def test_report_rejects_malformed_file(capsys, tmp_path):

@@ -349,6 +349,12 @@ def test_validate_schema_rejects_values_colliding_after_normalization():
         ("sgdDevSet.json", "dev"),
         ("validation.json", "dev"),
         ("contestants.json", None),
+        # a stem that names no split takes its directory's whole name
+        ("mwz/train/dialogues_001.json", "train"),
+        ("mwz/Dev/dialogues_001.json", "dev"),
+        ("test/train_x.json", "train"),
+        ("data/dialogues_001.json", None),
+        ("test_logs/dialogues_001.json", None),
     ],
 )
 def test_infer_split(filename, expected):

@@ -46,7 +46,6 @@ from slotchain.io import (
     read_json,
     read_jsonl,
     write_lines,
-    write_text,
 )
 from slotchain.normalize import NONE_VALUE, NormalizationPolicy
 from slotchain.refiner import RefineConfig, load_refine_config
@@ -641,7 +640,7 @@ def test_write_text_replaces_the_file_behind_a_symlink(tmp_path):
     target.write_text("old", encoding="utf-8")
     link = tmp_path / "link.txt"
     link.symlink_to(target.name)
-    write_text(link, "new é")
+    write_lines(link, ("new é",))
     assert link.is_symlink()
     assert target.read_bytes() == "new é".encode("utf-8")
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "target.txt"]
@@ -655,7 +654,7 @@ def test_write_text_writes_a_fifo_in_place(tmp_path):
         target=lambda: received.append(fifo.read_text(encoding="utf-8")), daemon=True
     )
     reader.start()
-    write_text(fifo, "through the pipe")
+    write_lines(fifo, ("through the pipe",))
     reader.join(timeout=10)
     assert not reader.is_alive()
     assert received == ["through the pipe"]
@@ -760,8 +759,8 @@ def test_io_check_flags_each_forbidden_form():
         "path.open()",
         "os.fdopen(3)",
         "path.write_text('x')",
-        "from .io import write_text",
-        "write_text('x', 'y')",
+        "from .io import write_lines",
+        "write_lines('x', ['y'])",
     ])
     flagged = {int(item.split(":")[0].split()[1]) for item in io_outside_the_layer(source)}
     assert flagged == set(range(1, 10))

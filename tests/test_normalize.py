@@ -17,7 +17,6 @@ from slotchain.normalize import (
     NONE_VALUE,
     NormalizationPolicy,
     normalize_value,
-    similarity_ratio,
     values_match,
 )
 
@@ -89,11 +88,6 @@ def test_values_match_fuzzy_never_applies_to_sentinels():
     fuzzy = NormalizationPolicy(fuzzy_ratio_threshold=0.5)
     assert not values_match("none", "nine", fuzzy, categorical=False)
     assert not values_match("dontcare", "dont ca", fuzzy, categorical=False)
-
-
-def test_similarity_ratio_bounds():
-    assert similarity_ratio("abc", "abc") == 1.0
-    assert 0.0 <= similarity_ratio("abc", "xyz") <= 1.0
 
 
 def test_policy_round_trip():

@@ -233,6 +233,9 @@ def test_strip_speaker_tags_examples():
     assert strip_speaker_tags(COARSE) == "The York is 5-star. Book it."
     assert strip_speaker_tags("user: hello") == "hello"
     assert strip_speaker_tags("no tags here") == "no tags here"
+    # only whole words are tags
+    coarse = "system: is the ecosystem: fine? user: log in as user:admin"
+    assert strip_speaker_tags(coarse) == "is the ecosystem: fine? log in as user:admin"
 
 
 def test_refine_one_rejects_empty_coarse():
