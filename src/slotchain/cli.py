@@ -1,13 +1,13 @@
 """Command-line pipeline over the library.
 
 One binary with subcommands: ingest, validate, stats, build, refine,
-sample, eval, report. Data goes to --out or standard output; everything
-else (summaries, warnings, errors) goes to standard error. Exit codes:
-0 success, 1 data or validation error (input that is not UTF-8
-included), 2 usage error, 3 a refine run that finished with some items
-unrefined. No subcommand rewrites its input files: an --out naming one
-is an error. --out is written atomically, so an interrupted run leaves
-the old file whole. ingest and sample write one dialogue at a time,
+sample, eval, report. Data goes to --out or standard output, as UTF-8;
+everything else (summaries, warnings, errors) goes to standard error.
+Exit codes: 0 success, 1 data or validation error (input that is not
+UTF-8 included), 2 usage error, 3 a refine run that finished with some
+items unrefined. No subcommand rewrites its input files: an --out naming
+one is an error. --out is written atomically, so an interrupted run
+leaves the old file whole. ingest and sample write one dialogue at a time,
 build one dialogue's examples at a time and refine one chunk of
 REFINE_CHUNK lines at a time, so none holds the whole output. An offline
 refine of more than one chunk refines its chunks in a pool of
@@ -68,17 +68,6 @@ _INPUT_OPTIONS = (
 )
 
 
-def _emit(lines: str | Iterable[str], out: str | None) -> None:
-    """Write ``lines`` (one string, or strings as they are produced) to
-    ``out`` atomically, or else to standard output as they come."""
-    if isinstance(lines, str):
-        lines = (lines,)
-    if out:
-        write_lines(out, lines)
-    else:
-        sys.stdout.writelines(lines)
-
-
 def _check_out_is_not_an_input(args: argparse.Namespace) -> None:
     if not args.out or not os.path.isfile(args.out):
         return
@@ -131,7 +120,7 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     corpus = load_corpus(args.input, schema, exclude, args.style, args.split)
     counts = corpus.split_counts()
     summary = " ".join(f"{split}={counts.get(split, 0)}" for split in SPLITS)
-    _emit(corpus_json_lines(corpus), args.out)
+    write_lines(args.out, corpus_json_lines(corpus))
     print(
         f"ingested dialogues: {summary} (total {sum(counts.values())})",
         file=sys.stderr,
@@ -148,7 +137,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         "splits": {split: counts[split] for split in sorted(counts)},
         "slots": len(corpus.schema.slots),
     }
-    _emit(json_text(summary), args.out)
+    write_lines(args.out, json_text(summary))
     print("corpus is valid", file=sys.stderr)
     return 0
 
@@ -165,7 +154,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             "total_active": total,
             "multi_step_fraction": multi_step_fraction,
         }
-        _emit(json_text(payload), args.out)
+        write_lines(args.out, json_text(payload))
         return 0
     lines = [f"{'step':<6}{'samples':>9}{'share':>9}"]
     for steps, count in counts.items():  # a count is there only when total > 0
@@ -173,7 +162,7 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     lines.append("")
     lines.append(f"total active samples: {total}")
     lines.append(f"multi-step share (step >= 2): {multi_step_fraction:.2%}")
-    _emit("\n".join(lines) + "\n", args.out)
+    write_lines(args.out, "\n".join(lines) + "\n")
     return 0
 
 
@@ -188,7 +177,8 @@ def _cmd_build(args: argparse.Namespace) -> int:
         "include_explanations": not args.no_explanations,
         "include_inactive": args.include_inactive,
     }
-    _emit((examples_to_jsonl(build_dataset(d, prompts, **options)) for d in dialogues), args.out)
+    examples = (examples_to_jsonl(build_dataset(d, prompts, **options)) for d in dialogues)
+    write_lines(args.out, examples)
     return 0
 
 
@@ -281,7 +271,7 @@ def _cmd_refine(args: argparse.Namespace) -> int:
             failed += len(failures)
             yield text
 
-    _emit(lines(), args.out)
+    write_lines(args.out, lines())
     if failed:
         print(f"{failed} example(s) left unrefined", file=sys.stderr)
         return 3
@@ -292,7 +282,7 @@ def _cmd_sample(args: argparse.Namespace) -> int:
     corpus = _load_corpus_arg(args)
     sampled = low_resource_sample(corpus, args.fraction, seed=args.seed)
     kept = sampled.split_counts().get("train", 0)
-    _emit(corpus_json_lines(sampled), args.out)
+    write_lines(args.out, corpus_json_lines(sampled))
     print(
         f"kept {kept} of {corpus.split_counts().get('train', 0)} train dialogues "
         f"(fraction {args.fraction}, seed {args.seed})",
@@ -319,7 +309,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     # Indexed against the whole corpus first, so that a row naming a
     # dialogue of another split is still checked, though never scored.
     report = fine_grained_report(corpus.only(args.split), predictions, policy=policy, specs=specs)
-    _emit(render_report(report, "json"), args.out)
+    write_lines(args.out, render_report(report, "json"))
     if report.n_missing_predictions:
         print(
             f"{report.n_missing_predictions} missing predictions defaulted to none",
@@ -330,7 +320,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     report = read_report(args.report)
-    _emit(render_report(report, args.format), args.out)
+    write_lines(args.out, render_report(report, args.format))
     return 0
 
 

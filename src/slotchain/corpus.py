@@ -93,14 +93,14 @@ class TurnPair:
 
 @dataclass(frozen=True)
 class Dialogue:
-    """A non-empty id, a known split and at least one turn. Each turn's
-    index is its position, its user utterance is non-empty, its system
-    utterance is empty on the first turn only, and no state value is
-    empty. Whether the state's slots exist is the schema's to say."""
+    """A non-empty id, a known split and at least one turn, in a file's
+    key order. Each turn's index is its position, its user utterance is
+    non-empty, its system utterance is empty on the first turn only, and
+    no state value is empty. Whether the slots exist is the schema's to say."""
 
     dialogue_id: str
-    turns: tuple[TurnPair, ...]
     split: str
+    turns: tuple[TurnPair, ...]
 
     def __post_init__(self) -> None:
         if not self.dialogue_id:
@@ -259,22 +259,17 @@ def filter_excluded_domains(corpus: Corpus, exclude_domains: set[str]) -> Corpus
 
 def corpus_json_lines(corpus: Corpus) -> Iterator[str]:
     """The canonical dialogue-file text for a corpus, one dialogue at a
-    time: together, the bytes of ``json.dumps(records,
-    ensure_ascii=False, indent=2)`` and a newline. Each record is dumped
-    on its own and indented two more spaces (a JSON string holds no raw
-    newline).
+    time: together, the bytes of ``json.dumps([encode(d) for d in
+    dialogues], ensure_ascii=False, indent=2)`` and a newline. Each
+    record is dumped on its own and indented two more spaces (a JSON
+    string holds no raw newline).
 
     State keys are sorted so repeated renders are byte-stable. The schema
     is not embedded.
     """
     opening = "[\n  "
     for dialogue in corpus.dialogues:
-        record = {
-            "dialogue_id": dialogue.dialogue_id,
-            "split": dialogue.split,
-            "turns": [encode(turn) for turn in dialogue.turns],
-        }
-        yield opening + json_text(record).removesuffix("\n").replace("\n", "\n  ")
+        yield opening + json_text(encode(dialogue)).removesuffix("\n").replace("\n", "\n  ")
         opening = ",\n  "
     yield "\n]\n" if corpus.dialogues else "[]\n"
 

@@ -15,6 +15,7 @@ import io
 import math
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Sequence
 
@@ -338,7 +339,9 @@ def fine_grained_report(
 def low_resource_sample(corpus: Corpus, fraction: float, seed: int) -> Corpus:
     """Keep ⌈fraction × train dialogues⌉ whole train dialogues, chosen by
     seeded shuffle of the sorted dialogue ids; dev and test untouched.
-    Pure function of (corpus, fraction, seed)."""
+    The product is exact, of the fraction's shortest decimal form: 0.07 of
+    100 is 7, where the float product rounds up to 8. Pure function of
+    (corpus, fraction, seed)."""
     if not 0.0 < fraction <= 1.0:
         raise ValidationError(f"fraction must be in (0, 1], got {fraction}")
     train_ids = sorted(d.dialogue_id for d in corpus.only("train").dialogues)
@@ -346,7 +349,7 @@ def low_resource_sample(corpus: Corpus, fraction: float, seed: int) -> Corpus:
         raise ValidationError("corpus has no train dialogues to sample")
     rng = random.Random(seed)
     rng.shuffle(train_ids)
-    keep = set(train_ids[: math.ceil(fraction * len(train_ids))])
+    keep = set(train_ids[: math.ceil(Fraction(repr(fraction)) * len(train_ids))])
     dialogues = tuple(
         d for d in corpus.dialogues if d.split != "train" or d.dialogue_id in keep
     )

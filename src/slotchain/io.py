@@ -2,7 +2,8 @@
 request, and the codec between dataclass records and JSON objects.
 
 A bad byte, broken JSON or a record field that does not fit its
-annotation is a FormatError naming the file (and line, and field); an
+annotation is a FormatError naming the file (and line, and field).
+Output is UTF-8 whatever the locale, on standard output as in a file; an
 interrupted write leaves the old file, never a truncated one.
 """
 
@@ -15,6 +16,8 @@ import math
 import os
 import re
 import secrets
+import stat
+import sys
 import types
 import typing
 from importlib import resources
@@ -96,16 +99,25 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, str, object]]:
     return parse_jsonl(path, read_lines(path))
 
 
-def write_lines(path: str | Path, lines: Iterable[str]) -> None:
-    """Write each string of ``lines`` as UTF-8, in order, as it comes, so
-    that readers see the old file or the whole new one, never a part: a
-    temporary file in the same directory is renamed over ``path`` once
-    ``lines`` is used up. If ``lines`` raises, the temporary file is
-    removed and the old file stays. An existing path that is not a
-    regular file (a terminal, a pipe, /dev/stdout) is written in place."""
+def write_lines(path: str | Path | None, lines: str | Iterable[str]) -> None:
+    """Write ``lines`` (one string, or strings as they are produced) as
+    UTF-8, in order, as they come: to standard output when ``path`` is
+    None; in place to an existing path that is not a regular file (a
+    terminal, a pipe, /dev/stdout); else to a temporary file in the same
+    directory, renamed over ``path`` with the old file's permission bits
+    once ``lines`` is used up, so readers never see a part. If ``lines``
+    raises, the temporary file is removed and the old file stays."""
+    if isinstance(lines, str):
+        lines = (lines,)
+    data = (line.encode("utf-8") for line in lines)
+    if not path:  # None, or an --out of ""
+        sys.stdout.flush()  # text already written to standard output comes first
+        sys.stdout.buffer.writelines(data)
+        sys.stdout.buffer.flush()
+        return
     if os.path.exists(path) and not os.path.isfile(path):
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.writelines(lines)
+        with open(path, "wb") as handle:
+            handle.writelines(data)
         return
     # Through a symlink, replace the file it points at, not the link.
     target = os.path.realpath(path)
@@ -117,8 +129,10 @@ def write_lines(path: str | Path, lines: Iterable[str]) -> None:
         exc.filename = os.fspath(path)  # name the file asked for, not the temporary one
         raise
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.writelines(lines)
+        with os.fdopen(fd, "wb") as handle:
+            handle.writelines(data)
+        if os.path.isfile(target):
+            os.chmod(temp_name, stat.S_IMODE(os.stat(target).st_mode))
         os.replace(temp_name, target)
     except BaseException:
         if os.path.exists(temp_name):

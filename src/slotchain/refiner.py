@@ -64,6 +64,8 @@ class RefineConfig:
     def __post_init__(self) -> None:
         if self.temperature < 0:
             raise ValidationError(f"temperature must be >= 0, got {self.temperature}")
+        if self.max_tokens < 1:
+            raise ValidationError(f"max_tokens must be >= 1, got {self.max_tokens}")
         if self.max_parallel < 1:
             raise ValidationError(f"max_parallel must be >= 1, got {self.max_parallel}")
         if self.max_retries < 0:
@@ -151,7 +153,7 @@ def _cache_write(config: RefineConfig, fingerprint: str, refined: str) -> None:
     if path is None:
         return
     path.parent.mkdir(parents=True, exist_ok=True)
-    write_lines(path, (refined,))
+    write_lines(path, refined)
 
 
 def _extract_completion_text(data: object) -> str | None:

@@ -8,10 +8,12 @@ loops stay fast.
 from __future__ import annotations
 
 import copy
+import json
 import random
+from pathlib import Path
 
 from slotchain.corpus import (
-    Corpus, Dialogue, Schema, SlotSchema, TurnPair, corpus_json_lines,
+    SPLITS, Corpus, Dialogue, Schema, SlotSchema, TurnPair, _name_key, corpus_json_lines,
 )
 
 DOMAINS = ["hotel", "restaurant", "taxi", "train"]
@@ -97,7 +99,7 @@ def make_dialogue(
                 gold_state=dict(state),
             )
         )
-    return Dialogue(dialogue_id=dialogue_id, turns=tuple(turns), split=split)
+    return Dialogue(dialogue_id=dialogue_id, split=split, turns=tuple(turns))
 
 
 def make_corpus(
@@ -126,6 +128,135 @@ def make_corpus(
 def corpus_to_json(corpus: Corpus) -> str:
     """The whole canonical dialogue-file text of ``corpus``."""
     return "".join(corpus_json_lines(corpus))
+
+
+# ---------------------------------------------------------------------------
+# legacy layouts, written from a canonical corpus
+
+
+def make_legacy_corpus(rng: random.Random, style: str, max_dialogues: int = 5) -> Corpus:
+    """A random corpus that the legacy ``style`` can express: under
+    woz_belief, whose slot names carry no domain, no two slots share a
+    name key; under m2m_flat, whose records name one domain each, each
+    dialogue's slots are of one domain."""
+    schema = make_schema(rng)
+    if style == "woz_belief":
+        by_key = {}
+        for slot in schema.slots:
+            by_key.setdefault(_name_key(slot.name), slot)
+        schema = Schema(tuple(by_key.values()))
+    dialogues = []
+    for i in range(rng.randint(1, max_dialogues)):
+        slots = schema.slots
+        if style == "m2m_flat":
+            domain = rng.choice(slots).domain
+            slots = tuple(slot for slot in slots if slot.domain == domain)
+        split = rng.choice(SPLITS)
+        dialogues.append(make_dialogue(rng, Schema(slots), f"gen{i:03d}", split))
+    return Corpus(schema, tuple(dialogues))
+
+
+def _spelled(rng: random.Random, name: str) -> str:
+    """``name`` as a legacy file may spell it; each has its _name_key."""
+    return rng.choice((name, name.upper(), name.capitalize()))
+
+
+def _unset_slots(rng: random.Random, slots, state: dict[str, str]) -> list[SlotSchema]:
+    """Some of ``slots`` that ``state`` leaves unset, for a record to list
+    with a null or empty value."""
+    return [slot for slot in slots if slot.slot_id not in state and rng.random() < 0.2]
+
+
+def _woz_belief_record(rng: random.Random, dialogue: Dialogue, schema: Schema) -> dict:
+    turns = []
+    for turn in dialogue.turns:
+        belief = [
+            {"slots": [[_spelled(rng, schema.by_id[slot_id].name), value]]}
+            for slot_id, value in turn.gold_state.items()
+        ]
+        belief += [
+            {"slots": [[slot.name, rng.choice((None, ""))]]}
+            for slot in _unset_slots(rng, schema.slots, turn.gold_state)
+        ]
+        for item in belief:
+            if rng.random() < 0.5:  # no act reads as inform
+                item["act"] = "inform"
+        if rng.random() < 0.3:  # a request names a slot but sets nothing
+            belief.append({"slots": [["slot", rng.choice(schema.slots).name]], "act": "request"})
+        rng.shuffle(belief)
+        turns.append({
+            "system_transcript": turn.system_utterance,
+            "transcript": turn.user_utterance,
+            "belief_state": belief,
+        })
+    return {rng.choice(("dialogue_idx", "dialogue_id")): dialogue.dialogue_id, "dialogue": turns}
+
+
+def _m2m_flat_record(rng: random.Random, dialogue: Dialogue, schema: Schema) -> dict:
+    record = {rng.choice(("id", "dialogue_id")): dialogue.dialogue_id, "turns": []}
+    domains = {schema.by_id[s].domain for turn in dialogue.turns for s in turn.gold_state}
+    slots = []  # a dialogue that sets no slot names no domain, and lists no slot
+    if domains:
+        (record["domain"],) = domains
+        slots = [slot for slot in schema.slots if slot.domain == record["domain"]]
+    for turn in dialogue.turns:
+        state = [
+            {"slot": _spelled(rng, schema.by_id[slot_id].name), "value": value}
+            for slot_id, value in turn.gold_state.items()
+        ]
+        state += [
+            {"slot": slot.name, "value": rng.choice((None, ""))}
+            for slot in _unset_slots(rng, slots, turn.gold_state)
+        ]
+        raw = {"user_utterance": {"text": turn.user_utterance}, "dialogue_state": state}
+        if turn.system_utterance:  # an absent system utterance reads as empty
+            raw["system_utterance"] = {"text": turn.system_utterance}
+        record["turns"].append(raw)
+    return record
+
+
+def _sgd_state_record(rng: random.Random, dialogue: Dialogue, schema: Schema) -> dict:
+    turns = []
+    for turn in dialogue.turns:
+        if turn.system_utterance:  # an empty one is no SYSTEM turn
+            turns.append({"speaker": "SYSTEM", "utterance": turn.system_utterance})
+        frames: dict[str, dict] = {}  # one frame per domain, as SGD keeps one per service
+        for slot_id, value in turn.gold_state.items():
+            variants = rng.choice(([value], [value, "another variant"], value))
+            frames.setdefault(schema.by_id[slot_id].domain, {})[slot_id] = variants
+        turns.append({
+            "speaker": rng.choice(("USER", "user")),
+            "utterance": turn.user_utterance,
+            "frames": [
+                {"service": domain, "state": {"slot_values": values}}
+                for domain, values in frames.items()
+            ],
+        })
+    if rng.random() < 0.5:  # a closing system turn that no user turn answers
+        turns.append({"speaker": "SYSTEM", "utterance": "goodbye"})
+    return {"dialogue_id": dialogue.dialogue_id, "turns": turns}
+
+
+# The record writer of each style of corpus.LEGACY_STYLES.
+LEGACY_WRITERS = {
+    "woz_belief": _woz_belief_record,
+    "m2m_flat": _m2m_flat_record,
+    "sgd_state": _sgd_state_record,
+}
+
+
+def write_legacy(rng: random.Random, corpus: Corpus, style: str, directory: Path) -> list[Path]:
+    """``corpus`` in the legacy ``style``, one file per split it has,
+    named ``<split>.json`` in ``directory``; the paths written."""
+    paths = []
+    for split in SPLITS:
+        dialogues = corpus.only(split).dialogues
+        if dialogues:
+            records = [LEGACY_WRITERS[style](rng, d, corpus.schema) for d in dialogues]
+            path = directory / f"{split}.json"
+            path.write_text(json.dumps(records, ensure_ascii=False), encoding="utf-8")
+            paths.append(path)
+    return paths
 
 
 # What a structural mutation puts in place of a node, or adds.

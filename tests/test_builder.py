@@ -168,7 +168,7 @@ def test_render_prompt_non_categorical_omits_choices():
 def test_render_prompt_no_duplicate_none_choice():
     slot = SlotSchema("hotel-parking", "hotel", "parking", "parking availability",
                       possible_values=("yes", "no", "none"))
-    d = Dialogue("d", (TurnPair(1, "", "hi", {}),), "train")
+    d = Dialogue("d", "train", (TurnPair(1, "", "hi", {}),))
     prompt = prompt_at(d, 1, slot)
     assert "Choices: yes, no, none" in prompt
     assert prompt.count("none") == 1
@@ -182,7 +182,7 @@ def test_render_prompt_deterministic():
 
 def test_render_prompt_never_expands_utterance_brackets():
     d = Dialogue(
-        "d", (TurnPair(1, "", "what does [Question] mean? [Choices] too", {}),), "train"
+        "d", "train", (TurnPair(1, "", "what does [Question] mean? [Choices] too", {}),)
     )
     prompt = prompt_at(d, 1, schema().slots[2])
     assert "what does [Question] mean? [Choices] too" in prompt
@@ -256,13 +256,13 @@ def test_load_template_and_overrides(tmp_path):
 def test_coarse_explanation_non_consecutive_pairs():
     d = Dialogue(
         "d",
+        "train",
         (
             TurnPair(1, "", "hello", {}),
             TurnPair(2, "a2", "u2", {"hotel-stars": "3"}),
             TurnPair(3, "a3", "u3", {"hotel-stars": "3"}),
             TurnPair(4, "a4", "u4", {"hotel-stars": "5"}),
         ),
-        "train",
     )
     chain = extract_chain(d, "hotel-stars")
     assert chain.change_turns == (2, 4)
@@ -473,7 +473,7 @@ def test_build_dataset_split_filter(tmp_path, capsys):
         schema=schema(),
         dialogues=(
             dialogue(),
-            Dialogue("d2", (TurnPair(1, "", "hi", {"hotel-area": "north"}),), "test"),
+            Dialogue("d2", "test", (TurnPair(1, "", "hi", {"hotel-area": "north"}),)),
         ),
     )
     (tmp_path / "corpus.json").write_text(corpus_to_json(corpus), encoding="utf-8")

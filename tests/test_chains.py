@@ -87,11 +87,10 @@ def test_single_step_chain_stays_single():
 
 def test_restatement_adds_no_step():
     dialogue = Dialogue(
-        "d", (
+        "d", "train", (
             TurnPair(1, "", "cheap place", {"hotel-price": "cheap"}),
             TurnPair(2, "ok", "yes CHEAP", {"hotel-price": " Cheap "}),
         ),
-        "train",
     )
     chain = extract_chain(dialogue, "hotel-price")
     assert chain.change_turns == (1,)
@@ -103,6 +102,7 @@ def test_set_restate_change_case():
     # turn 6 the change turns are exactly 2 and 5
     dialogue = Dialogue(
         "d",
+        "train",
         tuple(
             TurnPair(i, "ok" if i > 1 else "", "hi", state)
             for i, state in (
@@ -114,7 +114,6 @@ def test_set_restate_change_case():
                 (6, {"hotel-price": "expensive"}),
             )
         ),
-        "train",
     )
     chain = extract_chain(dialogue, "hotel-price")
     assert chain.change_turns == (2, 5)
@@ -124,12 +123,11 @@ def test_set_restate_change_case():
 
 def test_deletion_is_a_step_to_none():
     dialogue = Dialogue(
-        "d", (
+        "d", "train", (
             TurnPair(1, "", "near the museum", {"taxi-dest": "museum"}),
             TurnPair(2, "ok", "forget the taxi", {}),
             TurnPair(3, "sure", "actually museum again", {"taxi-dest": "museum"}),
         ),
-        "train",
     )
     assert chain_at(dialogue, "taxi-dest", 2) == [(1, "museum"), (2, "none")]
     # refilling after a drop is a third step
@@ -139,7 +137,7 @@ def test_deletion_is_a_step_to_none():
 
 def test_literal_none_annotation_is_no_value():
     dialogue = Dialogue(
-        "d", (TurnPair(1, "", "hi", {"hotel-area": "None"}),), "train"
+        "d", "train", (TurnPair(1, "", "hi", {"hotel-area": "None"}),)
     )
     chain = extract_chain(dialogue, "hotel-area")
     assert chain.change_turns == ()
@@ -277,13 +275,13 @@ def test_histogram_single_change_corpus(tmp_path):
     schema = stars_schema()
     dialogue = Dialogue(
         "d",
+        "train",
         (
             TurnPair(1, "", "3 star in the north",
                      {"hotel-stars": "3", "hotel-area": "north"}),
             TurnPair(2, "ok", "thanks",
                      {"hotel-stars": "3", "hotel-area": "north"}),
         ),
-        "train",
     )
     corpus = Corpus(schema=schema, dialogues=(dialogue,))
     assert step_histogram(corpus) == {1: 4}
@@ -296,7 +294,7 @@ def test_histogram_empty_corpus(tmp_path):
     assert step_histogram(Corpus(schema=schema, dialogues=())) == {}
     # a corpus whose slots are never filled has no active sample either
     unfilled = Corpus(schema=schema, dialogues=(
-        Dialogue("d", (TurnPair(1, "", "hello", {}), TurnPair(2, "hi", "bye", {})), "train"),
+        Dialogue("d", "train", (TurnPair(1, "", "hello", {}), TurnPair(2, "hi", "bye", {}))),
     ))
     assert step_histogram(unfilled) == {}
     corpus_options = write_corpus(tmp_path, unfilled)

@@ -249,6 +249,42 @@ def test_ingest_writes_out_file_identical_to_stdout(capsys, tmp_path):
     assert out_path.read_text(encoding="utf-8") == corpus_to_json(fixture_corpus())
 
 
+# Standard output that is not UTF-8: ascii, the C locale without
+# Python's UTF-8 fallbacks (ascii too), and latin-1.
+NON_UTF8_STDOUT = {
+    "ascii": {"PYTHONIOENCODING": "ascii"},
+    "C locale": {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"},
+    "latin-1": {"PYTHONIOENCODING": "latin-1"},
+}
+
+
+@pytest.mark.parametrize("command", ["ingest", "build"])
+@pytest.mark.parametrize("locale", sorted(NON_UTF8_STDOUT))
+def test_stdout_is_the_out_file_under_any_locale(tmp_path, locale, command):
+    schema, corpus = tmp_path / "schema.json", tmp_path / "corpus.json"
+    schema.write_text(json.dumps([{
+        "slot_id": "hotel-name", "domain": "hotel", "name": "name", "description": "hotel name",
+    }]), encoding="utf-8")
+    turn = {"index": 1, "system": "", "user": "the hôtel du lac",
+            "state": {"hotel-name": "hôtel du lac"}}
+    corpus.write_text(json.dumps([{"dialogue_id": "d1", "split": "train", "turns": [turn]}]),
+                      encoding="utf-8")
+    argv = [command, "--schema", str(schema), "--input" if command == "ingest" else "--corpus",
+            str(corpus)]
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("LANG", "PYTHONIOENCODING") and not k.startswith("LC_")}
+    env.update(NON_UTF8_STDOUT[locale], PYTHONPATH=str(REPO / "src"))
+    out = tmp_path / "out.txt"
+    results = [
+        subprocess.run([sys.executable, "-m", "slotchain.cli", *argv, *extra],
+                       capture_output=True, env=env, check=False, cwd=tmp_path)
+        for extra in ([], ["--out", str(out)])
+    ]
+    assert [r.returncode for r in results] == [0, 0], results[0].stderr.decode(errors="replace")
+    assert "hôtel du lac".encode() in results[0].stdout
+    assert results[0].stdout == out.read_bytes()
+
+
 def test_ingest_excludes_domains(capsys):
     code, out, err = run(
         capsys, "ingest", "--input", DIALOGUES, "--schema", SCHEMA, "--exclude-domains", "hotel"

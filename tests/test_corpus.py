@@ -8,8 +8,9 @@ import re
 
 import pytest
 
-from gen import corpus_to_json, make_corpus
+from gen import corpus_to_json, make_corpus, make_legacy_corpus, write_legacy
 from slotchain.corpus import (
+    LEGACY_STYLES,
     Corpus,
     Dialogue,
     Schema,
@@ -179,10 +180,10 @@ def one_dump(corpus: Corpus) -> str:
 def test_corpus_is_written_one_dialogue_at_a_time_as_one_dump_would_write_it():
     schema = small_schema()
     one = Corpus(schema, (
-        Dialogue("café\n1", (
+        Dialogue("café\n1", "train", (
             turn(1, {"restaurant-food": "crêpes \"maison\"", "hotel-area": "north"}),
             turn(2, {}, system="ok\tthen", user="ünïcode and {braces} [brackets]"),
-        ), "train"),
+        )),
     ))
     generated = make_corpus(random.Random(7))
     for corpus in (Corpus(schema, ()), one, generated):
@@ -202,8 +203,8 @@ def test_save_corpus_is_byte_stable(tmp_path):
 
 def test_load_corpus_multiple_files(tmp_path):
     schema = small_schema()
-    c1 = Corpus(schema, (Dialogue("d1", (turn(1, {}),), "train"),))
-    c2 = Corpus(schema, (Dialogue("d2", (turn(1, {}),), "test"),))
+    c1 = Corpus(schema, (Dialogue("d1", "train", (turn(1, {}),)),))
+    c2 = Corpus(schema, (Dialogue("d2", "test", (turn(1, {}),)),))
     p1, p2 = tmp_path / "one.json", tmp_path / "two.json"
     p1.write_text(corpus_to_json(c1), encoding="utf-8")
     p2.write_text(corpus_to_json(c2), encoding="utf-8")
@@ -213,7 +214,7 @@ def test_load_corpus_multiple_files(tmp_path):
 
 def test_load_corpus_repeated_id_names_the_later_file(tmp_path):
     schema = small_schema()
-    corpus = Corpus(schema, (Dialogue("d1", (turn(1, {}),), "train"),))
+    corpus = Corpus(schema, (Dialogue("d1", "train", (turn(1, {}),)),))
     p1, p2 = tmp_path / "one.json", tmp_path / "two.json"
     p1.write_text(corpus_to_json(corpus), encoding="utf-8")
     p2.write_text(corpus_to_json(corpus), encoding="utf-8")
@@ -233,7 +234,7 @@ def write_dialogues(path, *dialogues: Dialogue):
 
 def test_validate_rejects_unknown_slot(tmp_path):
     path = write_dialogues(
-        tmp_path / "d.json", Dialogue("d1", (turn(1, {"taxi-arrival": "10:00"}),), "train")
+        tmp_path / "d.json", Dialogue("d1", "train", (turn(1, {"taxi-arrival": "10:00"}),))
     )
     with pytest.raises(
         ValidationError, match=re.escape(f"{path}: dialogue 'd1' turn 1: unknown slot_id")
@@ -244,7 +245,7 @@ def test_validate_rejects_unknown_slot(tmp_path):
 def test_unknown_slot_of_an_excluded_domain_is_dropped_first(tmp_path):
     path = write_dialogues(
         tmp_path / "d.json",
-        Dialogue("d1", (turn(1, {"taxi-arrival": "10:00", "hotel-area": "north"}),), "train"),
+        Dialogue("d1", "train", (turn(1, {"taxi-arrival": "10:00", "hotel-area": "north"}),)),
     )
     loaded = load_corpus([path], small_schema(), exclude_domains={"taxi"})
     assert loaded.dialogues[0].turns[0].gold_state == {"hotel-area": "north"}
@@ -252,40 +253,40 @@ def test_unknown_slot_of_an_excluded_domain_is_dropped_first(tmp_path):
 
 def test_validate_rejects_empty_value():
     with pytest.raises(ValidationError, match="dialogue 'd1' turn 1: empty value"):
-        Dialogue("d1", (turn(1, {"hotel-area": ""}),), "train")
+        Dialogue("d1", "train", (turn(1, {"hotel-area": ""}),))
 
 
 def test_validate_rejects_empty_user_utterance():
     with pytest.raises(ValidationError, match="empty user utterance"):
-        Dialogue("d1", (TurnPair(1, "", "", {}),), "train")
+        Dialogue("d1", "train", (TurnPair(1, "", "", {}),))
 
 
 def test_validate_rejects_empty_system_after_first_turn():
     with pytest.raises(ValidationError, match="turn 2: .*first turn"):
-        Dialogue("d1", (turn(1, {}), TurnPair(2, "", "still there?", {})), "train")
+        Dialogue("d1", "train", (turn(1, {}), TurnPair(2, "", "still there?", {})))
 
 
 def test_validate_allows_empty_system_on_first_turn():
-    Dialogue("d1", (TurnPair(1, "", "hello", {}),), "train")
+    Dialogue("d1", "train", (TurnPair(1, "", "hello", {}),))
 
 
 def test_validate_rejects_bad_turn_index():
     with pytest.raises(ValidationError, match="expected index 1, found 2"):
-        Dialogue("d1", (turn(2, {}),), "train")
+        Dialogue("d1", "train", (turn(2, {}),))
 
 
 def test_validate_rejects_a_dialogue_without_turns():
     with pytest.raises(ValidationError, match="dialogue 'd1': no turns"):
-        Dialogue("d1", (), "train")
+        Dialogue("d1", "train", ())
 
 
 def test_validate_rejects_empty_dialogue_id():
     with pytest.raises(ValidationError, match="empty dialogue_id"):
-        Dialogue("", (turn(1, {}),), "train")
+        Dialogue("", "train", (turn(1, {}),))
 
 
 def test_validate_rejects_duplicate_dialogue_id(tmp_path):
-    d = Dialogue("d1", (turn(1, {}),), "train")
+    d = Dialogue("d1", "train", (turn(1, {}),))
     path = write_dialogues(tmp_path / "d.json", d, d)
     with pytest.raises(ValidationError, match=re.escape(f"{path}: duplicate dialogue_id 'd1'")):
         load_corpus([path], small_schema())
@@ -293,7 +294,7 @@ def test_validate_rejects_duplicate_dialogue_id(tmp_path):
 
 def test_validate_rejects_unknown_split():
     with pytest.raises(ValidationError, match="unknown split 'eval'"):
-        Dialogue("d1", (turn(1, {}),), "eval")
+        Dialogue("d1", "eval", (turn(1, {}),))
 
 
 def test_dialogue_rule_in_a_file_is_a_format_error_naming_the_record(tmp_path):
@@ -603,6 +604,19 @@ def test_ingest_sgd_state(tmp_path):
             {"hotel-area": "north", "hotel-pricerange": "cheap"},
         ),
     )
+
+
+@pytest.mark.parametrize("style", sorted(LEGACY_STYLES))
+def test_legacy_styles_round_trip(tmp_path, style):
+    for seed in range(200):
+        rng = random.Random(seed)
+        corpus = make_legacy_corpus(rng, style)
+        directory = tmp_path / str(seed)
+        directory.mkdir()
+        paths = write_legacy(rng, corpus, style, directory)
+        loaded = load_corpus(paths, corpus.schema, style=style)
+        by_id = {d.dialogue_id: d for d in corpus.dialogues}
+        assert {d.dialogue_id: d for d in loaded.dialogues} == by_id, seed
 
 
 # Legacy faults and the whole message each gives; test_cli's

@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -724,13 +725,14 @@ def test_sample_is_deterministic_for_a_seed():
 
 @pytest.mark.parametrize(
     "n_train, fraction, expected",
-    [(600, 0.01, 6), (10, 0.5, 5), (10, 1.0, 10), (10, 0.01, 1), (7, 0.3, 3), (6, 0.05, 1)],
+    [(600, 0.01, 6), (10, 0.5, 5), (10, 1.0, 10), (10, 0.01, 1), (7, 0.3, 3), (6, 0.05, 1),
+     (100, 0.07, 7), (100, 0.55, 55), (200, 0.14, 28)],
 )
 def test_sample_keeps_ceil_of_fraction(n_train, fraction, expected):
     corpus = tiny_corpus(n_train)
     sampled = low_resource_sample(corpus, fraction, seed=13)
     assert sampled.split_counts().get("train", 0) == expected
-    assert math.ceil(fraction * n_train) == expected
+    assert math.ceil(Fraction(repr(fraction)) * n_train) == expected
 
 
 def test_sample_leaves_dev_and_test_untouched():

@@ -9,6 +9,7 @@ import ast
 import json
 import math
 import os
+import stat
 import threading
 from dataclasses import dataclass, field, fields, make_dataclass
 from pathlib import Path
@@ -54,7 +55,7 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "slotchain"
 FIXTURES = Path(__file__).parent / "fixtures"
 SCHEMA = load_schema(FIXTURES / "fixture_schema.json")
 # The corpus predictions are checked against: VALID_RECORDS' prediction fits it.
-CORPUS = Corpus(SCHEMA, (Dialogue("d1", (TurnPair(1, "", "hi"),), "train"),))
+CORPUS = Corpus(SCHEMA, (Dialogue("d1", "train", (TurnPair(1, "", "hi"),)),))
 
 # Every loader a CLI option reaches, called on one file.
 LOADERS = {
@@ -680,6 +681,21 @@ def test_write_lines_writes_each_line_as_it_comes(tmp_path):
     path = tmp_path / "out.txt"
     write_lines(path, (f"{i} é\n" for i in range(3)))
     assert path.read_bytes() == "0 é\n1 é\n2 é\n".encode("utf-8")
+
+
+@pytest.mark.parametrize("mode", [0o600, 0o664], ids=oct)
+def test_write_lines_keeps_the_permission_bits_of_the_file_it_replaces(tmp_path, mode):
+    path = tmp_path / "st.txt"
+    umask = os.umask(0o022)
+    try:
+        write_lines(path, "first\n")
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644  # a new file: 0o666 less the umask
+        path.chmod(mode)
+        write_lines(path, "second\n")
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+    assert path.read_bytes() == b"second\n"
 
 
 def test_write_lines_writes_a_fifo_in_place(tmp_path):

@@ -958,6 +958,9 @@ def test_config_validation_bounds():
         RefineConfig(offline=True, temperature=-0.1)
     with pytest.raises(ValidationError):
         RefineConfig(offline=True, max_parallel=0)
+    for max_tokens in (0, -3):
+        with pytest.raises(ValidationError, match=rf"^max_tokens must be >= 1, got {max_tokens}$"):
+            RefineConfig(offline=True, max_tokens=max_tokens)
     with pytest.raises(ValidationError):
         RefineConfig(offline=True, max_retries=-1)
     with pytest.raises(ValidationError):
