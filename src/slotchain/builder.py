@@ -4,12 +4,22 @@ Each training record poses one slot as a question over the dialogue
 history. Categorical slots become multiple-choice questions; the target
 is the slot value, optionally followed by an explanation assembled from
 the turns where the value changed.
+
+``build_dataset`` writes a dialogue's examples straight to JSON Lines,
+the bytes ``json_line`` gives for each ``CoTExample``, without making a
+record per example. It joins text that the C string escaper escaped once:
+each slot's prompt text around [History] once per build, each turn's
+history once per turn, and the rest of a line, checked as ``CoTExample``
+checks it, once per (slot, step count) of the dialogue. ``render_prompt``
+is the prompt those parts spell out.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -104,6 +114,18 @@ class SlotPrompt:
     before: str
     after: str
 
+    @functools.cached_property
+    def escaped(self) -> tuple[str, str, bool]:
+        """The prompt's parts of an example line, escaped once per prompt:
+        the line's text from the ``:`` after the turn index up to the
+        history, its text after the history, and whether render_prompt's
+        ``.strip()`` reaches the history, which it does at the history's
+        end when the text after it is blank. A history starts with
+        "system:", so the strip never reaches its start."""
+        before, after = self.before.lstrip(), self.after.rstrip()
+        head = f':{_escape(self.slot.slot_id)}", "input_text": "{_escape(before)}'
+        return head, _escape(after), not after
+
 
 def slot_prompt(slot: SlotSchema, template: PromptTemplate = DEFAULT_TEMPLATE) -> SlotPrompt:
     """Fill the template's [Domain], [Question] and [Choices] for one slot.
@@ -189,20 +211,23 @@ class CoTExample:
     meta: ExampleMeta
 
     def __post_init__(self) -> None:
-        if self.explanation_kind not in EXPLANATION_KINDS:
-            raise ValidationError(
-                f"explanation_kind must be one of {EXPLANATION_KINDS}, "
-                f"got {self.explanation_kind!r}"
-            )
-        if not self.target_value:
-            raise ValidationError(f"example {self.example_id!r}: empty target_value")
-        has_explanation = bool(self.explanation)
-        allowed_empty = self.explanation_kind == "none" or self.target_value == NONE_VALUE
-        if has_explanation == allowed_empty:
-            raise ValidationError(
-                f"example {self.example_id!r}: explanation must be empty exactly when "
-                "its kind is \"none\" or the target is \"none\""
-            )
+        _check_example(
+            self.example_id, self.target_value, self.explanation, self.explanation_kind
+        )
+
+
+def _check_example(example_id: str, target_value: str, explanation: str, kind: str) -> None:
+    """The checks a CoTExample makes, which build_dataset makes without one."""
+    if kind not in EXPLANATION_KINDS:
+        raise ValidationError(f"explanation_kind must be one of {EXPLANATION_KINDS}, got {kind!r}")
+    if not target_value:
+        raise ValidationError(f"example {example_id!r}: empty target_value")
+    allowed_empty = kind == "none" or target_value == NONE_VALUE
+    if bool(explanation) == allowed_empty:
+        raise ValidationError(
+            f"example {example_id!r}: explanation must be empty exactly when "
+            "its kind is \"none\" or the target is \"none\""
+        )
 
 
 def avg_utterance_len(dialogue: Dialogue) -> float:
@@ -214,50 +239,67 @@ def avg_utterance_len(dialogue: Dialogue) -> float:
     return total / (2 * dialogue.n_turns)
 
 
+def _escape(text: str) -> str:
+    """``text`` as in a JSON string, without the quotes. Escaping goes
+    character by character, so escaped parts join into the escaped whole."""
+    return encode_basestring(text)[1:-1]
+
+
 def build_dataset(
     dialogue: Dialogue,
     prompts: Sequence[SlotPrompt],
     include_explanations: bool = True,
     include_inactive: bool = False,
-) -> tuple[CoTExample, ...]:
-    """The examples of one dialogue: one per (turn, slot of ``prompts``),
-    restricted to slots with a non-empty chain unless include_inactive,
-    in (query_turn, prompts) order. The histories, the average utterance
-    length and the chains of the annotated slots are computed once."""
+) -> list[str]:
+    """The examples of one dialogue as JSON Lines, one line per (turn,
+    slot of ``prompts``), restricted to slots with a non-empty chain
+    unless include_inactive, in (query_turn, prompts) order. Each line is
+    json_line of the example's CoTExample, joined from parts escaped once
+    (see the module docstring); the chains of the annotated slots are
+    computed once."""
     chains = chains_by_slot(dialogue)
-    if not include_inactive:
-        prompts = [prompt for prompt in prompts if prompt.slot.slot_id in chains]
-    utterance_len = avg_utterance_len(dialogue)
-    examples = []
+    slots = [
+        (prompt.slot.slot_id, chains.get(prompt.slot.slot_id), *prompt.escaped)
+        for prompt in prompts
+        if include_inactive or prompt.slot.slot_id in chains
+    ]
+    strips = {strip for *_, strip in slots}  # whether a prompt strips the history's end
+    dialogue_id = _escape(dialogue.dialogue_id)
+    head = f'{{"example_id": "{dialogue_id}:'
+    meta = f'"meta": {{"dialogue_id": "{dialogue_id}", "query_turn": '
+    meta_end = (
+        f', "dialogue_turns": {dialogue.n_turns}, '
+        f'"avg_utterance_len": {avg_utterance_len(dialogue)!r}}}}}\n'
+    )
+    tails = {}  # (slot id, step count) -> the line's text around its second turn index
+    lines = []
     for turn, history in zip(dialogue.turns, render_histories(dialogue)):
-        for prompt in prompts:
-            slot_id = prompt.slot.slot_id
-            chain = chains.get(slot_id)
+        histories = {strip: _escape(history.rstrip() if strip else history) for strip in strips}
+        index = str(turn.index)
+        for slot_id, chain, opening, closing, strip in slots:
             steps = chain.steps_at(turn.index) if chain else 0
             if not include_inactive and steps == 0:
                 continue
-            target_value = chain.values[steps - 1] if steps else NONE_VALUE
-            explanation = ""
-            if include_explanations and steps and normalize_value(target_value) != NONE_VALUE:
-                explanation = build_coarse_explanation(dialogue, chain.change_turns[:steps])
-            examples.append(
-                CoTExample(
-                    example_id=f"{dialogue.dialogue_id}:{turn.index}:{slot_id}",
-                    input_text=render_prompt(prompt, history),
-                    target_value=target_value,
-                    explanation=explanation,
-                    explanation_kind="coarse" if explanation else "none",
-                    meta=ExampleMeta(
-                        dialogue_id=dialogue.dialogue_id,
-                        query_turn=turn.index,
-                        slot_id=slot_id,
-                        step_count=steps,
-                        dialogue_turns=dialogue.n_turns,
-                        avg_utterance_len=utterance_len,
-                    ),
+            tail = tails.get((slot_id, steps))
+            if tail is None:
+                target_value = chain.values[steps - 1] if steps else NONE_VALUE
+                explanation = ""
+                if include_explanations and steps and normalize_value(target_value) != NONE_VALUE:
+                    explanation = build_coarse_explanation(dialogue, chain.change_turns[:steps])
+                kind = "coarse" if explanation else "none"
+                example_id = f"{dialogue.dialogue_id}:{turn.index}:{slot_id}"
+                _check_example(example_id, target_value, explanation, kind)
+                tail = tails[slot_id, steps] = (
+                    f'{closing}", "target_value": "{_escape(target_value)}", '
+                    f'"explanation": "{_escape(explanation)}", "explanation_kind": "{kind}", '
+                    f"{meta}",
+                    f', "slot_id": "{_escape(slot_id)}", "step_count": {steps}{meta_end}',
                 )
+            before_index, after_index = tail
+            lines.append(
+                f"{head}{index}{opening}{histories[strip]}{before_index}{index}{after_index}"
             )
-    return tuple(examples)
+    return lines
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,14 @@ sample, eval, report. Data goes to --out or standard output, as UTF-8;
 everything else (summaries, warnings, errors) goes to standard error.
 Exit codes: 0 success, 1 data or validation error (input that is not
 UTF-8 included), 2 usage error, 3 a refine run that finished with some
-items unrefined. No subcommand rewrites its input files: an --out naming
-one is an error. --out is written atomically, so an interrupted run
-leaves the old file whole. ingest and sample write one dialogue at a time,
-build one dialogue's examples at a time and refine one chunk of
-REFINE_CHUNK lines at a time, so none holds the whole output. An offline
+items unrefined, 128 plus the signal number for a run stopped by SIGINT
+(130), SIGTERM (143) or SIGHUP (129), with one line on standard error.
+No subcommand rewrites its input files: an --out naming one is an error.
+--out is written atomically, so an interrupted or stopped run leaves the
+old file whole and no temporary file. ingest and sample write one
+dialogue at a time, build one dialogue's example lines at a time and
+refine one chunk of REFINE_CHUNK lines at a time, so none holds the
+whole output. An offline
 refine of more than one chunk refines its chunks in a pool of
 min(--max-parallel, usable CPUs) worker processes, at most two chunks per
 worker in flight, and writes them in input order; an online refine sends
@@ -22,6 +25,7 @@ import argparse
 import collections
 import itertools
 import os
+import signal
 import sys
 from typing import Iterable, Iterator
 
@@ -177,8 +181,7 @@ def _cmd_build(args: argparse.Namespace) -> int:
         "include_explanations": not args.no_explanations,
         "include_inactive": args.include_inactive,
     }
-    examples = (examples_to_jsonl(build_dataset(d, prompts, **options)) for d in dialogues)
-    write_lines(args.out, examples)
+    write_lines(args.out, ("".join(build_dataset(d, prompts, **options)) for d in dialogues))
     return 0
 
 
@@ -416,6 +419,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class _Stopped(BaseException):
+    """A SIGTERM or SIGHUP, raised where the program was, so that it
+    unwinds as from Ctrl-C. Its one argument is the signal number."""
+
+
+_STOP_SIGNALS = tuple(
+    getattr(signal, name) for name in ("SIGTERM", "SIGHUP") if hasattr(signal, name)
+)
+
+
+def _stop(signum: int, frame) -> None:
+    raise _Stopped(signum)
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -423,11 +440,22 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        handled = [(signum, signal.signal(signum, _stop)) for signum in _STOP_SIGNALS]
+    except ValueError:  # not the main thread, the one thread that can set handlers
+        handled = []
+    try:
         _check_out_is_not_an_input(args)
         return _HANDLERS[args.subcommand](args)
     except (SlotchainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except (KeyboardInterrupt, _Stopped) as exc:
+        signum = exc.args[0] if isinstance(exc, _Stopped) else signal.SIGINT
+        print(f"error: stopped by {signal.Signals(signum).name}", file=sys.stderr)
+        return 128 + signum
+    finally:
+        for signum, previous in handled:
+            signal.signal(signum, previous)
 
 
 if __name__ == "__main__":

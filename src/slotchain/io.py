@@ -1,8 +1,9 @@
 """Every JSON/JSONL read, bundled-resource lookup, output write and HTTP
 request, and the codec between dataclass records and JSON objects.
 
-A bad byte, broken JSON or a record field that does not fit its
-annotation is a FormatError naming the file (and line, and field).
+A bad byte, broken JSON, a \\u escape that makes a lone surrogate or a
+record field that does not fit its annotation is a FormatError naming
+the file (and line, and field or JSON path).
 Output is UTF-8 whatever the locale, on standard output as in a file; an
 interrupted write leaves the old file, never a truncated one.
 """
@@ -45,14 +46,47 @@ def _finite_float(text: str) -> float:
 _DECODER = json.JSONDecoder(parse_constant=_reject_constant, parse_float=_finite_float)
 
 
+_SURROGATE = re.compile("[\ud800-\udfff]")
+_SURROGATE_ESCAPE = re.compile(r"\\u[dD][89a-fA-F]")  # also the halves of a valid pair
+
+
+def _lone_surrogate(data) -> str | None:
+    """The JSON path of the first string of ``data``, key or value, that
+    holds a lone surrogate, or None."""
+    pending = [("$", data)]
+    while pending:
+        path, value = pending.pop()
+        if type(value) is str:
+            if _SURROGATE.search(value):
+                return path
+        elif type(value) is dict:
+            members = []
+            for key, entry in value.items():
+                # json.dumps escapes a key that holds a surrogate, which is no identifier
+                step = f"{path}.{key}" if key.isidentifier() else f"{path}[{json.dumps(key)}]"
+                members += ((step, key), (step, entry))
+            pending += reversed(members)
+        elif type(value) is list:
+            pending += reversed([(f"{path}[{i}]", entry) for i, entry in enumerate(value)])
+    return None
+
+
 def _parse(text: str, where: str):
     try:
         if text.startswith("\ufeff"):  # as json.loads words it
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
-        return _DECODER.decode(text)
+        data = _DECODER.decode(text)
     except (ValueError, RecursionError) as exc:
         # ValueError: bad syntax or an over-long integer; RecursionError: deep nesting.
         raise FormatError(f"{where}: not valid JSON: {exc}") from exc
+    # UTF-8 text holds no surrogate, but a \u escape can make one that no
+    # output can write. Most lines hold no backslash, which is quick to see.
+    if "\\" in text and _SURROGATE_ESCAPE.search(text):
+        path = _lone_surrogate(data)
+        if path:
+            raise FormatError(f"{where}: {path}: a \\u escape makes a lone surrogate, "
+                              "which is not a character")
+    return data
 
 
 def read_json(source: str | Path, expect: type):
@@ -104,7 +138,8 @@ def write_lines(path: str | Path | None, lines: str | Iterable[str]) -> None:
     UTF-8, in order, as they come: to standard output when ``path`` is
     None; in place to an existing path that is not a regular file (a
     terminal, a pipe, /dev/stdout); else to a temporary file in the same
-    directory, renamed over ``path`` with the old file's permission bits
+    directory, ``.<name>.<16 hex digits>.tmp`` with the name cut to 50
+    characters, renamed over ``path`` with the old file's permission bits
     once ``lines`` is used up, so readers never see a part. If ``lines``
     raises, the temporary file is removed and the old file stays."""
     if isinstance(lines, str):
@@ -121,7 +156,10 @@ def write_lines(path: str | Path | None, lines: str | Iterable[str]) -> None:
         return
     # Through a symlink, replace the file it points at, not the link.
     target = os.path.realpath(path)
-    temp_name = os.path.join(os.path.dirname(target), f".tmp-{secrets.token_hex(8)}")
+    directory, name = os.path.split(target)
+    # Named after its target so that a leftover can be traced; at most 50
+    # characters of the name keep it within a file system's 255 bytes.
+    temp_name = os.path.join(directory, f".{name[:50]}.{secrets.token_hex(8)}.tmp")
     try:
         # Created as open() would create it: mode 0o666 less the umask.
         fd = os.open(temp_name, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)

@@ -441,7 +441,8 @@ def test_criterion_9_end_to_end_golden(tmp_path):
     schema = str(FIXTURES / "fixture_schema.json")
     out = {name: str(tmp_path / name) for name in (
         "corpus.json", "stats.txt", "stats.json", "examples_coarse.jsonl",
-        "examples_bare.jsonl", "examples_refined.jsonl", "sampled.json",
+        "examples_bare.jsonl", "examples_refined.jsonl", "examples_inactive.jsonl",
+        "examples_history_last.jsonl", "sampled.json",
         "report.json", "report.md", "report.csv",
     )}
     steps = [
@@ -457,6 +458,11 @@ def test_criterion_9_end_to_end_golden(tmp_path):
         ("build", "--corpus", out["corpus.json"], "--schema", schema,
          "--template-file", str(FIXTURES / "prompt_template.json"),
          "--no-explanations", "--out", out["examples_bare.jsonl"]),
+        ("build", "--corpus", out["corpus.json"], "--schema", schema,
+         "--include-inactive", "--out", out["examples_inactive.jsonl"]),
+        ("build", "--corpus", out["corpus.json"], "--schema", schema,
+         "--template-file", str(FIXTURES / "prompt_template_history_last.json"),
+         "--out", out["examples_history_last.jsonl"]),
         ("refine", "--examples", out["examples_coarse.jsonl"], "--offline",
          "--out", out["examples_refined.jsonl"]),
         ("sample", "--corpus", out["corpus.json"], "--schema", schema,

@@ -41,8 +41,8 @@ from slotchain.corpus import (
     load_schema,
 )
 from slotchain.errors import FormatError, ValidationError
-from slotchain.io import encode
-from slotchain.normalize import DEFAULT_POLICY
+from slotchain.io import decode, encode, json_line
+from slotchain.normalize import DEFAULT_POLICY, normalize_value
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -75,11 +75,53 @@ def prompt_at(d: Dialogue, query_turn: int, slot: SlotSchema, template=DEFAULT_T
     return render_prompt(slot_prompt(slot, template), render_histories(d)[query_turn - 1])
 
 
-def build_all(corpus: Corpus, **options) -> tuple:
-    """build_dataset over every dialogue in id order, as `slotchain build` runs it."""
-    prompts = slot_prompts(corpus.schema)
+def decode_lines(lines) -> tuple:
+    """The CoTExample of each JSON Lines line, decoded and checked by the
+    codec; each line must be the codec's own line for its example."""
+    examples = []
+    for number, line in enumerate(lines, start=1):
+        example = decode(CoTExample, json.loads(line), f"line {number}")
+        assert json_line(example) == line, number
+        examples.append(example)
+    return tuple(examples)
+
+
+def build_all(corpus: Corpus, template=DEFAULT_TEMPLATE, **options) -> tuple:
+    """build_dataset over every dialogue in id order, as `slotchain build`
+    runs it, its lines decoded."""
+    prompts = slot_prompts(corpus.schema, template)
     dialogues = sorted(corpus.dialogues, key=lambda d: d.dialogue_id)
-    return tuple(e for d in dialogues for e in build_dataset(d, prompts, **options))
+    return decode_lines(line for d in dialogues for line in build_dataset(d, prompts, **options))
+
+
+def reference_examples(
+    corpus: Corpus, template=DEFAULT_TEMPLATE, include_explanations=True, include_inactive=False
+) -> tuple:
+    """The examples `slotchain build` writes, made one CoTExample at a
+    time from the oracle chains, the rendered prompts and the
+    hand-rebuilt coarse explanations."""
+    examples = []
+    for d in sorted(corpus.dialogues, key=lambda d: d.dialogue_id):
+        utterance_len = avg_utterance_len(d)
+        for turn in d.turns:
+            for slot in sorted(corpus.schema.slots, key=lambda s: s.slot_id):
+                steps = oracle_chain(d, slot.slot_id, turn.index, DEFAULT_POLICY)
+                if not steps and not include_inactive:
+                    continue
+                target = steps[-1][1] if steps else "none"
+                explanation = ""
+                if include_explanations and steps and normalize_value(target) != "none":
+                    explanation = coarse_text(d, [t for t, _ in steps])
+                examples.append(CoTExample(
+                    example_id=f"{d.dialogue_id}:{turn.index}:{slot.slot_id}",
+                    input_text=prompt_at(d, turn.index, slot, template),
+                    target_value=target,
+                    explanation=explanation,
+                    explanation_kind="coarse" if explanation else "none",
+                    meta=ExampleMeta(d.dialogue_id, turn.index, slot.slot_id, len(steps),
+                                     d.n_turns, utterance_len),
+                ))
+    return tuple(examples)
 
 
 # ---------------------------------------------------------------------------
@@ -210,6 +252,33 @@ def test_slot_prompt_splits_at_the_template_history():
     prompt = slot_prompt(slot, template)
     assert (prompt.before, prompt.after) == ("restaurant: [History] Dialogue: ", "")
     assert render_prompt(prompt, "user: hi") == "restaurant: [History] Dialogue: user: hi"
+
+
+@pytest.mark.parametrize("template_text", [
+    "Dialogue: [History] Domain: [Domain] Question: [Question] [Choices]",
+    "[History] [Question] [Choices]",
+    " \n [History]\t[Domain]: [Question]",
+    "[Question] [Choices] [History]",
+    "[Domain]: [Question] [Choices]\n [History] \n",
+    " [Choices] [History] [Question]\t",
+])
+def test_build_dataset_prompts_are_render_prompt_whatever_side_is_stripped(template_text):
+    # render_prompt strips the joined prompt, and so the history where the
+    # template is blank on one side of it; a user utterance that ends in
+    # whitespace shows whether build strips it too.
+    template = PromptTemplate(template_text=template_text)
+    for seed in range(20):
+        generated = make_corpus(random.Random(70_000 + seed))
+        corpus = Corpus(generated.schema, tuple(
+            Dialogue(d.dialogue_id, d.split, tuple(
+                TurnPair(t.index, t.system_utterance, f"{t.user_utterance} \t\n ", t.gold_state)
+                for t in d.turns
+            ))
+            for d in generated.dialogues
+        ))
+        for options in ({}, {"include_inactive": True}):
+            expected = reference_examples(corpus, template, **options)
+            assert build_all(corpus, template, **options) == expected, (seed, options)
 
 
 def test_render_histories_has_one_history_per_turn():

@@ -2,14 +2,17 @@
 and that no subcommand rewrites its inputs."""
 
 import argparse
+import errno
 import hashlib
 import json
 import multiprocessing
 import os
 import random
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,7 +21,9 @@ import pytest
 import slotchain
 import slotchain.cli as cli
 import slotchain.errors
-from slotchain.builder import build_dataset, examples_to_jsonl, read_examples, slot_prompts
+from slotchain.builder import (
+    PromptTemplate, build_dataset, examples_to_jsonl, read_examples, slot_prompts,
+)
 from slotchain.chains import step_histogram
 from slotchain.cli import main
 from slotchain.errors import ValidationError
@@ -28,6 +33,7 @@ from slotchain.io import encode
 from slotchain.normalize import DEFAULT_POLICY
 
 from gen import corpus_to_json, make_corpus, make_dialogue, mutate_json
+from test_builder import decode_lines, reference_examples
 from test_refiner import DEMOS, KEY_VAR, MockCompletionServer, make_example, with_explanation
 
 REPO = Path(__file__).resolve().parents[1]
@@ -879,6 +885,30 @@ MALFORMED_INPUTS = {
         [{"dialogue_id": "x1", "turns": [{"speaker": "SYSTEM", "utterance": "hello"}]}],
         "dialogue 'x1': no turns",
     ),
+    # json.dumps writes a lone surrogate as the escape \\ud800, which no
+    # UTF-8 output can write back.
+    "canonical lone surrogate in build": (
+        ["build", "--corpus", "{file}", "--schema", SCHEMA],
+        [{"dialogue_id": "d1", "split": "train",
+          "turns": [{"index": 1, "system": "", "user": "hi \ud800", "state": {}}]}],
+        "$[0].turns[0].user: a \\u escape makes a lone surrogate",
+    ),
+    "canonical lone surrogate in ingest": (
+        ingest_argv("canonical", SCHEMA),
+        one_turn_corpus({"hotel-area": "north \udfff"}),
+        '$[0].turns[0].state["hotel-area"]: a \\u escape makes a lone surrogate',
+    ),
+    "canonical lone surrogate key": (
+        ["validate", "--corpus", "{file}", "--schema", SCHEMA],
+        one_turn_corpus({"hotel-area\udc00": "north"}),
+        '$[0].turns[0].state["hotel-area\\udc00"]: a \\u escape makes a lone surrogate',
+    ),
+    "predictions lone surrogate": (
+        ["eval", "--corpus", DIALOGUES, "--schema", SCHEMA, "--predictions", "{file}"],
+        b'{"dialogue_id": "fix007", "turn": 1, "slot_id": "hotel-area", "text": "north"}\n'
+        b'{"dialogue_id": "fix007", "turn": 2, "slot_id": "hotel-area", "text": "\\ud83d"}\n',
+        "line 2: $.text: a \\u escape makes a lone surrogate",
+    ),
 }
 
 
@@ -931,7 +961,7 @@ def fixture_rows(text):
 
 def fixture_examples():
     corpus = fixture_corpus()
-    jsonl = examples_to_jsonl(build_dataset(corpus.dialogues[0], slot_prompts(corpus.schema)))
+    jsonl = "".join(build_dataset(corpus.dialogues[0], slot_prompts(corpus.schema)))
     return fixture_rows(jsonl)[:4]
 
 
@@ -1271,44 +1301,51 @@ def test_build_and_refine_write_the_bytes_of_json_dumps(capsys, tmp_path, monkey
     generated = make_corpus(random.Random(17), max_dialogues=4, max_turns=5, max_slots=4)
     dialogues = tuple(
         replace(dialogue, dialogue_id=f"{AWKWARD} {i}", turns=tuple(
-            replace(turn, user_utterance=f"{turn.user_utterance} {AWKWARD}")
+            # a trailing blank, which render_prompt strips where the history ends a prompt
+            replace(turn, user_utterance=f"{turn.user_utterance} {AWKWARD} \t")
             for turn in dialogue.turns
         ))
         for i, dialogue in enumerate(generated.dialogues)
     )
+    awkward = Corpus(generated.schema, dialogues)
     corpus, schema = tmp_path / "corpus.json", tmp_path / "schema.json"
-    template = tmp_path / "template.json"
-    corpus.write_text(corpus_to_json(Corpus(generated.schema, dialogues)), encoding="utf-8")
+    corpus.write_text(corpus_to_json(awkward), encoding="utf-8")
     schema.write_text(json.dumps([encode(s) for s in generated.schema.slots]), encoding="utf-8")
-    template.write_text(json.dumps({
-        "template_text": f"{AWKWARD} [History] [Question] [Choices]",
-        "choices_section_marker": AWKWARD,
-    }), encoding="utf-8")
+    # [History] last, so that render_prompt strips the history's end
+    template = PromptTemplate(f" [Question] [Choices] {AWKWARD}\n [History] \n", AWKWARD)
+    template_path = tmp_path / "template.json"
+    template_path.write_text(json.dumps(encode(template)), encoding="utf-8")
     arms = {
-        "default": [],
-        "include inactive": ["--include-inactive"],
-        "no explanations": ["--no-explanations"],
-        "custom template": ["--template-file", str(template)],
+        "default": ([], {}),
+        "include inactive": (["--include-inactive"], {"include_inactive": True}),
+        "no explanations": (["--no-explanations"], {"include_explanations": False}),
+        "custom template": (["--template-file", str(template_path)], {"template": template}),
     }
-    written = {}  # refine runs here, in one process, so it also writes through the patch
-    for writer in ("planned", "reference"):
-        if writer == "reference":
-            monkeypatch.setattr("slotchain.builder.json_line", reference_line)
-        for arm, flags in arms.items():
-            built = tmp_path / f"{writer} {arm}.jsonl"
-            refined = tmp_path / f"{writer} {arm} refined.jsonl"
-            code, _, _ = run(capsys, "build", "--corpus", str(corpus), "--schema", str(schema),
-                             *flags, "--out", str(built))
-            assert code == 0
-            code, _, _ = run(capsys, "refine", "--examples", str(built), "--offline",
-                             "--max-parallel", "1", "--out", str(refined))
-            assert code == 0
-            written[writer, arm] = built.read_bytes(), refined.read_bytes()
     escaped = json.dumps(AWKWARD, ensure_ascii=False)[1:-1].encode("utf-8")
-    for arm in arms:
-        built, refined = written["planned", arm]
-        assert escaped in built and escaped in refined
-        assert (built, refined) == written["reference", arm], arm
+    for arm, (flags, options) in arms.items():
+        built = tmp_path / f"{arm}.jsonl"
+        code, _, _ = run(capsys, "build", "--corpus", str(corpus), "--schema", str(schema),
+                         *flags, "--out", str(built))
+        assert code == 0
+        # built one record at a time here, not by build_dataset
+        records = reference_examples(awkward, **options)
+        assert built.read_bytes() == "".join(map(reference_line, records)).encode("utf-8"), arm
+        assert escaped in built.read_bytes()
+        # bytes.splitlines, unlike str.splitlines, leaves AWKWARD's U+2028 whole
+        lines = [line.decode("utf-8") for line in built.read_bytes().splitlines(keepends=True)]
+        assert decode_lines(lines) == records, arm
+        refined = {}  # refine runs here, in one process, so it also writes through the patch
+        for writer in ("planned", "reference"):
+            with monkeypatch.context() as patch:
+                if writer == "reference":
+                    patch.setattr("slotchain.builder.json_line", reference_line)
+                out = tmp_path / f"{arm} {writer} refined.jsonl"
+                code, _, _ = run(capsys, "refine", "--examples", str(built), "--offline",
+                                 "--max-parallel", "1", "--out", str(out))
+                assert code == 0
+                refined[writer] = out.read_bytes()
+        assert escaped in refined["planned"]
+        assert refined["planned"] == refined["reference"], arm
 
 
 # ---------------------------------------------------------------------------
@@ -1329,14 +1366,20 @@ def recording(monkeypatch, name, original):
 
 
 def test_build_writes_one_dialogue_per_jsonl_call(capsys, tmp_path, monkeypatch):
-    built = recording(monkeypatch, "build_dataset", build_dataset)
-    written = recording(monkeypatch, "examples_to_jsonl", examples_to_jsonl)
+    returned = []
+
+    def recorded(dialogue, *rest, **options):
+        lines = build_dataset(dialogue, *rest, **options)
+        returned.append((dialogue.dialogue_id, lines))
+        return lines
+
+    monkeypatch.setattr("slotchain.cli.build_dataset", recorded)
     out_path = build_examples_file(capsys, tmp_path)
     ids = sorted(d.dialogue_id for d in fixture_corpus().dialogues)
-    assert [d.dialogue_id for d in built] == ids
-    assert all(isinstance(examples, tuple) for examples in written)
-    assert [{e.meta.dialogue_id for e in examples} for examples in written] == [{i} for i in ids]
-    assert out_path.read_text(encoding="utf-8") == "".join(map(examples_to_jsonl, written))
+    assert [dialogue_id for dialogue_id, _ in returned] == ids
+    for dialogue_id, lines in returned:
+        assert {e.meta.dialogue_id for e in decode_lines(lines)} == {dialogue_id}
+    assert out_path.read_text(encoding="utf-8") == "".join("".join(l) for _, l in returned)
 
 
 def test_build_failing_in_a_later_dialogue_keeps_the_old_out_file(capsys, tmp_path, monkeypatch):
@@ -1914,10 +1957,83 @@ def test_interrupted_write_keeps_the_old_out_file(capsys, tmp_path, monkeypatch)
         raise KeyboardInterrupt
 
     monkeypatch.setattr(os, "replace", interrupted)
-    with pytest.raises(KeyboardInterrupt):
-        main(["stats", "--corpus", DIALOGUES, "--schema", SCHEMA, "--out", str(out_path)])
+    code, out, err = run(capsys, "stats", "--corpus", DIALOGUES, "--schema", SCHEMA,
+                         "--out", str(out_path))
+    assert (code, out, err) == (130, "", "error: stopped by SIGINT\n")
     assert out_path.read_text(encoding="utf-8") == "old output\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["stats.txt"]
+
+
+# The child takes Ctrl-C as Python does by default even where the shell
+# that started the tests ignores SIGINT, as it does for background jobs.
+STOPPABLE = ("import signal, sys\n"
+             "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+             "from slotchain.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))\n")
+
+
+def open_once_read(fifo, proc):
+    """The write end of ``fifo``, opened once ``proc`` opens it to read;
+    a child that exits first fails the test rather than hanging it."""
+    deadline = time.monotonic() + 60
+    while True:
+        try:
+            fd = os.open(fifo, os.O_WRONLY | os.O_NONBLOCK)
+        except OSError as exc:
+            # ENXIO: no reader yet
+            if exc.errno != errno.ENXIO or time.monotonic() > deadline:
+                raise
+            assert proc.poll() is None, proc.communicate()
+            time.sleep(0.01)
+            continue
+        os.set_blocking(fd, True)
+        return open(fd, "wb")
+
+
+@pytest.mark.parametrize("online", [False, True], ids=["offline", "online"])
+@pytest.mark.parametrize("signum", [signal.SIGINT, signal.SIGTERM, signal.SIGHUP],
+                         ids=lambda signum: signal.Signals(signum).name)
+def test_a_signal_stops_refine_with_one_line_and_the_old_out_file(tmp_path, signum, online):
+    fifo = tmp_path / "examples.jsonl"
+    os.mkfifo(fifo)
+    out_path = tmp_path / "refined.jsonl"
+    out_path.write_bytes(b"old output\n")
+    argv = ["refine", "--examples", str(fifo), "--max-parallel", "1", "--out", str(out_path)]
+    server = MockCompletionServer().start() if online else None
+    if online:
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({
+            "endpoint_url": server.url, "model_name": "test-model", "api_key_env_var": KEY_VAR,
+            "demonstrations": [list(pair) for pair in DEMOS],
+        }), encoding="utf-8")
+        argv += ["--config", str(config_path), "--cache-dir", str(tmp_path / "cache")]
+    else:
+        argv.append("--offline")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", STOPPABLE, *argv], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, env={**os.environ, KEY_VAR: "sekrit-key"},
+    )
+    try:
+        # Refine opens the examples to read them after it opened its
+        # temporary --out file; then it waits for the rest of a chunk.
+        with open_once_read(fifo, proc) as writer:
+            writer.write(examples_to_jsonl((make_example(0),)).encode("utf-8"))
+            writer.flush()
+            temporary = [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+            assert len(temporary) == 1, temporary
+            proc.send_signal(signum)
+            out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+        if server:
+            server.stop()
+    assert proc.returncode == 128 + signum, err
+    assert (out, err) == (b"", f"error: stopped by {signal.Signals(signum).name}\n".encode())
+    assert out_path.read_bytes() == b"old output\n"
+    assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+    if online:
+        assert server.requests == [] and not any((tmp_path / "cache").iterdir())
 
 
 def test_out_in_a_missing_directory_names_the_out_path(capsys, tmp_path):
@@ -1934,7 +2050,8 @@ def test_out_in_a_missing_directory_names_the_out_path(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (1, ""), argv
         assert err.count("\n") == 1 and err.startswith("error: "), err
-        assert str(out_path) in err and ".tmp-" not in err, err
+        # the temporary file that could not be made is ".out.json.<hex>.tmp"
+        assert str(out_path) in err and f".{out_path.name}." not in err, err
         assert not out_path.parent.exists()
 
 

@@ -9,6 +9,7 @@ import ast
 import json
 import math
 import os
+import re
 import stat
 import threading
 from dataclasses import dataclass, field, fields, make_dataclass
@@ -636,6 +637,20 @@ def test_read_jsonl_skips_blank_lines_and_names_bad_ones(tmp_path):
         list(read_jsonl(path))
 
 
+def test_read_accepts_an_escaped_surrogate_pair_and_names_a_lone_half(tmp_path):
+    path = tmp_path / "x.json"
+    # a pair, and an escaped backslash before text that only looks like an escape
+    path.write_text('["\\ud83d\\ude00", "\\\\ud800"]', encoding="utf-8")
+    assert read_json(path, expect=list) == ["\U0001f600", "\\ud800"]
+    path.write_text('{"a": ["ok", {"b": "\\ude00\\ud83d"}]}', encoding="utf-8")
+    with pytest.raises(FormatError, match=r"x\.json: \$\.a\[1\]\.b: a \\u escape makes a lone"):
+        read_json(path, expect=dict)
+    path = tmp_path / "x.jsonl"
+    path.write_bytes(b'{"a": "\\ud83d\\ude00"}\n{"a b": "\\uD800"}\n')
+    with pytest.raises(FormatError, match=r'x\.jsonl: line 2: \$\["a b"\]: a \\u escape'):
+        list(read_jsonl(path))
+
+
 def test_write_text_replaces_the_file_behind_a_symlink(tmp_path):
     target = tmp_path / "target.txt"
     target.write_text("old", encoding="utf-8")
@@ -675,6 +690,26 @@ def test_write_lines_keeps_the_old_file_when_the_lines_fail_partway(tmp_path):
         write_lines(path, lines())
     assert path.read_bytes() == b"old output\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl"]
+
+
+def test_write_lines_names_its_temporary_file_after_the_target(tmp_path):
+    path = tmp_path / "out.jsonl"
+    seen = []
+
+    def lines():
+        seen.extend(p.name for p in tmp_path.iterdir())
+        yield "line\n"
+
+    write_lines(path, lines())
+    assert len(seen) == 1 and re.fullmatch(r"\.out\.jsonl\.[0-9a-f]{16}\.tmp", seen[0]), seen
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl"]
+    # whole, with the 22 characters a temporary name adds, past 255 bytes
+    long_name = "x" * 240 + ".jsonl"
+    seen.clear()
+    write_lines(tmp_path / long_name, lines())
+    temporary = [name for name in seen if name.endswith(".tmp")]
+    assert len(temporary) == 1 and temporary[0].startswith("." + "x" * 50 + "."), seen
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["out.jsonl", long_name])
 
 
 def test_write_lines_writes_each_line_as_it_comes(tmp_path):

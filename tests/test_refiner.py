@@ -525,8 +525,8 @@ def test_cache_file_named_by_fingerprint_and_holds_refined_text(server, tmp_path
     result = refine_one(COARSE, config)
     cache_file = tmp_path / "cache" / request_fingerprint(config, COARSE)
     assert cache_file.read_text(encoding="utf-8") == result.refined
-    leftovers = [p for p in (tmp_path / "cache").iterdir() if p.name.startswith(".tmp-")]
-    assert leftovers == []
+    # nothing else: a leftover temporary file would be ".<name>.<hex>.tmp"
+    assert [p.name for p in (tmp_path / "cache").iterdir()] == [cache_file.name]
 
 
 def test_warm_cache_needs_no_credentials_or_server(server, tmp_path, api_key, monkeypatch):
