@@ -5,13 +5,14 @@ history. Categorical slots become multiple-choice questions; the target
 is the slot value, optionally followed by an explanation assembled from
 the turns where the value changed.
 
-``build_dataset`` writes a dialogue's examples straight to JSON Lines,
-the bytes ``json_line`` gives for each ``CoTExample``, without making a
-record per example. It joins text that the C string escaper escaped once:
-each slot's prompt text around [History] once per build, each turn's
-history once per turn, and the rest of a line, checked as ``CoTExample``
-checks it, once per (slot, step count) of the dialogue. ``render_prompt``
-is the prompt those parts spell out.
+``example_line`` is the one writer of an example's JSON Lines line: the
+text of ``json.dumps(encode(example), ensure_ascii=False)`` and a
+newline. ``build_dataset`` writes a dialogue's examples straight to
+those bytes, without making a record per example. It joins text that the
+C string escaper escaped once: each slot's prompt text around [History]
+once per build, each turn's history once per turn, and the rest of a
+line, checked as ``CoTExample`` checks it, once per (slot, step count)
+of the dialogue. ``render_prompt`` is the prompt those parts spell out.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Iterable, Sequence
 from .chains import chains_by_slot, extract_chain  # noqa: F401
 from .corpus import Dialogue, Schema, SlotSchema
 from .errors import ValidationError
-from .io import decode, json_line, parse_jsonl, read_json, read_lines
+from .io import decode, parse_jsonl, read_json, read_lines
 from .normalize import NONE_VALUE, normalize_value
 
 TARGET_SEPARATOR = " | "
@@ -254,7 +255,7 @@ def build_dataset(
     """The examples of one dialogue as JSON Lines, one line per (turn,
     slot of ``prompts``), restricted to slots with a non-empty chain
     unless include_inactive, in (query_turn, prompts) order. Each line is
-    json_line of the example's CoTExample, joined from parts escaped once
+    example_line of the example's CoTExample, joined from parts escaped once
     (see the module docstring); the chains of the annotated slots are
     computed once."""
     chains = chains_by_slot(dialogue)
@@ -306,8 +307,28 @@ def build_dataset(
 # JSONL serialization
 
 
+def example_line(example: CoTExample) -> str:
+    """``example``'s JSON Lines line: json.dumps(encode(example),
+    ensure_ascii=False) and a newline, for the numbers a decoded or built
+    example holds (ints, and a finite float or an int as avg_utterance_len)."""
+    meta = example.meta
+    return (
+        f'{{"example_id": {encode_basestring(example.example_id)}, '
+        f'"input_text": {encode_basestring(example.input_text)}, '
+        f'"target_value": {encode_basestring(example.target_value)}, '
+        f'"explanation": {encode_basestring(example.explanation)}, '
+        f'"explanation_kind": {encode_basestring(example.explanation_kind)}, '
+        f'"meta": {{"dialogue_id": {encode_basestring(meta.dialogue_id)}, '
+        f'"query_turn": {meta.query_turn}, '
+        f'"slot_id": {encode_basestring(meta.slot_id)}, '
+        f'"step_count": {meta.step_count}, '
+        f'"dialogue_turns": {meta.dialogue_turns}, '
+        f'"avg_utterance_len": {meta.avg_utterance_len!r}}}}}\n'
+    )
+
+
 def examples_to_jsonl(examples: Iterable[CoTExample]) -> str:
-    return "".join(map(json_line, examples))
+    return "".join(map(example_line, examples))
 
 
 def read_examples(

@@ -7,16 +7,20 @@ Exit codes: 0 success, 1 data or validation error (input that is not
 UTF-8 included), 2 usage error, 3 a refine run that finished with some
 items unrefined, 128 plus the signal number for a run stopped by SIGINT
 (130), SIGTERM (143) or SIGHUP (129), with one line on standard error.
+Standard output closed early by its reader (``head``) is an OSError like
+any other: exit 1 and the one line ``error: [Errno 32] Broken pipe``.
 No subcommand rewrites its input files: an --out naming one is an error.
 --out is written atomically, so an interrupted or stopped run leaves the
 old file whole and no temporary file. ingest and sample write one
 dialogue at a time, build one dialogue's example lines at a time and
 refine one chunk of REFINE_CHUNK lines at a time, so none holds the
-whole output. An offline
-refine of more than one chunk refines its chunks in a pool of
-min(--max-parallel, usable CPUs) worker processes, at most two chunks per
-worker in flight, and writes them in input order; an online refine sends
-up to --max-parallel requests at once from threads.
+whole output. An offline refine of more than one chunk refines its
+chunks in a pool of min(--max-parallel, usable CPUs) worker processes,
+at most two chunks per worker in flight, and writes them in input order;
+an online refine sends up to --max-parallel requests at once from
+threads. A worker ignores SIGINT, which a terminal's Ctrl-C sends to the
+whole process group, so that main alone answers it, once the workers
+finish their chunks; a worker dies of SIGTERM or SIGHUP.
 """
 
 from __future__ import annotations
@@ -237,7 +241,7 @@ def _refined_in_pool(
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    pool = ProcessPoolExecutor(max_workers=workers)
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_worker_signals)
     pending = collections.deque()
     try:
         for lines in chunks:
@@ -250,6 +254,16 @@ def _refined_in_pool(
         raise SlotchainError(f"a refine worker process stopped: {exc}") from exc
     finally:
         pool.shutdown(cancel_futures=True)
+
+
+def _worker_signals() -> None:
+    """A refine worker's signal handling. A forked worker inherits main's
+    _stop, and a _Stopped raised in a task is the task's error, which the
+    worker survives; a pool that is torn down then waits for it forever.
+    So a worker dies of SIGTERM and SIGHUP, and leaves Ctrl-C to main."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for signum in _STOP_SIGNALS:
+        signal.signal(signum, signal.SIG_DFL)
 
 
 def _cmd_refine(args: argparse.Namespace) -> int:

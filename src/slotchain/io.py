@@ -22,7 +22,6 @@ import sys
 import types
 import typing
 from importlib import resources
-from json.encoder import encode_basestring
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator
 
@@ -71,7 +70,10 @@ def _lone_surrogate(data) -> str | None:
     return None
 
 
-def _parse(text: str, where: str):
+def parse_json(text: str, where: str):
+    """The value of the JSON text ``text``. Bad syntax, a BOM, NaN or an
+    infinity, or a \\u escape that makes a lone surrogate is a FormatError
+    naming ``where`` (and the JSON path of the surrogate)."""
     try:
         if text.startswith("\ufeff"):  # as json.loads words it
             raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
@@ -98,7 +100,7 @@ def read_json(source: str | Path, expect: type):
         text = source.read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
         raise FormatError(f"{source}: not UTF-8: {exc}") from exc
-    data = _parse(text, str(source))
+    data = parse_json(text, str(source))
     if not isinstance(data, expect):
         kind = "array" if expect is list else "object"
         raise FormatError(f"{source}: expected a JSON {kind}")
@@ -125,7 +127,7 @@ def parse_jsonl(
         except UnicodeDecodeError as exc:
             raise FormatError(f"{where}: not UTF-8: {exc}") from exc
         if line.strip():
-            yield line_number, where, _parse(line, where)
+            yield line_number, where, parse_json(line, where)
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, str, object]]:
@@ -228,21 +230,18 @@ def bundled(name: str) -> Path | None:
 # ---------------------------------------------------------------------------
 # record codec
 #
-# Each class is planned once (_plan, then _decoder, _encoder and
-# _text_encoder). A planned decoder keeps a field value of exactly the
-# field's scalar type as it is and hands any other value to the field's
-# loader (_loader), which returns the decoded value, or _WRONG when its
-# shape does not fit; the record words that as "field 'x' must be ...". A
-# fault inside a nested record or object raises _Fault, whose message each
-# enclosing level prefixes with its own segment, and decode adds the
-# location it was given. encode gives a record's JSON object, for indented
-# output (json_text); a JSON Lines line (json_line) skips that object: the
-# class's text encoder writes the bytes _JSON would write for it, at about
-# the C string escaper's cost.
+# Each class is planned once (_plan, then _decoder and _encoder). A
+# planned decoder keeps a field value of exactly the field's scalar type
+# as it is and hands any other value to the field's loader (_loader),
+# which returns the decoded value, or _WRONG when its shape does not fit;
+# the record words that as "field 'x' must be ...". A fault inside a
+# nested record or object raises _Fault, whose message each enclosing
+# level prefixes with its own segment, and decode adds the location it
+# was given. encode gives a record's JSON object, for indented output
+# (json_text); builder.example_line writes the one JSON Lines record.
 
 _SCALARS = {str: "a string", int: "an integer", float: "a number", bool: "a boolean"}
 _WRONG = object()  # what a loader returns for a value that does not fit
-_JSON = json.JSONEncoder(ensure_ascii=False)  # what json.dumps(..., ensure_ascii=False) builds
 _INDENTED = json.JSONEncoder(ensure_ascii=False, indent=2)
 
 
@@ -431,53 +430,6 @@ def encode(record) -> dict:
     field order. Tuples become arrays, frozensets sorted arrays, dicts
     objects with sorted keys, and nested records objects."""
     return _encoder(type(record))(record)
-
-
-@functools.cache
-def _text_encoder(cls: type):
-    """The planned text encoder of ``cls``: a function, generated from
-    the class's plan as dataclasses generates ``__init__``, from a record
-    to the text _JSON gives for its JSON object. A string field goes
-    through the C escaper, an int or finite float field through repr, and
-    a nested record through its own text encoder; a number of another
-    type (a boolean, NaN, an int in a float field) and every other form
-    go through _JSON. Keys are escaped once and passed in as constants,
-    so no record text reaches the generated source."""
-    fields, _ = _plan(cls)
-    names = {"_esc": encode_basestring, "_json": _JSON.encode}
-    loads, parts = [], []
-    for i, (key, (attr, form)) in enumerate(fields.items()):
-        names[f"_k{i}"] = ("{" if i == 0 else ", ") + encode_basestring(key) + ": "
-        value = f"record.{attr}"  # attr is a dataclass field name, so an identifier
-        if form is str:
-            text = f"_esc({value})"
-        elif form is int or form is float:
-            v = f"v{i}"
-            loads.append(f"    {v} = {value}\n")
-            if form is int:
-                fits = f"type({v}) is int"
-            else:  # v - v is 0 for a finite float, NaN for NaN and the infinities
-                fits = f"type({v}) is float and {v} - {v} == 0"
-            text = f"repr({v}) if {fits} else _json({v})"
-        elif dataclasses.is_dataclass(form):
-            names[f"_f{i}"] = _text_encoder(form)
-            text = f"_f{i}({value})"
-        elif (dump := _dumper(form)) is None:
-            text = f"_json({value})"
-        else:
-            names[f"_f{i}"] = dump
-            text = f"_json(_f{i}({value}))"
-        parts.append(f"{{_k{i}}}{{{text}}}")
-    parts.append("}}" if fields else "{{}}")
-    source = f"def encode_text(record):\n{''.join(loads)}    return f\"{''.join(parts)}\"\n"
-    exec(source, names)
-    return names["encode_text"]
-
-
-def json_line(record) -> str:
-    """A record as one JSON Lines line, non-ASCII characters kept: the
-    text of json.dumps(encode(record), ensure_ascii=False) and a newline."""
-    return _text_encoder(type(record))(record) + "\n"
 
 
 def json_text(value) -> str:

@@ -14,7 +14,11 @@ them. An online batch sends up to ``max_parallel`` requests at once from
 a thread pool; an offline batch strips tags inline, and the ``refine``
 command spreads the chunks of an offline run over up to ``max_parallel``
 worker processes instead (see ``slotchain.cli``). A rejected or missing
-key stops the batch before any queued request is sent.
+key stops the batch before any queued request is sent. A reply is held
+to the rules of every JSON input (``io.parse_json``): one that is not
+UTF-8, or holds NaN, an infinity, a BOM, bad syntax or a \\u escape
+that makes a lone surrogate, leaves its text unrefined, and nothing is
+cached.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ from typing import Iterable
 
 from . import __version__
 from .builder import CoTExample
-from .errors import AuthError, NetworkError, ValidationError
-from .io import bundled, decode, http_post, read_json, write_lines
+from .errors import AuthError, FormatError, NetworkError, ValidationError
+from .io import bundled, decode, http_post, parse_json, read_json, write_lines
 
 DEFAULT_API_KEY_ENV_VAR = "COTE_API_KEY"
 DEFAULT_INSTRUCTION = (
@@ -211,9 +215,11 @@ def _request_completion(config: RefineConfig, coarse: str, api_key: str) -> str:
         if status != 200:
             raise NetworkError(f"completion request failed: HTTP {status}")
         try:
-            data = json.loads(payload)
-        except ValueError as exc:
-            raise NetworkError(f"completion response is not JSON: {exc}") from exc
+            data = parse_json(payload.decode("utf-8"), "completion response")
+        except UnicodeDecodeError as exc:
+            raise NetworkError(f"completion response: not UTF-8: {exc}") from exc
+        except FormatError as exc:
+            raise NetworkError(str(exc)) from exc
         text = _extract_completion_text(data)
         if text is None:
             raise NetworkError(

@@ -7,10 +7,13 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from gen import corpus_to_json, make_corpus
 from oracles import oracle_chain, render_target
 from test_chains import chain_at
+from test_io import FUZZ, examples
 from slotchain.builder import (
     CoTExample,
     DEFAULT_TEMPLATE,
@@ -20,6 +23,7 @@ from slotchain.builder import (
     build_coarse_explanation,
     build_dataset,
     build_question,
+    example_line,
     examples_to_jsonl,
     load_template,
     parse_generation,
@@ -41,7 +45,7 @@ from slotchain.corpus import (
     load_schema,
 )
 from slotchain.errors import FormatError, ValidationError
-from slotchain.io import decode, encode, json_line
+from slotchain.io import decode, encode
 from slotchain.normalize import DEFAULT_POLICY, normalize_value
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -77,11 +81,11 @@ def prompt_at(d: Dialogue, query_turn: int, slot: SlotSchema, template=DEFAULT_T
 
 def decode_lines(lines) -> tuple:
     """The CoTExample of each JSON Lines line, decoded and checked by the
-    codec; each line must be the codec's own line for its example."""
+    codec; each line must be example_line of its example."""
     examples = []
     for number, line in enumerate(lines, start=1):
         example = decode(CoTExample, json.loads(line), f"line {number}")
-        assert json_line(example) == line, number
+        assert example_line(example) == line, number
         examples.append(example)
     return tuple(examples)
 
@@ -605,6 +609,40 @@ def test_examples_jsonl_round_trip_randomized(tmp_path):
         path = tmp_path / f"ex{seed}.jsonl"
         path.write_text(examples_to_jsonl(examples), encoding="utf-8")
         assert tuple(read_examples(path)) == examples
+
+
+def reference_line(example) -> str:
+    return json.dumps(encode(example), ensure_ascii=False) + "\n"
+
+
+# What the JSON string escaper treats apart: quotes, backslashes, control
+# characters, U+2028, non-ASCII; and braces, which example_line's f-string
+# must not read as its own.
+awkward_texts = st.text(
+    st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\u2029{}{{}}éß漢😀\ufeff ab') | st.characters(),
+    max_size=12,
+)
+# avg_utterance_len as the decoder gives it: a finite float or an int
+finite_numbers = st.floats(allow_nan=False, allow_infinity=False) | st.integers()
+
+
+@FUZZ
+@given(example=examples(awkward_texts, finite_numbers))
+def test_example_line_writes_json_dumps(example):
+    assert example_line(example) == reference_line(example)
+
+
+@pytest.mark.parametrize("value", [4, 0, -0.0, 1e-07, 1e300, 2.5, 10**30])
+def test_example_line_writes_json_dumps_of_each_number_form(value):
+    # each form a decoded number takes; an int also fills the int fields
+    metas = [ExampleMeta("d1", 2, "hotel-area", 1, 3, value)]
+    if type(value) is int:
+        metas.append(ExampleMeta("d1", value, "hotel-area", value, value, 4.5))
+    for meta in metas:
+        example = CoTExample("d1:2:hotel-area", "prompt", "north", "", "none", meta)
+        line = example_line(example)
+        assert line == reference_line(example)
+        assert decode(CoTExample, json.loads(line), "line") == example
 
 
 def test_read_examples_names_bad_line(tmp_path):

@@ -2,6 +2,7 @@
 and that no subcommand rewrites its inputs."""
 
 import argparse
+import contextlib
 import errno
 import hashlib
 import json
@@ -33,7 +34,7 @@ from slotchain.io import encode
 from slotchain.normalize import DEFAULT_POLICY
 
 from gen import corpus_to_json, make_corpus, make_dialogue, mutate_json
-from test_builder import decode_lines, reference_examples
+from test_builder import decode_lines, reference_examples, reference_line
 from test_refiner import DEMOS, KEY_VAR, MockCompletionServer, make_example, with_explanation
 
 REPO = Path(__file__).resolve().parents[1]
@@ -1288,13 +1289,9 @@ def test_refine_partial_failure_exits_three(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# bytes written: the planned line encoder against json.dumps
+# bytes written: the example line writers against json.dumps
 
 AWKWARD = 'Ünï "quoted" \\ back\u2028slash {braces} \x01 漢 😀'
-
-
-def reference_line(record) -> str:
-    return json.dumps(encode(record), ensure_ascii=False) + "\n"
 
 
 def test_build_and_refine_write_the_bytes_of_json_dumps(capsys, tmp_path, monkeypatch):
@@ -1335,17 +1332,17 @@ def test_build_and_refine_write_the_bytes_of_json_dumps(capsys, tmp_path, monkey
         lines = [line.decode("utf-8") for line in built.read_bytes().splitlines(keepends=True)]
         assert decode_lines(lines) == records, arm
         refined = {}  # refine runs here, in one process, so it also writes through the patch
-        for writer in ("planned", "reference"):
+        for writer in ("example_line", "reference"):
             with monkeypatch.context() as patch:
                 if writer == "reference":
-                    patch.setattr("slotchain.builder.json_line", reference_line)
+                    patch.setattr("slotchain.builder.example_line", reference_line)
                 out = tmp_path / f"{arm} {writer} refined.jsonl"
                 code, _, _ = run(capsys, "refine", "--examples", str(built), "--offline",
                                  "--max-parallel", "1", "--out", str(out))
                 assert code == 0
                 refined[writer] = out.read_bytes()
-        assert escaped in refined["planned"]
-        assert refined["planned"] == refined["reference"], arm
+        assert escaped in refined["example_line"]
+        assert refined["example_line"] == refined["reference"], arm
 
 
 # ---------------------------------------------------------------------------
@@ -2034,6 +2031,87 @@ def test_a_signal_stops_refine_with_one_line_and_the_old_out_file(tmp_path, sign
     assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
     if online:
         assert server.requests == [] and not any((tmp_path / "cache").iterdir())
+
+
+# STOPPABLE with two usable CPUs, so that an offline refine of more than
+# one chunk starts a pool of two worker processes wherever the tests run.
+STOPPABLE_POOLED = STOPPABLE.replace(
+    "from slotchain.cli import main\n",
+    "import slotchain.cli\nslotchain.cli._usable_cpus = lambda: 2\nfrom slotchain.cli import main\n",
+)
+
+
+def test_ctrl_c_stops_a_pooled_refine_with_one_line_and_no_child_left(tmp_path):
+    fifo = tmp_path / "examples.jsonl"
+    os.mkfifo(fifo)
+    out_path = tmp_path / "refined.jsonl"
+    out_path.write_bytes(b"old output\n")
+    # A session of its own, so that the signal reaches the child's process
+    # group, as a terminal's Ctrl-C does, and not the tests' own.
+    proc = subprocess.Popen(
+        [sys.executable, "-c", STOPPABLE_POOLED, "refine", "--examples", str(fifo), "--offline",
+         "--max-parallel", "2", "--out", str(out_path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, start_new_session=True,
+    )
+    left = True
+    try:
+        with open_once_read(fifo, proc) as writer:
+            lines = examples_to_jsonl(make_example(i) for i in range(5 * cli.REFINE_CHUNK + 10))
+            writer.write(lines.encode("utf-8"))
+            writer.flush()
+            # The pool has refined and written a chunk; refine waits for more input.
+            deadline = time.monotonic() + 60
+            while not any(p.stat().st_size for p in tmp_path.iterdir() if p.suffix == ".tmp"):
+                assert proc.poll() is None, proc.communicate()
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+            os.killpg(proc.pid, signal.SIGINT)
+            out, err = proc.communicate(timeout=60)
+        deadline = time.monotonic() + 10
+        while left and time.monotonic() < deadline:
+            try:
+                os.killpg(proc.pid, 0)  # a worker outlived refine
+                time.sleep(0.05)
+            except ProcessLookupError:
+                left = False
+    finally:
+        if left:  # the group is still there: end it
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+    assert proc.returncode == 130, err
+    assert (out, err) == (b"", b"error: stopped by SIGINT\n")
+    assert out_path.read_bytes() == b"old output\n"
+    assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+    assert not left
+
+
+def test_build_into_a_pipe_closed_early_exits_one_with_one_line(tmp_path):
+    fixture = fixture_corpus()
+    # Some 2 MB of examples, far more than a pipe holds, so build is still
+    # writing when its reader goes.
+    corpus = Corpus(fixture.schema, tuple(
+        replace(dialogue, dialogue_id=f"{dialogue.dialogue_id}-{i}")
+        for i in range(40) for dialogue in fixture.dialogues
+    ))
+    corpus_path = tmp_path / "corpus.json"
+    corpus_path.write_text(corpus_to_json(corpus), encoding="utf-8")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "slotchain.cli", "build", "--corpus", str(corpus_path),
+         "--schema", SCHEMA, "--include-inactive"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    with proc:  # closes both pipes and waits
+        try:
+            assert len(proc.stdout.read(100)) == 100
+            proc.stdout.close()
+            err = proc.stderr.read()
+            proc.wait(timeout=60)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+    assert proc.returncode == 1, err
+    assert err == b"error: [Errno 32] Broken pipe\n"
 
 
 def test_out_in_a_missing_directory_names_the_out_path(capsys, tmp_path):

@@ -12,7 +12,7 @@ import os
 import re
 import stat
 import threading
-from dataclasses import dataclass, field, fields, make_dataclass
+from dataclasses import fields, make_dataclass
 from pathlib import Path
 
 import pytest
@@ -44,7 +44,6 @@ from slotchain.io import (
     decode,
     encode,
     file_or_bundled,
-    json_line,
     read_json,
     read_jsonl,
     write_lines,
@@ -396,75 +395,6 @@ def test_codec_round_trips_every_record_class(cls, data):
     assert decode(cls, encode(record), "record.json") == record
 
 
-def reference_line(record) -> str:
-    return json.dumps(encode(record), ensure_ascii=False) + "\n"
-
-
-# What the JSON string escaper treats apart: quotes, backslashes, control
-# characters, U+2028, non-ASCII; and braces, which the planned line
-# encoder's f-string must not read as its own.
-awkward_texts = st.text(
-    st.sampled_from('"\\/\x00\x1f\x7f\n\t\u2028\u2029{}{{}}éß漢😀\ufeff ab') | st.characters(),
-    max_size=12,
-)
-awkward_examples = examples(awkward_texts, st.floats() | st.integers())
-LINE_RECORDS = {
-    **RECORDS,
-    CoTExample: awkward_examples,
-    ExampleMeta: awkward_examples.map(lambda example: example.meta),
-}
-
-
-VALID_RECORD_CLASSES = {
-    "canonical corpus": Dialogue, "predictions": PredictionRecord, "examples": CoTExample,
-    "report": EvalReport, "policy": NormalizationPolicy, "refine config": RefineConfig,
-    "template": PromptTemplate,
-}
-
-
-@pytest.mark.parametrize("name", sorted(VALID_RECORDS))
-def test_json_line_writes_json_dumps_of_each_valid_record(name):
-    record = decode(VALID_RECORD_CLASSES[name], VALID_RECORDS[name], "rec.json")
-    assert json_line(record) == reference_line(record)
-
-
-@pytest.mark.parametrize("cls", list(LINE_RECORDS), ids=lambda cls: cls.__name__)
-@FUZZ
-@given(data=st.data())
-def test_json_line_writes_json_dumps(cls, data):
-    record = data.draw(LINE_RECORDS[cls])
-    assert json_line(record) == reference_line(record)
-
-
-@pytest.mark.parametrize("value", [
-    4, 0, -0.0, 1e-07, 1e300, 2.5, math.nan, math.inf, -math.inf, True, 10**30,
-])
-def test_json_line_writes_json_dumps_of_each_number_form(value):
-    # A boolean, an integer in a float field, NaN and the infinities take
-    # _JSON's path; the rest take repr's.
-    records = [ExampleMeta("d1", 2, "hotel-area", 1, 3, value)]
-    if type(value) is not float:
-        records.append(ExampleMeta("d1", value, "hotel-area", 1, 3, 4.5))
-    for meta in records:
-        assert json_line(meta) == reference_line(meta)
-
-
-def test_json_line_writes_json_dumps_of_nullable_dict_and_escaped_key_fields():
-    @dataclass(frozen=True)
-    class Awkward:
-        note: str | None
-        counts: dict[str, str]
-        quoted: str = field(default="", metadata={"json_key": 'say "hi" \\ {now}\u2028é'})
-        meta: ExampleMeta | None = None
-
-    meta = ExampleMeta("d1", 2, "hotel-area", 1, 3, 4.5)
-    for record in (
-        Awkward(None, {}),
-        Awkward("x", {"b": "2", "a": "1", 'é"\\': "-3"}, "{}", meta),
-    ):
-        assert json_line(record) == reference_line(record)
-
-
 def test_codec_rejects_an_annotation_it_cannot_handle():
     # Of the object forms, the codec reads dict[str, str] alone.
     for annotation in (list[int], dict[str, int], dict[str, str | None], dict[int, str]):
@@ -566,7 +496,7 @@ def test_codec_keeps_an_integer_in_a_float_field():
 
 def test_codec_plans_each_class_once():
     # Each class is planned once however many records are decoded.
-    for planner in (io_layer._decoder, io_layer._encoder, io_layer._text_encoder):
+    for planner in (io_layer._decoder, io_layer._encoder):
         planner.cache_clear()
     records = {
         Dialogue: VALID_RECORDS["canonical corpus"],
@@ -580,13 +510,10 @@ def test_codec_plans_each_class_once():
         for cls, data in records.items():
             record = decode(cls, data, "rec.json")
             assert encode(record) == encode(decode(cls, data, "rec.json"))
-            assert json_line(record) == json_line(decode(cls, data, "rec.json"))
     planned = {Dialogue, TurnPair, CoTExample, ExampleMeta, PredictionRecord, EvalReport,
                NormalizationPolicy, BucketResult, SlotSchema}
     assert io_layer._decoder.cache_info().misses == len(planned)
     assert io_layer._encoder.cache_info().misses == len(planned)
-    # A record in an array is written through its encoder, not a text plan.
-    assert io_layer._text_encoder.cache_info().misses == len(planned - {TurnPair, BucketResult})
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,9 @@ TLS_KEY = Path(__file__).parent / "fixtures" / "tls_127.0.0.1_key.pem"
 class MockCompletionServer:
     """Local completion endpoint with a FIFO script of canned replies,
     each ``(status, payload)`` or ``(status, payload, headers)``; the
-    headers replace the default Content-Type and Content-Length.
+    headers replace the default Content-Type and Content-Length. A str
+    payload is sent as its UTF-8, bytes as they are, anything else as
+    its json.dumps.
 
     Unscripted requests echo the final Dialogue block back, wrapped in
     narrated(...), so distinct inputs yield distinct outputs. Tracks
@@ -76,11 +78,12 @@ class MockCompletionServer:
                 if outer.delay:
                     time.sleep(outer.delay)
                 status, payload, *extra = scripted if scripted else outer._echo(body)
-                data = (
-                    payload.encode("utf-8")
-                    if isinstance(payload, str)
-                    else json.dumps(payload).encode("utf-8")
-                )
+                if isinstance(payload, str):
+                    data = payload.encode("utf-8")
+                elif isinstance(payload, bytes):
+                    data = payload
+                else:
+                    data = json.dumps(payload).encode("utf-8")
                 with outer._lock:
                     outer._in_flight -= 1
                 headers = {"Content-Type": "application/json", "Content-Length": str(len(data))}
@@ -396,8 +399,36 @@ def test_non_retryable_status_fails_immediately(server, tmp_path, api_key):
 def test_non_json_success_body_raises_network_error(server, tmp_path, api_key):
     server.script.append((200, "this is not json {"))
     config = make_config(server, tmp_path)
-    with pytest.raises(NetworkError, match="not JSON"):
+    with pytest.raises(NetworkError, match="^completion response: not valid JSON: "):
         refine_one(COARSE, config)
+
+
+# Replies that io's JSON parser rejects, and the start of the error each gives.
+BAD_REPLIES = {
+    "lone surrogate": ('{"text": "narrated \\ud800"}',
+                       "completion response: $.text: a \\u escape makes a lone surrogate"),
+    "not UTF-8": (b'{"text": "narrated \xe9"}', "completion response: not UTF-8: "),
+    "NaN": ('{"text": "narrated", "score": NaN}',
+            "completion response: not valid JSON: non-finite number NaN"),
+    "infinity": ('{"text": "narrated", "score": -Infinity}',
+                 "completion response: not valid JSON: non-finite number -Infinity"),
+    "BOM": ('\ufeff{"text": "narrated"}',
+            "completion response: not valid JSON: Unexpected UTF-8 BOM"),
+}
+
+
+@pytest.mark.parametrize("reply", sorted(BAD_REPLIES))
+def test_a_reply_io_rejects_raises_network_error_and_is_not_cached(
+    server, tmp_path, api_key, reply
+):
+    payload, message = BAD_REPLIES[reply]
+    server.script.append((200, payload))
+    config = make_config(server, tmp_path, max_retries=3)
+    with pytest.raises(NetworkError) as caught:
+        refine_one(COARSE, config)
+    assert str(caught.value).startswith(message), caught.value
+    assert server.n_requests == 1  # a reply that came whole is not asked for again
+    assert not (tmp_path / "cache").exists()
 
 
 def test_json_without_text_raises_network_error(server, tmp_path, api_key):
@@ -903,6 +934,31 @@ def test_refine_warns_on_an_endpoint_without_a_scheme(server, tmp_path, api_key,
     assert "Traceback" not in err
     assert out_path.read_text(encoding="utf-8") == examples_to_jsonl((example,))
     assert server.n_requests == 0
+
+
+@pytest.mark.parametrize("cached", [False, True], ids=["no_cache", "cache_dir"])
+@pytest.mark.parametrize("reply", ["lone surrogate", "not UTF-8"])
+def test_refine_warns_on_a_reply_io_rejects_and_writes_the_example_unrefined(
+    server, tmp_path, api_key, capsys, reply, cached
+):
+    payload, message = BAD_REPLIES[reply]
+    server.script.append((200, payload))
+    example = make_example(0)
+    cache = tmp_path / "cache"
+    options = ("--cache-dir", str(cache)) if cached else ()
+    code, out_path = run_refine(server, tmp_path, (example,), *options)
+    err = capsys.readouterr().err
+    assert code == 3
+    warning, summary = err.splitlines()
+    assert warning.startswith(f"warning: {example.example_id}: {message}"), err
+    assert summary == "1 example(s) left unrefined"
+    assert out_path.read_text(encoding="utf-8") == examples_to_jsonl((example,))
+    assert server.n_requests == 1
+    if cached:
+        assert list(cache.iterdir()) == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["config.json", "examples.jsonl", "refined.jsonl", *(["cache"] if cached else [])]
+    )
 
 
 # ---------------------------------------------------------------------------
